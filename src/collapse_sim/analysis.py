@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
 from .evolution import IntegratorConfig, alignment_time, simulate_model
 from .states import _as_matrix, trace_distance
@@ -55,20 +56,6 @@ class SweepRow:
     gamma: float
     alignment_time: float
     gamma_times_tau: float
-
-
-def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
-    """Linear generator M of the diagonal rate equation, d' = M d.
-
-    ``M[r, m] = gamma * omega * (q_r/q_m - delta_rm * Q/q_r)`` with
-    ``q = sqrt(p)`` and ``Q = sum_k q_k``. Columns sum to zero and
-    ``M @ p_all = 0``.
-    """
-    p = np.asarray(p_all, dtype=float).reshape(-1)
-    if np.any(p <= 0):
-        raise ValidationError("flat probabilities must be strictly positive (floored)")
-    q = np.sqrt(p)
-    return float(gamma) * float(omega) * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
 
 
 def generator_spectrum(m, rate_scale: float | None = None) -> GeneratorSpectrum:

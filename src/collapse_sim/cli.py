@@ -12,12 +12,14 @@ import sys
 
 import numpy as np
 
-from .analysis import diag_generator_matrix, gamma_sweep, generator_spectrum, qsl_lower_bound
+from .analysis import gamma_sweep, generator_spectrum, qsl_lower_bound
 from .config import RunConfig, load_run_config
 from .csvio import write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import lindblad_jump_family
+from .dissipator import apply_dissipator_closed_form, diag_generator_matrix
+from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
-from .evolution import Trajectory, alignment_time, master_rhs, simulate_model
+from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .evolution import Trajectory, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
 
@@ -125,10 +127,11 @@ def _cmd_qsl(args) -> int:
     traj = simulate_model(model, cfg.integrator, mode=cfg.mode)
     target = model.aligned_target()
     measured = alignment_time(traj, target, tol=cfg.alignment_tol)
-    spec = lindblad_jump_family(model.rate_table(), model.gamma, model.omega)
-    hamiltonian = model.hamiltonian if cfg.mode == "full" else None
-    initial_rhs = master_rhs(hamiltonian, spec, model.initial_dm())
-    report = qsl_lower_bound(model.initial_dm(), target, initial_rhs,
+    rho0 = model.initial_dm().entries
+    initial_rhs = apply_dissipator_closed_form(model.rate_table(), model.gamma, model.omega, rho0)
+    if cfg.mode == "full":
+        initial_rhs -= 1j * (model.hamiltonian @ rho0 - rho0 @ model.hamiltonian)
+    report = qsl_lower_bound(rho0, target, initial_rhs,
                              measured_alignment_time=measured)
     write_qsl_csv(os.path.join(out, "qsl.csv"), report)
     return 0

@@ -41,6 +41,16 @@ class RunConfig:
     gammas: tuple[float, ...] | None
 
 
+def _number(value, name: str, kind=float):
+    try:
+        number = kind(value)
+        if np.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def _amplitudes(raw, name: str) -> np.ndarray:
     try:
         values = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x) for x in raw]
@@ -64,18 +74,16 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
         assignment[int(key)] = list(group)
     weights = None
     if raw.get("weights") is not None:
-        weights = [[1.0] for _ in range(outcomes)]
-        for i in range(outcomes):
-            weights[i] = [1.0 / max(len(assignment[i]), 1)] * len(assignment[i])
+        weights = [[1.0 / max(len(group), 1)] * len(group) for group in assignment]
         for key, group in raw["weights"].items():
-            weights[int(key)] = [float(w) for w in group]
+            weights[int(key)] = [_number(w, "correspondence weight") for w in group]
     return CorrespondenceMap.from_assignment(outcomes, readings, assignment, weights)
 
 
 def _model_from_scenario(raw: dict) -> MeasurementModel:
-    gamma = float(raw.get("gamma", 1.0))
-    omega = float(raw.get("omega", 1.0))
-    epsilon = float(raw.get("epsilon", DEFAULT_EPSILON))
+    gamma = _number(raw.get("gamma", 1.0), "gamma")
+    omega = _number(raw.get("omega", 1.0), "omega")
+    epsilon = _number(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
     has_angles = "alpha_s" in raw
     has_amplitudes = "sys_amplitudes" in raw
     if has_angles == has_amplitudes:
@@ -83,7 +91,8 @@ def _model_from_scenario(raw: dict) -> MeasurementModel:
     if has_angles:
         if "alpha_a" not in raw:
             raise ConfigError("scenario with 'alpha_s' also needs 'alpha_a'")
-        return spin_half_scenario(float(raw["alpha_s"]), float(raw["alpha_a"]), gamma, omega, epsilon)
+        return spin_half_scenario(_number(raw["alpha_s"], "alpha_s"),
+                                  _number(raw["alpha_a"], "alpha_a"), gamma, omega, epsilon)
     sys_vec = StateVector(_amplitudes(raw["sys_amplitudes"], "sys_amplitudes"))
     if "app_amplitudes" not in raw:
         raise ConfigError("scenario with 'sys_amplitudes' also needs 'app_amplitudes'")
@@ -104,15 +113,15 @@ def _integrator(raw: dict | None) -> IntegratorConfig:
     raw = raw or {}
     if "t_max" not in raw:
         raise ConfigError("integrator section needs 't_max'")
-    kwargs = {"t_max": float(raw["t_max"])}
+    kwargs = {"t_max": _number(raw["t_max"], "t_max")}
     if raw.get("dt") is not None:
-        kwargs["dt"] = float(raw["dt"])
+        kwargs["dt"] = _number(raw["dt"], "dt")
     if "safety" in raw:
-        kwargs["safety"] = float(raw["safety"])
+        kwargs["safety"] = _number(raw["safety"], "safety")
     if raw.get("record_every") is not None:
-        kwargs["record_every"] = int(raw["record_every"])
+        kwargs["record_every"] = _number(raw["record_every"], "record_every", int)
     if "record_points" in raw:
-        kwargs["record_points"] = int(raw["record_points"])
+        kwargs["record_points"] = _number(raw["record_points"], "record_points", int)
     if "record_spacing" in raw:
         kwargs["record_spacing"] = str(raw["record_spacing"])
     return IntegratorConfig(**kwargs)
@@ -139,13 +148,13 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
     if resolved_mode == "full" and model.hamiltonian is None:
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     if gammas is None and raw.get("gammas") is not None:
-        gammas = tuple(float(g) for g in raw["gammas"])
+        gammas = tuple(_number(g, "gammas entry") for g in raw["gammas"])
     return RunConfig(
         model=model,
         integrator=integrator,
         mode=resolved_mode,
         out_dir=out_dir if out_dir is not None else str(outputs.get("dir", ".")),
         plot=bool(plot) if plot is not None else bool(outputs.get("plot", False)),
-        alignment_tol=float(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL)),
+        alignment_tol=_number(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol"),
         gammas=gammas,
     )

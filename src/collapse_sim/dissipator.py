@@ -1,10 +1,15 @@
 """The weighted jump-operator family that drives pointer alignment, and its
-closed-form matrix-element action.
+action through the diagonal generator.
 
 Each jump operator is an off-diagonal matrix unit ``|r><s|`` on the combined
 flat basis, weighted by ``gamma * omega * q_r / q_s`` with ``q`` the flat
 rate-table entries. The term moves population from ``s`` into ``r``; the
 stationary state of the family is the diagonal of the squared rates.
+
+The family's whole action is fixed by the diagonal generator M of
+:func:`diag_generator_matrix`, the one place its rates are computed. The
+dense family (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the
+independent reference that tests check M-based code against.
 """
 
 from __future__ import annotations
@@ -70,24 +75,40 @@ def apply_dissipator(spec: DissipatorSpec, rho) -> np.ndarray:
     return out
 
 
+def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
+    """Linear generator M of the diagonal rate equation, d' = M d.
+
+    ``M[r, m] = gamma * omega * (q_r/q_m - delta_rm * Q/q_r)`` with
+    ``q = sqrt(p)`` and ``Q = sum_k q_k``. Off-diagonal entries are the jump
+    weights, ``-M[a, a]`` is the outflow rate of state a. Columns sum to zero
+    and ``M @ p_all = 0``.
+    """
+    p = np.asarray(p_all, dtype=float).reshape(-1)
+    if np.any(p <= 0):
+        raise ValidationError("flat probabilities must be strictly positive (floored)")
+    q = np.sqrt(p)
+    return float(gamma) * float(omega) * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
+
+
+def _coherence_generator(m: np.ndarray) -> np.ndarray:
+    """Rates ``(M[a, a] + M[b, b]) / 2`` at which entry (a, b) moves under the family."""
+    d = np.diagonal(m)
+    return 0.5 * (d[:, None] + d[None, :])
+
+
 def apply_dissipator_closed_form(rates: RateTable, gamma: float, omega: float, rho) -> np.ndarray:
     """Matrix-element form of the jump-family action, without building terms.
 
-    Diagonal entries gain ``q_a * sum_{s != a} rho_ss / q_s`` and every entry
-    (a, b) decays at half the summed outflow rates of a and b, where the
-    outflow of state a is ``sum_{s != a} q_s / q_a``. Each sum skips the
-    element's own index; with that convention the result is algebraically
+    The diagonal evolves as ``M @ diag(rho)`` with M from
+    :func:`diag_generator_matrix`, and every off-diagonal entry (a, b) decays
+    at half the summed outflow rates of a and b. The result is algebraically
     identical to :func:`apply_dissipator` on the full jump family.
     """
-    q = rates.flat
     m = _as_matrix(rho)
-    n = q.size
+    gen = diag_generator_matrix(rates.flat_probabilities(), gamma, omega)
+    n = gen.shape[0]
     if m.shape != (n, n):
         raise ValidationError(f"matrix shape {m.shape} does not match dimension {n}")
-    total = q.sum()
-    outflow = (total - q) / q
-    diag = np.diagonal(m)
-    gain = q * ((diag / q).sum() - diag / q)
-    out = (-0.5) * (outflow[:, None] + outflow[None, :]) * m
-    out[np.diag_indices(n)] += gain
-    return float(gamma) * float(omega) * out
+    out = _coherence_generator(gen) * m
+    out[np.diag_indices(n)] = gen @ np.diagonal(m)
+    return out

@@ -2,6 +2,12 @@
 reduction, producing trajectories of density-matrix snapshots with derived
 observables.
 
+Both modes read the jump family's rates off the diagonal generator M of
+:func:`diag_generator_matrix`. Full mode assembles its Liouvillian on
+row-major vec(rho) directly: M on the population block,
+``(M[a, a] + M[b, b]) / 2`` on the rest of the diagonal, and
+``-i (H x I - I x H^T)`` for the Hamiltonian.
+
 The generator is linear and time independent, so a fixed-step classical
 fourth-order Runge-Kutta update is precomputed once as the degree-4 Taylor
 polynomial of the step map (for a linear autonomous system the two are the
@@ -16,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import DissipatorSpec, apply_dissipator, lindblad_jump_family
+from .dissipator import DissipatorSpec, _coherence_generator, apply_dissipator, diag_generator_matrix
+from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import DensityMatrix, _as_matrix, dm_eigenvalues, trace_distance, von_neumann_entropy
 
@@ -46,12 +53,12 @@ class IntegratorConfig:
     record_spacing: str = "log"
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValidationError("t_max must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValidationError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not 0 < self.safety <= 0.5:
             raise ValidationError("safety factor must lie in (0, 0.5]")
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.record_points < 2:
@@ -105,34 +112,22 @@ def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
     return out
 
 
-def fast_offdiag_rate(p_r: float, p_s: float, p_all, gamma: float, omega: float) -> float:
-    """Decay rate of the off-diagonal element (r, s) in the dissipator-dominated
-    regime.
-
-    Equals half the summed outflow rates of the two flat states,
-    ``gamma * omega * [(Q - q_r)/q_r + (Q - q_s)/q_s] / 2`` with
-    ``q = sqrt(p)`` and ``Q = sum_m sqrt(p_m)``; this is exactly the rate the
-    jump family imposes, so the closed-form exponential reproduces the full
-    equation at zero Hamiltonian.
-    """
-    q_all = np.sqrt(np.asarray(p_all, dtype=float).reshape(-1))
-    total = float(q_all.sum())
-    q_r = math.sqrt(p_r)
-    q_s = math.sqrt(p_s)
-    return 0.5 * float(gamma) * float(omega) * ((total - q_r) / q_r + (total - q_s) / q_s)
+def fast_offdiag_rate(r: int, s: int, p_all, gamma: float, omega: float) -> float:
+    """Decay rate ``-(M[r, r] + M[s, s]) / 2`` of the coherence at flat indices
+    (r, s), with M from :func:`diag_generator_matrix`: exactly the rate the jump
+    family imposes, so the closed-form exponential reproduces the full
+    equation at zero Hamiltonian."""
+    return -float(_coherence_generator(diag_generator_matrix(p_all, gamma, omega))[r, s])
 
 
 def fast_diag_rhs(p_all, diag, gamma: float, omega: float) -> np.ndarray:
-    """Rate of change of the diagonal entries under the jump family.
-
-    Component r: ``gamma * omega * [q_r * sum_m d_m/q_m - (d_r/q_r) * sum_m q_m]``
-    with ``q = sqrt(p)``. The output sums to zero.
-    """
-    q = np.sqrt(np.asarray(p_all, dtype=float).reshape(-1))
+    """Rate of change ``M @ diag`` of the diagonal entries under the jump
+    family, with M from :func:`diag_generator_matrix`; it sums to zero."""
+    m = diag_generator_matrix(p_all, gamma, omega)
     d = np.asarray(diag, dtype=float).reshape(-1)
-    if d.size != q.size:
-        raise ValidationError(f"diagonal size {d.size} does not match {q.size} states")
-    return float(gamma) * float(omega) * (q * (d / q).sum() - d * q.sum() / q)
+    if d.size != m.shape[0]:
+        raise ValidationError(f"diagonal size {d.size} does not match {m.shape[0]} states")
+    return m @ d
 
 
 def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
@@ -141,16 +136,6 @@ def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     eye = np.eye(n, dtype=generator.dtype)
     a = dt * generator
     return eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-
-
-def _matrix_generator(rhs, n: int) -> np.ndarray:
-    """Matrix of a linear map on n x n matrices, acting on row-major vec(rho)."""
-    g = np.empty((n * n, n * n), dtype=complex)
-    for k in range(n * n):
-        unit = np.zeros(n * n, dtype=complex)
-        unit[k] = 1.0
-        g[:, k] = rhs(unit.reshape(n, n)).reshape(-1)
-    return g
 
 
 def _resolve_step(cfg: IntegratorConfig, rate_bound: float) -> tuple[float, int]:
@@ -224,25 +209,33 @@ def _build_trajectory(times, mats, target, dt, n_steps) -> Trajectory:
     )
 
 
-def _spectral_norm(h) -> float:
-    return float(np.abs(np.linalg.eigvalsh(np.asarray(h, dtype=complex))).max())
-
-
-def integrate(rho0, hamiltonian, spec: DissipatorSpec, cfg: IntegratorConfig,
+def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
               target=None) -> Trajectory:
     """Integrate the full master equation from ``rho0`` up to ``cfg.t_max``.
 
+    ``p_all`` holds the floored flat probabilities that parametrize the jump
+    family, as for :func:`integrate_fast_limit`; ``hamiltonian`` may be None.
     The automatic step is ``safety / (max jump weight + spectral norm of H)``,
     which keeps the stiffest floor-induced rate well inside the stability
     region of the fourth-order update.
     """
     m0 = _as_matrix(rho0)
-    n = spec.dim
+    diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    n = diag_gen.shape[0]
     if m0.shape != (n, n):
         raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
-    h_norm = _spectral_norm(hamiltonian) if hamiltonian is not None else 0.0
-    dt, n_steps = _resolve_step(cfg, spec.max_weight + h_norm)
-    generator = _matrix_generator(lambda m: master_rhs(hamiltonian, spec, m), n)
+    generator = np.diag(_coherence_generator(diag_gen).reshape(-1).astype(complex))
+    populations = np.arange(n) * (n + 1)
+    generator[np.ix_(populations, populations)] = diag_gen
+    h_norm = 0.0
+    if hamiltonian is not None:
+        h = np.asarray(hamiltonian, dtype=complex)
+        if h.shape != (n, n):
+            raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
+        h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
+        generator -= 1j * (np.kron(h, np.eye(n)) - np.kron(np.eye(n), h.T))
+    max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
+    dt, n_steps = _resolve_step(cfg, max_weight + h_norm)
     step = _rk4_step_matrix(generator, dt)
     ks = _record_steps(n_steps, cfg)
     y = m0.reshape(-1).astype(complex)
@@ -267,26 +260,14 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     initially real elements real.
     """
     m0 = _as_matrix(rho0)
-    p = np.asarray(p_all, dtype=float).reshape(-1)
-    if np.any(p <= 0):
-        raise ValidationError("flat probabilities must be strictly positive (floored)")
-    n = p.size
+    diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    n = diag_gen.shape[0]
     if m0.shape != (n, n):
         raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
-    q = np.sqrt(p)
-    total = q.sum()
-    outflow = float(gamma) * float(omega) * (total - q) / q
-    dt, n_steps = _resolve_step(cfg, float(outflow.max()))
+    dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
+    step = _rk4_step_matrix(diag_gen, dt)
 
-    diag_generator = np.empty((n, n))
-    for k in range(n):
-        unit = np.zeros(n)
-        unit[k] = 1.0
-        diag_generator[:, k] = fast_diag_rhs(p, unit, gamma, omega)
-    step = _rk4_step_matrix(diag_generator.astype(float), dt)
-
-    rate = 0.5 * (outflow[:, None] + outflow[None, :])
-    np.fill_diagonal(rate, 0.0)
+    rate = -_coherence_generator(diag_gen)
     coherences = m0.copy()
     np.fill_diagonal(coherences, 0.0)
 
@@ -332,15 +313,13 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None
     """
     if target is None:
         target = model.aligned_target()
-    rates = model.rate_table()
+    p_all = model.rate_table().flat_probabilities()
     rho0 = model.initial_dm()
     if mode == "full":
         if model.hamiltonian is None:
             raise ConfigError("mode 'full' requires a Hamiltonian")
-        spec = lindblad_jump_family(rates, model.gamma, model.omega)
-        return integrate(rho0, model.hamiltonian, spec, cfg, target=target)
+        return integrate(rho0, model.hamiltonian, p_all, model.gamma, model.omega, cfg,
+                         target=target)
     if mode == "fast":
-        return integrate_fast_limit(
-            rho0, rates.flat_probabilities(), model.gamma, model.omega, cfg, target=target
-        )
+        return integrate_fast_limit(rho0, p_all, model.gamma, model.omega, cfg, target=target)
     raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")

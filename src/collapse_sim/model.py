@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .states import (
+    HERMITICITY_TOL,
+    NORM_TOL,
     DensityMatrix,
     StateVector,
     _checked_amplitudes,
@@ -18,9 +20,6 @@ from .states import (
     aligned_dm,
     product_state_dm,
 )
-
-WEIGHT_SUM_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class CorrespondenceMap:
             if any(x <= 0 for x in w):
                 raise ValidationError(f"outcome {i}: reading weights must be positive")
             total = math.fsum(w)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            if abs(total - 1.0) > NORM_TOL:
                 raise ValidationError(f"outcome {i}: reading weights sum to {total!r}")
 
     @classmethod
@@ -144,7 +143,7 @@ def born_rate_table(probs, correspondence: CorrespondenceMap, epsilon: float) ->
             f"got {p.size} probabilities for {correspondence.outcomes} outcomes"
         )
     total = float(p.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if abs(total - 1.0) > NORM_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, expected 1")
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
@@ -171,8 +170,8 @@ def zeeman_hamiltonian(alpha: float, energy_scale: float) -> np.ndarray:
     Eigenvalues are +-energy_scale/2 and the +energy_scale/2 eigenvector is
     ``(cos alpha, sin alpha)``.
     """
-    if energy_scale <= 0:
-        raise ValidationError("energy scale must be positive")
+    if not math.isfinite(energy_scale) or energy_scale <= 0:
+        raise ValidationError(f"energy scale must be positive and finite, got {energy_scale!r}")
     c = math.cos(2.0 * alpha)
     s = math.sin(2.0 * alpha)
     return 0.5 * energy_scale * np.array([[c, s], [s, -c]], dtype=float)
@@ -198,8 +197,9 @@ class MeasurementModel:
 
     def __post_init__(self):
         for name in ("gamma", "omega", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
         if self.sys.dim != self.correspondence.outcomes:
             raise ValidationError(
                 f"system dimension {self.sys.dim} does not match "

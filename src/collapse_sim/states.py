@@ -35,7 +35,7 @@ def _as_matrix(obj) -> np.ndarray:
 def _checked_amplitudes(vec, name: str) -> np.ndarray:
     amps = vec.amplitudes if isinstance(vec, StateVector) else np.asarray(vec, dtype=complex).reshape(-1)
     norm_sq = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValidationError(
             f"{name} vector is not normalized: sum of |amplitude|^2 is {norm_sq!r}"
         )

@@ -1,12 +1,16 @@
+import importlib
 import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from collapse_sim import lindblad_jump_family, master_rhs, qsl_lower_bound
 from collapse_sim.cli import main
+from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
 from conftest import ALPHA_A, ALPHA_S
 
@@ -108,6 +112,29 @@ class TestSimulate:
             root = ET.parse(str(tmp_path / name)).getroot()
             assert root.tag.endswith("svg")
 
+    @pytest.mark.parametrize(
+        "section, key, value, fragment",
+        [
+            ("scenario", "gamma", float("nan"), "gamma"),
+            ("scenario", "epsilon", float("nan"), "epsilon"),
+            ("integrator", "t_max", float("nan"), "t_max"),
+            ("integrator", "t_max", float("inf"), "t_max"),
+            ("integrator", "dt", float("inf"), "dt"),
+            ("scenario", "gamma", "five", "gamma"),
+            ("scenario", "omega", float("inf"), "omega"),
+            ("scenario", "alpha_s", float("nan"), "alpha_s"),
+        ],
+    )
+    def test_non_finite_or_non_numeric_value_exits_one(self, tmp_path, capsys, section, key,
+                                                       value, fragment):
+        path = write_config(str(tmp_path / "bad.json"), **{section: {key: value}})
+        assert main(["simulate", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert fragment in errors[0]
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -141,6 +168,29 @@ class TestQsl:
         assert cols["bound"][0] < cols["measured_tau"][0]
         assert cols["ratio"][0] == pytest.approx(cols["measured_tau"][0] / cols["bound"][0])
 
+    def test_fast_mode_denominator_matches_dense_jump_family(self, tmp_path):
+        path = str(tmp_path / "amps.json")
+        cfg = {
+            "scenario": {
+                "sys_amplitudes": [0.6, 0.64, 0.48],
+                "app_amplitudes": [0.48, 0.6, 0.64],
+                "gamma": 5.0,
+                "omega": 1.0,
+            },
+            "integrator": {"t_max": 2.0},
+            "mode": "fast",
+            "outputs": {"dir": str(tmp_path)},
+        }
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["qsl", "--config", path]) == 0
+        cols = read_csv_columns(str(tmp_path / "qsl.csv"))
+        model = load_run_config(path).model
+        spec = lindblad_jump_family(model.rate_table(), model.gamma, model.omega)
+        rho0 = model.initial_dm()
+        expected = qsl_lower_bound(rho0, model.aligned_target(), master_rhs(None, spec, rho0))
+        assert cols["denominator"][0] == pytest.approx(expected.denominator, rel=1e-12)
+
 
 class TestSweep:
     def test_inverse_scaling_row_pair(self, tmp_path, config_path):
@@ -154,7 +204,6 @@ class TestSweep:
 
     def test_single_gamma_matches_simulate_alignment(self, tmp_path, config_path):
         from collapse_sim import alignment_time, simulate_model
-        from collapse_sim.config import load_run_config
 
         assert main(["sweep", "--config", config_path, "--gammas", "5"]) == 0
         cols = read_csv_columns(str(tmp_path / "sweep.csv"))
@@ -181,3 +230,13 @@ class TestSweep:
         monkeypatch.setenv("COLLAPSE_SIM_THREADS", "thirty")
         assert main(["sweep", "--config", config_path, "--gammas", "5"]) == 1
         assert "COLLAPSE_SIM_THREADS" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # the benchmark's traced run wraps these names; a missing one would make
+    # every traced op fail instead of failing here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for owner, attr, *_ in tracer._TARGETS:
+        resolved = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
+        assert resolved, f"{owner!r} has no attribute {attr!r}"

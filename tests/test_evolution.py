@@ -23,6 +23,7 @@ from collapse_sim import (
     simulate_model,
     spin_half_scenario,
 )
+from collapse_sim import evolution
 from collapse_sim.dissipator import DissipatorSpec
 from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, random_hermitian_unit_trace
@@ -85,8 +86,8 @@ class TestMasterRhs:
 class TestIntegrate:
     def test_converges_to_aligned_state(self):
         model = spin_half_scenario(ALPHA_S, ALPHA_A, 1.0, 1.0)
-        spec = lindblad_jump_family(model.rate_table(), 1.0, 1.0)
-        traj = integrate(model.initial_dm(), model.hamiltonian, spec,
+        traj = integrate(model.initial_dm(), model.hamiltonian,
+                         model.rate_table().flat_probabilities(), 1.0, 1.0,
                          IntegratorConfig(t_max=10.0), target=model.aligned_target())
         assert np.max(np.abs(traj.final().entries - model.aligned_target().entries)) < 1e-3
 
@@ -107,21 +108,23 @@ class TestIntegrate:
         assert np.all(np.diff(two_level_trajectory.times) > 0)
 
     def test_fixed_stride_recording(self, mild_setup):
-        _, spec, model = mild_setup
+        table, _, model = mild_setup
         cfg = IntegratorConfig(t_max=0.1, dt=0.01, record_every=2)
-        traj = integrate(model.initial_dm(), model.hamiltonian, spec, cfg)
+        traj = integrate(model.initial_dm(), model.hamiltonian, table.flat_probabilities(),
+                         1.0, 1.0, cfg)
         assert traj.n_steps == 10
         assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
 
     def test_step_halving_shows_fourth_order(self, mild_setup):
-        _, spec, model = mild_setup
+        table, _, model = mild_setup
+        p_all = table.flat_probabilities()
         rho0 = model.initial_dm()
-        ref = integrate(rho0, model.hamiltonian, spec,
+        ref = integrate(rho0, model.hamiltonian, p_all, 1.0, 1.0,
                         IntegratorConfig(t_max=1.0, dt=1.0 / 4096, record_every=10**9))
         dts = [0.25, 0.125, 0.0625, 0.03125]
         errs = []
         for dt in dts:
-            traj = integrate(rho0, model.hamiltonian, spec,
+            traj = integrate(rho0, model.hamiltonian, p_all, 1.0, 1.0,
                              IntegratorConfig(t_max=1.0, dt=dt, record_every=10**9))
             errs.append(np.max(np.abs(traj.diagonals[-1] - ref.diagonals[-1])))
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -147,13 +150,12 @@ class TestIntegrate:
             assert np.linalg.eigvalsh(m)[0] >= -1e-8
 
     def test_zero_hamiltonian_offdiagonals_decay_exponentially(self, two_level_model):
-        table = two_level_model.rate_table()
-        spec = lindblad_jump_family(table, two_level_model.gamma, two_level_model.omega)
+        p_all = two_level_model.rate_table().flat_probabilities()
         rho0 = two_level_model.initial_dm()
-        traj = integrate(rho0, None, spec, IntegratorConfig(t_max=0.3))
-        p_all = table.flat_probabilities()
+        traj = integrate(rho0, None, p_all, two_level_model.gamma, two_level_model.omega,
+                         IntegratorConfig(t_max=0.3))
         for k, (r, s) in enumerate(traj.offdiag_pairs):
-            rate = fast_offdiag_rate(p_all[r], p_all[s], p_all,
+            rate = fast_offdiag_rate(r, s, p_all,
                                      two_level_model.gamma, two_level_model.omega)
             with np.errstate(under="ignore"):
                 expected = rho0.entries[r, s].real * np.exp(-rate * traj.times)
@@ -165,19 +167,43 @@ class TestIntegrate:
         assert np.max(np.abs(two_level_trajectory.offdiag_im[interior])) > 1e-6
 
     def test_unstable_step_raises(self, two_level_model):
-        spec = lindblad_jump_family(
-            two_level_model.rate_table(), two_level_model.gamma, two_level_model.omega
-        )
+        p_all = two_level_model.rate_table().flat_probabilities()
         cfg = IntegratorConfig(t_max=0.1, dt=0.01)
         with pytest.raises(IntegrationError):
-            integrate(two_level_model.initial_dm(), two_level_model.hamiltonian, spec, cfg)
+            integrate(two_level_model.initial_dm(), two_level_model.hamiltonian, p_all,
+                      two_level_model.gamma, two_level_model.omega, cfg)
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_assembled_generator_equals_probed_jump_family(self, d, monkeypatch):
+        # the dense jump list is off the run path; this ties the Liouvillian
+        # integrate steps with back to master_rhs on the explicit family
+        rng = np.random.default_rng(40 + d)
+        n = d * d
+        table = RateTable(rng.uniform(0.05, 1.0, size=(d, d)), 0.05)
+        h = random_hermitian_unit_trace(rng, n)
+        spec = lindblad_jump_family(table, 5.0, 1.0)
+        probed = np.empty((n * n, n * n), dtype=complex)
+        for k in range(n * n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit.flat[k] = 1.0
+            probed[:, k] = master_rhs(h, spec, unit).reshape(-1)
+        captured = []
+        rk4 = evolution._rk4_step_matrix
+        monkeypatch.setattr(evolution, "_rk4_step_matrix",
+                            lambda g, dt: captured.append(g) or rk4(g, dt))
+        integrate(np.eye(n) / n, h, table.flat_probabilities(), 5.0, 1.0,
+                  IntegratorConfig(t_max=1e-3))
+        (generator,) = captured
+        assert np.max(np.abs(generator - probed)) <= 1e-12 * np.max(np.abs(probed))
 
 
 class TestFastRates:
     def test_symmetric_pair_limit(self):
         eps = 1e-9
         p_all = [0.5, eps**2, eps**2, 0.5]
-        rate = fast_offdiag_rate(0.5, 0.5, p_all, 1.0, 1.0)
+        rate = fast_offdiag_rate(0, 3, p_all, 1.0, 1.0)
         assert rate == pytest.approx(1.0, abs=1e-6)
 
     def test_positive_and_symmetric(self):
@@ -185,8 +211,8 @@ class TestFastRates:
         for _ in range(100):
             p_all = rng.uniform(1e-6, 1.0, size=4)
             r, s = rng.integers(0, 4, size=2)
-            a = fast_offdiag_rate(p_all[r], p_all[s], p_all, 2.0, 0.5)
-            b = fast_offdiag_rate(p_all[s], p_all[r], p_all, 2.0, 0.5)
+            a = fast_offdiag_rate(r, s, p_all, 2.0, 0.5)
+            b = fast_offdiag_rate(s, r, p_all, 2.0, 0.5)
             assert a > 0.0
             assert a == pytest.approx(b, rel=1e-14)
 
@@ -230,7 +256,7 @@ class TestIntegrateFastLimit:
         traj = integrate_fast_limit(rho0, p_all, two_level_model.gamma,
                                     two_level_model.omega, IntegratorConfig(t_max=0.5))
         for k, (r, s) in enumerate(traj.offdiag_pairs):
-            rate = fast_offdiag_rate(p_all[r], p_all[s], p_all,
+            rate = fast_offdiag_rate(r, s, p_all,
                                      two_level_model.gamma, two_level_model.omega)
             with np.errstate(under="ignore"):
                 expected = rho0.entries[r, s].real * np.exp(-rate * traj.times)
@@ -332,6 +358,10 @@ class TestSimulateModel:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             IntegratorConfig(t_max=-1.0)
+        for kwargs in ({"t_max": math.nan}, {"t_max": math.inf}, {"t_max": 1.0, "dt": math.inf},
+                       {"t_max": 1.0, "safety": math.nan}):
+            with pytest.raises(ValidationError):
+                IntegratorConfig(**kwargs)
         with pytest.raises(ValidationError):
             IntegratorConfig(t_max=1.0, safety=0.9)
         with pytest.raises(ValidationError):

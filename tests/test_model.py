@@ -126,6 +126,8 @@ class TestZeemanHamiltonian:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValidationError):
             zeeman_hamiltonian(0.3, 0.0)
+        with pytest.raises(ValidationError):
+            zeeman_hamiltonian(0.3, math.inf)
 
 
 class TestSpinHalfScenario:
@@ -163,7 +165,8 @@ class TestSpinHalfScenario:
 
 class TestMeasurementModel:
     def test_rejects_nonpositive_parameters(self):
-        for kwargs in ({"gamma": 0.0}, {"omega": -1.0}, {"epsilon": 0.0}):
+        for kwargs in ({"gamma": 0.0}, {"omega": -1.0}, {"epsilon": 0.0},
+                       {"gamma": math.nan}, {"omega": math.inf}, {"epsilon": math.nan}):
             base = dict(gamma=1.0, omega=1.0, epsilon=1e-4)
             base.update(kwargs)
             with pytest.raises(ValidationError):

@@ -28,6 +28,8 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="not normalized"):
             StateVector(np.array([1.0, 1.0]))
+        with pytest.raises(ValidationError, match="not normalized"):
+            StateVector(np.array([np.nan, 1.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
