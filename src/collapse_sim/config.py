@@ -51,10 +51,32 @@ def _number(value, name: str, kind=float):
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def _section(raw, name: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
+    return raw
+
+
+def _list(raw, name: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{name} must be a JSON list, got {raw!r}")
+    return raw
+
+
+def _index(raw, count: int, name: str) -> int:
+    try:
+        index = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if not 0 <= index < count:
+        raise ConfigError(f"{name} {index} is outside 0..{count - 1}")
+    return index
+
+
 def _amplitudes(raw, name: str) -> np.ndarray:
     try:
         values = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x) for x in raw]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{name}: amplitudes must be numbers or [re, im] pairs") from exc
     return np.asarray(values, dtype=complex)
 
@@ -66,21 +88,29 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
                 "a correspondence section is required when outcome and reading counts differ"
             )
         return CorrespondenceMap.one_to_one(outcomes)
+    raw = _section(raw, "correspondence")
     assignment_raw = raw.get("assignment")
     if assignment_raw is None:
         raise ConfigError("correspondence section needs an 'assignment' mapping")
     assignment = [[] for _ in range(outcomes)]
-    for key, group in assignment_raw.items():
-        assignment[int(key)] = list(group)
+    for key, group in _section(assignment_raw, "correspondence assignment").items():
+        assignment[_index(key, outcomes, "correspondence outcome")] = [
+            _index(j, readings, "correspondence reading")
+            for j in _list(group, "correspondence assignment group")
+        ]
     weights = None
     if raw.get("weights") is not None:
         weights = [[1.0 / max(len(group), 1)] * len(group) for group in assignment]
-        for key, group in raw["weights"].items():
-            weights[int(key)] = [_number(w, "correspondence weight") for w in group]
+        for key, group in _section(raw["weights"], "correspondence weights").items():
+            weights[_index(key, outcomes, "correspondence outcome")] = [
+                _number(w, "correspondence weight")
+                for w in _list(group, "correspondence weight group")
+            ]
     return CorrespondenceMap.from_assignment(outcomes, readings, assignment, weights)
 
 
-def _model_from_scenario(raw: dict) -> MeasurementModel:
+def _model_from_scenario(raw) -> MeasurementModel:
+    raw = _section(raw, "scenario")
     gamma = _number(raw.get("gamma", 1.0), "gamma")
     omega = _number(raw.get("omega", 1.0), "omega")
     epsilon = _number(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
@@ -109,8 +139,8 @@ def _model_from_scenario(raw: dict) -> MeasurementModel:
     )
 
 
-def _integrator(raw: dict | None) -> IntegratorConfig:
-    raw = raw or {}
+def _integrator(raw) -> IntegratorConfig:
+    raw = _section({} if raw is None else raw, "integrator")
     if "t_max" not in raw:
         raise ConfigError("integrator section needs 't_max'")
     kwargs = {"t_max": _number(raw["t_max"], "t_max")}
@@ -137,24 +167,27 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if "scenario" not in raw:
+    if not isinstance(raw, dict) or "scenario" not in raw:
         raise ConfigError(f"config file {path} lacks a 'scenario' section")
     model = _model_from_scenario(raw["scenario"])
     integrator = _integrator(raw.get("integrator"))
-    outputs = raw.get("outputs", {})
+    outputs = _section(raw.get("outputs", {}), "outputs")
     resolved_mode = mode or raw.get("mode", "full")
     if resolved_mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {resolved_mode!r}; expected 'full' or 'fast'")
     if resolved_mode == "full" and model.hamiltonian is None:
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     if gammas is None and raw.get("gammas") is not None:
-        gammas = tuple(_number(g, "gammas entry") for g in raw["gammas"])
+        gammas = tuple(_number(g, "gammas entry") for g in _list(raw["gammas"], "gammas"))
+    alignment_tol = _number(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol")
+    if alignment_tol <= 0:
+        raise ConfigError(f"alignment_tol must be positive, got {alignment_tol!r}")
     return RunConfig(
         model=model,
         integrator=integrator,
         mode=resolved_mode,
         out_dir=out_dir if out_dir is not None else str(outputs.get("dir", ".")),
         plot=bool(plot) if plot is not None else bool(outputs.get("plot", False)),
-        alignment_tol=_number(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol"),
+        alignment_tol=alignment_tol,
         gammas=gammas,
     )

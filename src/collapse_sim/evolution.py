@@ -10,9 +10,18 @@ row-major vec(rho) directly: M on the population block,
 
 The generator is linear and time independent, so a fixed-step classical
 fourth-order Runge-Kutta update is precomputed once as the degree-4 Taylor
-polynomial of the step map (for a linear autonomous system the two are the
-same update) and applied per step; recording between snapshots uses matrix
-powers of that single-step map.
+polynomial of the step map S (for a linear autonomous system the two are the
+same update). Every record step k is reached from the initial state through
+one squaring chain, :func:`_propagate`: S is squared once per bit of the
+largest k, and each power S**(2**j) multiplies, in one batched product, the
+records whose k has bit j set. Only one power is alive at a time, so the
+memory is one step-map-sized matrix plus the T x n x n complex snapshot
+stack (16 bytes per entry), which :data:`MAX_STACK_BYTES` caps before
+anything is allocated.
+
+The stack is checked and analysed as one array: one batched eigenvalue call
+gives the positivity check, the spectra and the entropy, and one on the
+differences from the target gives the trace distances.
 """
 
 from __future__ import annotations
@@ -24,13 +33,16 @@ import numpy as np
 
 from .dissipator import DissipatorSpec, _coherence_generator, apply_dissipator, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import DensityMatrix, _as_matrix, dm_eigenvalues, trace_distance, von_neumann_entropy
+from .errors import ConfigError, IntegrationError, NotAlignedError, PositivityError, ValidationError
+from .states import DensityMatrix, _as_matrix, _readonly, _spectral_entropy
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
+# largest (T, n, n) complex snapshot stack a run may record; the analysis
+# holds a few temporaries of the same size on top of it
+MAX_STACK_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -67,18 +79,23 @@ class IntegratorConfig:
             raise ValidationError(f"unknown record_spacing {self.record_spacing!r}")
 
 
+def _snapshot(entries) -> DensityMatrix:
+    return DensityMatrix(entries, positivity_tol=SNAPSHOT_POSITIVITY_TOL,
+                         hermiticity_tol=SNAPSHOT_HERMITICITY_TOL, trace_tol=TRACE_DRIFT_TOL)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded history of an integration run.
 
-    ``snapshots`` holds the full density matrix at each recorded time;
-    the remaining arrays are the derived per-time series. ``trace_dist``
-    measures each snapshot against the run's target state (the final
-    snapshot when no target was supplied).
+    ``states`` is the read-only (T, n, n) stack of density matrices at the
+    recorded times; the remaining arrays are the derived per-time series.
+    ``trace_dist`` measures each snapshot against ``target``, the run's
+    target state (the final snapshot when no target was supplied).
     """
 
     times: np.ndarray
-    snapshots: tuple[DensityMatrix, ...]
+    states: np.ndarray
     diagonals: np.ndarray
     offdiag_pairs: tuple[tuple[int, int], ...]
     offdiag_re: np.ndarray
@@ -86,15 +103,23 @@ class Trajectory:
     entropy: np.ndarray
     eigenvalues: np.ndarray
     trace_dist: np.ndarray
+    target: np.ndarray
     dt: float
     n_steps: int
 
     @property
+    def snapshots(self) -> tuple[DensityMatrix, ...]:
+        """The stack as validated density matrices, built anew on each access
+        (each holds a copy of its entries); read ``states`` where an array
+        will do."""
+        return tuple(_snapshot(m) for m in self.states)
+
+    @property
     def dim(self) -> int:
-        return self.snapshots[0].dim
+        return self.states.shape[1]
 
     def final(self) -> DensityMatrix:
-        return self.snapshots[-1]
+        return _snapshot(self.states[-1])
 
 
 def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
@@ -138,10 +163,49 @@ def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
 
 
+def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rows ``step**k @ y0`` for every k in ``ks``, from one squaring chain.
+
+    Power ``step**(2**j)`` multiplies, in one batched product, the rows whose
+    k has bit j set, and is then squared into the next power. The cost is one
+    squaring per bit of ``max(ks)`` plus the row products; only one power is
+    alive at a time.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    out = np.empty((ks.size, y0.size), dtype=np.result_type(step, y0))
+    out[:] = y0
+    power = step
+    for j in range(int(ks.max()).bit_length()):
+        if j:
+            power = power @ power
+        rows = (ks >> j) & 1 == 1
+        out[rows] = out[rows] @ power.T
+    return out
+
+
 def _resolve_step(cfg: IntegratorConfig, rate_bound: float) -> tuple[float, int]:
     dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate_bound, 1e-300)
     n_steps = max(1, math.ceil(cfg.t_max / dt - 1e-9))
     return cfg.t_max / n_steps, n_steps
+
+
+def _record_count(n_steps: int, cfg: IntegratorConfig) -> int:
+    """Number of records :func:`_record_steps` yields, by arithmetic alone:
+    exact for a fixed stride and for runs shorter than ``record_points``, an
+    upper bound for the automatic schedules (rounding can merge samples)."""
+    if cfg.record_every is not None:
+        return n_steps // cfg.record_every + 1 + (n_steps % cfg.record_every != 0)
+    return min(n_steps + 1, cfg.record_points)
+
+
+def _check_stack_size(n_steps: int, n: int, cfg: IntegratorConfig) -> None:
+    count = _record_count(n_steps, cfg)
+    size = count * n * n * np.dtype(complex).itemsize
+    if size > MAX_STACK_BYTES:
+        raise ConfigError(
+            f"{count} records of {n} x {n} snapshots need {size / 2**20:.0f} MiB, over the "
+            f"{MAX_STACK_BYTES // 2**20} MiB limit; raise record_every or lower record_points"
+        )
 
 
 def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
@@ -165,48 +229,79 @@ def _tracked_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return ((0, n - 1),)
 
 
-def _build_trajectory(times, mats, target, dt, n_steps) -> Trajectory:
-    n = mats[0].shape[0]
-    pairs = _tracked_pairs(n)
-    snapshots = []
-    for t, m in zip(times, mats):
-        if not np.all(np.isfinite(m)):
-            raise IntegrationError(f"non-finite state at t = {t:g}: integration diverged")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -POSITIVITY_FAILURE_TOL:
-            raise IntegrationError(
-                f"positivity violated at t = {t:g} (eigenvalue {smallest:.3e}); reduce dt"
-            )
-        drift = abs(complex(np.trace(m)) - 1.0)
-        if drift > TRACE_DRIFT_TOL:
-            raise IntegrationError(f"trace drifted by {drift:.3e} at t = {t:g}; reduce dt")
-        snapshots.append(
-            DensityMatrix(m, positivity_tol=SNAPSHOT_POSITIVITY_TOL,
-                          hermiticity_tol=SNAPSHOT_HERMITICITY_TOL,
-                          trace_tol=TRACE_DRIFT_TOL)
-        )
-    target_m = _as_matrix(target) if target is not None else snapshots[-1].entries
-    diagonals = np.array([np.diagonal(s.entries).real for s in snapshots])
-    offdiag = np.array([[s.entries[r, ss] for (r, ss) in pairs] for s in snapshots]) \
-        if pairs else np.zeros((len(snapshots), 0), dtype=complex)
-    entropy = np.array(
-        [von_neumann_entropy(s, positivity_tol=SNAPSHOT_POSITIVITY_TOL) for s in snapshots]
+def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every snapshot, once the whole stack passes
+    the snapshot checks.
+
+    A failure names the first failing snapshot in time order. Within one
+    snapshot the checks run in a fixed order: finite entries, gross
+    positivity, trace drift, Hermiticity, snapshot positivity.
+    """
+    finite = np.isfinite(states).all(axis=(1, 2))
+    count = len(states) if finite.all() else int(finite.argmin())
+    head = states[:count]
+    evals = np.linalg.eigvalsh(head)
+    smallest = evals[:, 0]
+    drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    checks = (
+        (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
+            f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
+        (drift > TRACE_DRIFT_TOL, lambda k: IntegrationError(
+            f"trace drifted by {drift[k]:.3e} at t = {times[k]:g}; reduce dt")),
+        (asym > SNAPSHOT_HERMITICITY_TOL, lambda k: ValidationError(
+            f"snapshot at t = {times[k]:g} is not Hermitian: max asymmetry {asym[k]:.3e}")),
+        (smallest < -SNAPSHOT_POSITIVITY_TOL, lambda k: PositivityError(
+            f"snapshot at t = {times[k]:g} has eigenvalue {smallest[k]:.3e} below 0")),
     )
-    eigenvalues = np.array([dm_eigenvalues(s) for s in snapshots])
-    dist = np.array([trace_distance(s, target_m) for s in snapshots])
+    first = min((int(failed.argmax()) for failed, _ in checks if failed.any()), default=count)
+    if first < count:
+        raise next(error(first) for failed, error in checks if failed[first])
+    if count < len(states):
+        raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
+    return evals
+
+
+def _trace_distances(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Half the summed |eigenvalues| of each snapshot minus ``target``."""
+    if target.shape != states.shape[1:]:
+        raise ValidationError(f"dimension mismatch: {states.shape[1:]} vs {target.shape}")
+    return 0.5 * np.abs(np.linalg.eigvalsh(states - target)).sum(axis=1)
+
+
+def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
+    evals = _checked_spectra(times, states)
+    n = states.shape[1]
+    pairs = _tracked_pairs(n)
+    offdiag = states[:, [r for r, _ in pairs], [s for _, s in pairs]]
+    target_m = _as_matrix(target) if target is not None else states[-1]
     return Trajectory(
-        times=np.asarray(times, dtype=float),
-        snapshots=tuple(snapshots),
-        diagonals=diagonals,
+        times=times,
+        states=_readonly(states),
+        diagonals=np.diagonal(states, axis1=1, axis2=2).real.copy(),
         offdiag_pairs=pairs,
         offdiag_re=offdiag.real.copy(),
         offdiag_im=offdiag.imag.copy(),
-        entropy=entropy,
-        eigenvalues=eigenvalues,
-        trace_dist=dist,
+        entropy=_spectral_entropy(evals),
+        eigenvalues=evals[:, ::-1].copy(),
+        trace_dist=_trace_distances(states, target_m),
+        target=_readonly(np.array(target_m)),
         dt=dt,
         n_steps=n_steps,
     )
+
+
+def _liouvillian(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    """Generator on row-major vec(rho): M on the population block, the
+    coherence rates on the rest of the diagonal and ``-i (H x I - I x H^T)``
+    for the Hamiltonian, when there is one."""
+    n = diag_gen.shape[0]
+    generator = np.diag(_coherence_generator(diag_gen).reshape(-1).astype(complex))
+    populations = np.arange(n) * (n + 1)
+    generator[np.ix_(populations, populations)] = diag_gen
+    if h is not None:
+        generator -= 1j * (np.kron(h, np.eye(n)) - np.kron(np.eye(n), h.T))
+    return generator
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -224,30 +319,20 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     n = diag_gen.shape[0]
     if m0.shape != (n, n):
         raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
-    generator = np.diag(_coherence_generator(diag_gen).reshape(-1).astype(complex))
-    populations = np.arange(n) * (n + 1)
-    generator[np.ix_(populations, populations)] = diag_gen
+    h = None
     h_norm = 0.0
     if hamiltonian is not None:
         h = np.asarray(hamiltonian, dtype=complex)
         if h.shape != (n, n):
             raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
         h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-        generator -= 1j * (np.kron(h, np.eye(n)) - np.kron(np.eye(n), h.T))
     max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
     dt, n_steps = _resolve_step(cfg, max_weight + h_norm)
-    step = _rk4_step_matrix(generator, dt)
+    _check_stack_size(n_steps, n, cfg)
     ks = _record_steps(n_steps, cfg)
-    y = m0.reshape(-1).astype(complex)
-    mats = [m0.copy()]
-    times = [0.0]
-    prev = 0
-    for k in ks[1:]:
-        y = np.linalg.matrix_power(step, int(k) - prev) @ y
-        prev = int(k)
-        mats.append(y.reshape(n, n).copy())
-        times.append(prev * dt)
-    return _build_trajectory(times, mats, target, dt, n_steps)
+    step = _rk4_step_matrix(_liouvillian(diag_gen, h), dt)
+    states = _propagate(step, m0.reshape(-1).astype(complex), ks)
+    return _build_trajectory(ks * dt, states.reshape(-1, n, n), target, dt, n_steps)
 
 
 def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -265,33 +350,26 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     if m0.shape != (n, n):
         raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
     dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
-    step = _rk4_step_matrix(diag_gen, dt)
-
+    _check_stack_size(n_steps, n, cfg)
+    ks = _record_steps(n_steps, cfg)
+    times = ks * dt
+    populations = _propagate(_rk4_step_matrix(diag_gen, dt), np.diagonal(m0).real.copy(), ks)
     rate = -_coherence_generator(diag_gen)
     coherences = m0.copy()
     np.fill_diagonal(coherences, 0.0)
-
-    ks = _record_steps(n_steps, cfg)
-    d = np.diagonal(m0).real.copy()
-    mats = []
-    times = []
-    prev = 0
-    for k in ks:
-        k = int(k)
-        if k > prev:
-            d = np.linalg.matrix_power(step, k - prev) @ d
-            prev = k
-        t = k * dt
-        m = coherences * np.exp(-rate * t) + np.diag(d.astype(complex))
-        mats.append(m)
-        times.append(t)
-    return _build_trajectory(times, mats, target, dt, n_steps)
+    states = coherences * np.exp(-rate * times[:, None, None])
+    states += populations[:, :, None] * np.eye(n)
+    return _build_trajectory(times, states, target, dt, n_steps)
 
 
 def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
     """Earliest recorded time from which the trace distance to ``target``
     stays at or below ``tol`` through the end of the trajectory."""
-    dist = np.array([trace_distance(s, target) for s in traj.snapshots])
+    target_m = _as_matrix(target)
+    if np.array_equal(target_m, traj.target):
+        dist = traj.trace_dist
+    else:
+        dist = _trace_distances(traj.states, target_m)
     above = np.nonzero(dist > tol)[0]
     first_ok = 0 if above.size == 0 else int(above[-1]) + 1
     if first_ok >= dist.size:

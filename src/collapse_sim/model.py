@@ -107,9 +107,9 @@ class RateTable:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise ValidationError(f"rate table must be 2-D, got shape {v.shape}")
-        if self.floor <= 0:
-            raise ValidationError("rate floor must be positive")
-        if np.any(v < self.floor):
+        if not (math.isfinite(self.floor) and self.floor > 0):
+            raise ValidationError(f"rate floor must be positive and finite, got {self.floor!r}")
+        if not np.all(v >= self.floor):
             raise ValidationError("rate table entries must not drop below the floor")
         object.__setattr__(self, "values", _readonly(v))
 

@@ -151,13 +151,20 @@ def von_neumann_entropy(dm, log_base: float | None = None, positivity_tol: float
     smallest = float(evals[0])
     if smallest < -positivity_tol:
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
-    p = evals[evals > 0.0]
-    s = float(-np.sum(p * np.log(p)))
+    s = float(_spectral_entropy(evals))
     if log_base is not None:
         if log_base <= 1.0:
             raise ValidationError(f"log base must exceed 1, got {log_base!r}")
         s /= math.log(log_base)
-    return max(s, 0.0)
+    return s
+
+
+def _spectral_entropy(evals: np.ndarray) -> np.ndarray:
+    """Natural-log entropy -sum(P log P) over the positive eigenvalues along
+    the last axis, with round-off below zero clipped to zero."""
+    positive = np.where(evals > 0.0, evals, 1.0)
+    s = -np.sum(positive * np.log(positive), axis=-1)
+    return np.where(s < 0.0, 0.0, s)
 
 
 def dm_eigenvalues(dm) -> np.ndarray:

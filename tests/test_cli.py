@@ -135,6 +135,72 @@ class TestSimulate:
         assert len(errors) == 1
         assert fragment in errors[0]
 
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"correspondence": {"assignment": {"x": [0]}}}, "correspondence outcome"),
+            ({"correspondence": {"assignment": {"7": [0]}}}, "outside 0..1"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [5]}}}, "correspondence reading"),
+            ({"correspondence": {"assignment": {"0": 1}}}, "assignment group"),
+            ({"correspondence": [0, 1]}, "correspondence must be a JSON object"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [1]}, "weights": {"0": 1.0}}},
+             "weight group"),
+            ({"sys_amplitudes": [[0.6]]}, "sys_amplitudes"),
+        ],
+    )
+    def test_malformed_correspondence_or_amplitudes_exit_one(self, tmp_path, capsys, overrides,
+                                                             fragment):
+        scenario = {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.8, 0.6], **overrides}
+        path = self._replace_sections(str(tmp_path / "bad.json"), scenario=scenario, mode="fast")
+        self._assert_config_error(main(["simulate", "--config", path]), capsys, fragment)
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"scenario": [1.0, 2.0]}, "scenario must be a JSON object"),
+            ({"integrator": [1.0]}, "integrator must be a JSON object"),
+            ({"outputs": "out"}, "outputs must be a JSON object"),
+            ({"gammas": 5}, "gammas must be a JSON list"),
+            ({"alignment_tol": 0}, "alignment_tol"),
+            ({"alignment_tol": -1}, "alignment_tol"),
+        ],
+    )
+    def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
+        path = self._replace_sections(str(tmp_path / "bad.json"), **overrides)
+        self._assert_config_error(main(["sweep", "--config", path]), capsys, fragment)
+
+    def test_oversized_record_count_exits_one_before_recording(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from collapse_sim import evolution
+
+        def forbidden(*args):
+            raise AssertionError("_record_steps ran")
+
+        monkeypatch.setattr(evolution, "_record_steps", forbidden)
+        path = write_config(str(tmp_path / "huge.json"),
+                            integrator={"t_max": 100.0, "record_points": 1e9}, mode="fast")
+        self._assert_config_error(main(["simulate", "--config", path]), capsys, "MiB limit")
+
+    @staticmethod
+    def _replace_sections(path, **sections):
+        # unlike write_config, replaces whole sections instead of merging them
+        write_config(path)
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg.update(sections)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        return path
+
+    @staticmethod
+    def _assert_config_error(code, capsys, fragment):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert fragment in errors[0]
+
     def test_byte_identical_reruns(self, tmp_path, config_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -5,15 +5,19 @@ import pytest
 
 from collapse_sim import (
     ConfigError,
+    DensityMatrix,
     CorrespondenceMap,
     IntegrationError,
     IntegratorConfig,
     MeasurementModel,
     NotAlignedError,
+    PositivityError,
     StateVector,
     ValidationError,
     alignment_time,
     apply_dissipator,
+    apply_dissipator_closed_form,
+    dm_eigenvalues,
     fast_diag_rhs,
     fast_offdiag_rate,
     integrate,
@@ -22,11 +26,19 @@ from collapse_sim import (
     master_rhs,
     simulate_model,
     spin_half_scenario,
+    trace_distance,
+    von_neumann_entropy,
 )
 from collapse_sim import evolution
 from collapse_sim.dissipator import DissipatorSpec
 from collapse_sim.model import RateTable
-from conftest import ALPHA_A, ALPHA_S, random_hermitian_unit_trace
+from conftest import (
+    ALPHA_A,
+    ALPHA_S,
+    random_density_matrix,
+    random_hermitian_unit_trace,
+    random_state,
+)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +184,154 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(two_level_model.initial_dm(), two_level_model.hamiltonian, p_all,
                       two_level_model.gamma, two_level_model.omega, cfg)
+
+
+class TestFullModeAtTwentyFive:
+    def test_snapshots_match_eigendecomposition_reference(self):
+        # n = 25: a seeded random 5 x 5 amplitude scenario with a random
+        # Hermitian H of spectral norm omega, against exp(G t) rho0
+        rng = np.random.default_rng(25)
+        d, n, omega = 5, 25, 1.0
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = 0.5 * (a + a.conj().T)
+        h *= omega / np.abs(np.linalg.eigvalsh(h)).max()
+        model = MeasurementModel(
+            sys=StateVector(random_state(rng, d)),
+            app=StateVector(random_state(rng, d)),
+            correspondence=CorrespondenceMap.one_to_one(d),
+            gamma=5.0,
+            omega=omega,
+            epsilon=1e-4,
+            hamiltonian=h,
+        )
+        traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="full")
+        rates = model.rate_table()
+        g = np.empty((n * n, n * n), dtype=complex)
+        for k in range(n * n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit.flat[k] = 1.0
+            rhs = apply_dissipator_closed_form(rates, model.gamma, model.omega, unit)
+            g[:, k] = (rhs - 1j * (h @ unit - unit @ h)).reshape(-1)
+        w, v = np.linalg.eig(g)
+        coeff = np.linalg.solve(v, model.initial_dm().entries.reshape(-1))
+        reference = (np.exp(np.outer(traj.times, w)) * coeff) @ v.T
+        assert traj.states.shape == (traj.times.size, n, n)
+        assert np.abs(reference - traj.states.reshape(traj.times.size, -1)).max() <= 1e-5
+
+
+class TestPropagate:
+    @staticmethod
+    def _step(rng, n):
+        # RK4 map of a random Markov generator plus a Hamiltonian part:
+        # powers stay bounded, so relative errors are meaningful
+        p_all = rng.uniform(0.05, 1.0, size=n)
+        gen = evolution.diag_generator_matrix(p_all / p_all.sum(), 1.0, 1.0)
+        h = random_hermitian_unit_trace(rng, n)
+        return evolution._rk4_step_matrix(gen - 1j * h, 0.02)
+
+    @pytest.mark.parametrize("n_steps", [1, 17, 64])
+    @pytest.mark.parametrize("schedule", [{"record_every": 1}, {"record_every": 3},
+                                          {"record_every": 7}, {"record_points": 9}])
+    def test_matches_stepwise_loop(self, n_steps, schedule):
+        rng = np.random.default_rng(n_steps)
+        step = self._step(rng, 5)
+        y0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+        ks = evolution._record_steps(n_steps, IntegratorConfig(t_max=1.0, **schedule))
+        y = y0.copy()
+        expected = [y0]
+        for k in range(1, n_steps + 1):
+            y = step @ y
+            if k in ks:
+                expected.append(y)
+        expected = np.array(expected)
+        got = evolution._propagate(step, y0, ks)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("k", [2**20 - 1, 897883])
+    def test_matches_matrix_power(self, k, two_level_model, monkeypatch):
+        # the step map and initial vector of the reference full-mode run
+        captured = []
+        propagate = evolution._propagate
+        monkeypatch.setattr(evolution, "_propagate",
+                            lambda step, y0, ks: captured.append((step, y0)) or propagate(step, y0, ks))
+        simulate_model(two_level_model, IntegratorConfig(t_max=1e-3), mode="full")
+        ((step, y0),) = captured
+        expected = np.linalg.matrix_power(step, k) @ y0
+        got = propagate(step, y0, np.array([0, k]))
+        assert np.array_equal(got[0], y0)
+        assert np.abs(got[1] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _bad_stack(kind):
+    rng = np.random.default_rng(8)
+    stack = np.array([random_density_matrix(rng, 3) for _ in range(10)])
+    bad = stack[5]
+    if kind == "non-finite":
+        bad[0, 1] = np.nan
+    elif kind == "negative":
+        bad[:] = np.diag([1.0 + 1e-3, 0.0, -1e-3])
+    elif kind == "slightly negative":
+        bad[:] = np.diag([1.0 + 1e-7, 0.0, -1e-7])
+    elif kind == "trace":
+        bad *= 1.0 + 1e-6
+    elif kind == "non-Hermitian":
+        bad[0, 1] += 1e-6
+    return stack
+
+
+class TestSnapshotChecks:
+    TIMES = np.arange(10) / 10.0
+
+    @pytest.mark.parametrize("kind, error, fragment", [
+        ("non-finite", IntegrationError, "non-finite state at t = 0.5"),
+        ("negative", IntegrationError, "positivity violated at t = 0.5 (eigenvalue -1.000e-03)"),
+        ("slightly negative", PositivityError, "t = 0.5 has eigenvalue -1.000e-07"),
+        ("trace", IntegrationError, "trace drifted by 1.000e-06 at t = 0.5"),
+        ("non-Hermitian", ValidationError, "t = 0.5 is not Hermitian: max asymmetry 1.000e-06"),
+    ])
+    def test_bad_snapshot_is_named_by_time(self, kind, error, fragment):
+        with pytest.raises(error) as err:
+            evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
+        assert fragment in str(err.value)
+        assert type(err.value) is error
+
+    def test_earliest_failing_snapshot_wins(self):
+        # a later non-finite snapshot and a later gross positivity failure do
+        # not mask the trace drift at t = 0.5
+        stack = _bad_stack("trace")
+        stack[7, 0, 0] = np.inf
+        stack[6] = _bad_stack("negative")[5]
+        with pytest.raises(IntegrationError, match="trace drifted by .* at t = 0.5;"):
+            evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+
+    def test_order_within_one_snapshot(self):
+        # gross positivity is checked before trace drift and Hermiticity
+        stack = _bad_stack("negative")
+        stack[5] *= 1.0 + 1e-6
+        stack[5, 0, 1] += 1e-6
+        with pytest.raises(IntegrationError, match="positivity violated at t = 0.5"):
+            evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+
+    def test_snapshots_are_validated_views_of_the_stack(self, two_level_trajectory):
+        traj = two_level_trajectory
+        assert isinstance(traj.snapshots, tuple)
+        assert len(traj.snapshots) == traj.times.size
+        for snap, m in zip(traj.snapshots, traj.states):
+            assert isinstance(snap, DensityMatrix)
+            assert np.array_equal(snap.entries, m)
+        assert not traj.states.flags.writeable
+        assert np.array_equal(traj.final().entries, traj.states[-1])
+
+    def test_series_match_per_snapshot_functions(self, two_level_trajectory, two_level_model):
+        traj = two_level_trajectory
+        target = two_level_model.aligned_target()
+        for k, snap in enumerate(traj.snapshots):
+            assert traj.entropy[k] == pytest.approx(
+                von_neumann_entropy(snap, positivity_tol=1e-8), abs=1e-14)
+            assert np.allclose(traj.eigenvalues[k], dm_eigenvalues(snap),
+                               rtol=0, atol=1e-15)
+            assert traj.trace_dist[k] == pytest.approx(trace_distance(snap, target), abs=1e-15)
 
 
 class TestGeneratorOracle:
@@ -331,11 +491,67 @@ class TestAlignmentTime:
         tau10 = alignment_time(traj10, model10.aligned_target(), tol=0.01)
         assert tau10 == pytest.approx(tau5 / 2.0, rel=0.1)
 
+    def test_other_target_is_measured_on_the_stack(self, two_level_trajectory, two_level_model):
+        # a target other than the run's own gets its own batched distances
+        other = 0.9 * two_level_model.aligned_target().entries + 0.025 * np.eye(4)
+        dist = np.array([trace_distance(s, other) for s in two_level_trajectory.snapshots])
+        above = np.nonzero(dist > 0.1)[0]
+        assert 0 < above[-1] < dist.size - 1
+        expected = two_level_trajectory.times[int(above[-1]) + 1]
+        assert alignment_time(two_level_trajectory, other, tol=0.1) == expected
+        own = alignment_time(two_level_trajectory, two_level_model.aligned_target(), tol=0.01)
+        copied = alignment_time(two_level_trajectory,
+                                np.array(two_level_model.aligned_target().entries), tol=0.01)
+        assert own == copied
+
     def test_not_aligned_error_carries_distance(self, two_level_model):
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=1e-3), mode="full")
         with pytest.raises(NotAlignedError) as err:
             alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
         assert err.value.final_distance > 0.01
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("n_steps, schedule", [
+        (10, {"record_every": 10**9}),
+        (10, {"record_every": 3}),
+        (12, {"record_every": 3}),
+        (1, {"record_every": 1}),
+        (5, {}),
+        (239, {}),
+        (10**6, {}),
+        (10**6, {"record_spacing": "linear"}),
+        (10**6, {"record_points": 7}),
+    ])
+    def test_count_matches_or_bounds_record_steps(self, n_steps, schedule):
+        cfg = IntegratorConfig(t_max=1.0, **schedule)
+        count = evolution._record_count(n_steps, cfg)
+        actual = evolution._record_steps(n_steps, cfg).size
+        if "record_every" in schedule or n_steps < cfg.record_points:
+            assert count == actual
+        else:
+            assert actual <= count == cfg.record_points
+
+    def test_huge_stride_gives_two_records(self):
+        cfg = IntegratorConfig(t_max=1.0, record_every=10**9)
+        assert evolution._record_count(123, cfg) == 2
+
+    def test_count_needs_no_allocation(self):
+        cfg = IntegratorConfig(t_max=1.0, record_points=10**12)
+        assert evolution._record_count(10**15, cfg) == 10**12
+        cfg = IntegratorConfig(t_max=1.0, record_every=1)
+        assert evolution._record_count(10**15, cfg) == 10**15 + 1
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_oversized_run_is_rejected_before_recording(self, two_level_model, mode,
+                                                        monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("_record_steps ran")
+
+        monkeypatch.setattr(evolution, "_record_steps", forbidden)
+        cfg = IntegratorConfig(t_max=100.0, record_points=10**9)
+        with pytest.raises(ConfigError, match="MiB limit"):
+            simulate_model(two_level_model, cfg, mode=mode)
 
 
 class TestSimulateModel:

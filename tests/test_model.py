@@ -14,6 +14,7 @@ from collapse_sim import (
     spin_half_scenario,
     zeeman_hamiltonian,
 )
+from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, random_state
 
 
@@ -86,6 +87,15 @@ class TestBornRateTable:
     def test_floor_masking_is_an_error(self):
         with pytest.raises(ConfigError, match="mask"):
             born_rate_table([0.99, 0.01], CorrespondenceMap.one_to_one(2), 0.2)
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_table_rejects_bad_floor(self, floor):
+        with pytest.raises(ValidationError, match="floor"):
+            RateTable(np.full((2, 2), 0.5), floor)
+
+    def test_rate_table_rejects_nan_entries(self):
+        with pytest.raises(ValidationError, match="floor"):
+            RateTable(np.array([[0.5, math.nan], [0.5, 0.5]]), 1e-4)
 
     def test_squares_recover_probabilities(self):
         rng = np.random.default_rng(9)
