@@ -41,14 +41,25 @@ class RunConfig:
     gammas: tuple[float, ...] | None
 
 
-def _number(value, name: str, kind=float):
+def _number(value, name: str) -> float:
     try:
-        number = kind(value)
+        number = float(value)
         if np.isfinite(number):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    """An integral number; 2.0 passes, 2.5 is rejected rather than truncated."""
+    try:
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _section(raw, name: str) -> dict:
@@ -64,10 +75,7 @@ def _list(raw, name: str) -> list:
 
 
 def _index(raw, count: int, name: str) -> int:
-    try:
-        index = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    index = _integer(raw, name)
     if not 0 <= index < count:
         raise ConfigError(f"{name} {index} is outside 0..{count - 1}")
     return index
@@ -149,9 +157,9 @@ def _integrator(raw) -> IntegratorConfig:
     if "safety" in raw:
         kwargs["safety"] = _number(raw["safety"], "safety")
     if raw.get("record_every") is not None:
-        kwargs["record_every"] = _number(raw["record_every"], "record_every", int)
+        kwargs["record_every"] = _integer(raw["record_every"], "record_every")
     if "record_points" in raw:
-        kwargs["record_points"] = _number(raw["record_points"], "record_points", int)
+        kwargs["record_points"] = _integer(raw["record_points"], "record_points")
     if "record_spacing" in raw:
         kwargs["record_spacing"] = str(raw["record_spacing"])
     return IntegratorConfig(**kwargs)

@@ -146,6 +146,8 @@ class TestSimulate:
             ({"correspondence": {"assignment": {"0": [0], "1": [1]}, "weights": {"0": 1.0}}},
              "weight group"),
             ({"sys_amplitudes": [[0.6]]}, "sys_amplitudes"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [1.5]}}},
+             "correspondence reading must be an integer"),
         ],
     )
     def test_malformed_correspondence_or_amplitudes_exit_one(self, tmp_path, capsys, overrides,
@@ -163,6 +165,9 @@ class TestSimulate:
             ({"gammas": 5}, "gammas must be a JSON list"),
             ({"alignment_tol": 0}, "alignment_tol"),
             ({"alignment_tol": -1}, "alignment_tol"),
+            ({"integrator": {"t_max": 1.0, "record_every": 2.5}}, "record_every must be an integer"),
+            ({"integrator": {"t_max": 1.0, "record_points": 240.7}},
+             "record_points must be an integer"),
         ],
     )
     def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
@@ -180,6 +185,13 @@ class TestSimulate:
         path = write_config(str(tmp_path / "huge.json"),
                             integrator={"t_max": 100.0, "record_points": 1e9}, mode="fast")
         self._assert_config_error(main(["simulate", "--config", path]), capsys, "MiB limit")
+
+    def test_integral_numbers_load_as_integers(self, tmp_path):
+        path = write_config(str(tmp_path / "run.json"),
+                            integrator={"t_max": 1.0, "record_every": 2.0, "record_points": 1e3})
+        integrator = load_run_config(path).integrator
+        assert (integrator.record_every, integrator.record_points) == (2, 1000)
+        assert all(type(v) is int for v in (integrator.record_every, integrator.record_points))
 
     @staticmethod
     def _replace_sections(path, **sections):

@@ -11,12 +11,10 @@ from collapse_sim import (
     IntegratorConfig,
     MeasurementModel,
     NotAlignedError,
-    PositivityError,
     StateVector,
     ValidationError,
     alignment_time,
     apply_dissipator,
-    apply_dissipator_closed_form,
     dm_eigenvalues,
     fast_diag_rhs,
     fast_offdiag_rate,
@@ -35,7 +33,10 @@ from collapse_sim.model import RateTable
 from conftest import (
     ALPHA_A,
     ALPHA_S,
+    exact_states,
+    random_amplitude_model,
     random_density_matrix,
+    random_hamiltonian,
     random_hermitian_unit_trace,
     random_state,
 )
@@ -192,9 +193,7 @@ class TestFullModeAtTwentyFive:
         # Hermitian H of spectral norm omega, against exp(G t) rho0
         rng = np.random.default_rng(25)
         d, n, omega = 5, 25, 1.0
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = 0.5 * (a + a.conj().T)
-        h *= omega / np.abs(np.linalg.eigvalsh(h)).max()
+        h = random_hamiltonian(rng, n, omega)
         model = MeasurementModel(
             sys=StateVector(random_state(rng, d)),
             app=StateVector(random_state(rng, d)),
@@ -205,18 +204,8 @@ class TestFullModeAtTwentyFive:
             hamiltonian=h,
         )
         traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="full")
-        rates = model.rate_table()
-        g = np.empty((n * n, n * n), dtype=complex)
-        for k in range(n * n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit.flat[k] = 1.0
-            rhs = apply_dissipator_closed_form(rates, model.gamma, model.omega, unit)
-            g[:, k] = (rhs - 1j * (h @ unit - unit @ h)).reshape(-1)
-        w, v = np.linalg.eig(g)
-        coeff = np.linalg.solve(v, model.initial_dm().entries.reshape(-1))
-        reference = (np.exp(np.outer(traj.times, w)) * coeff) @ v.T
         assert traj.states.shape == (traj.times.size, n, n)
-        assert np.abs(reference - traj.states.reshape(traj.times.size, -1)).max() <= 1e-5
+        assert np.abs(exact_states(model, traj.times) - traj.states).max() <= 1e-5
 
 
 class TestPropagate:
@@ -286,11 +275,12 @@ class TestSnapshotChecks:
     @pytest.mark.parametrize("kind, error, fragment", [
         ("non-finite", IntegrationError, "non-finite state at t = 0.5"),
         ("negative", IntegrationError, "positivity violated at t = 0.5 (eigenvalue -1.000e-03)"),
-        ("slightly negative", PositivityError, "t = 0.5 has eigenvalue -1.000e-07"),
+        ("slightly negative", IntegrationError, "t = 0.5 has eigenvalue -1.000e-07"),
         ("trace", IntegrationError, "trace drifted by 1.000e-06 at t = 0.5"),
-        ("non-Hermitian", ValidationError, "t = 0.5 is not Hermitian: max asymmetry 1.000e-06"),
+        ("non-Hermitian", IntegrationError, "t = 0.5 is not Hermitian: max asymmetry 1.000e-06"),
     ])
     def test_bad_snapshot_is_named_by_time(self, kind, error, fragment):
+        # every snapshot failure is a numerical failure of the run (CLI exit 2)
         with pytest.raises(error) as err:
             evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
         assert fragment in str(err.value)
@@ -334,11 +324,32 @@ class TestSnapshotChecks:
             assert traj.trace_dist[k] == pytest.approx(trace_distance(snap, target), abs=1e-15)
 
 
+def _hermitian_basis_columns(n):
+    """Column (c, d): vec of the Hermitian matrix that real coordinate (c, d)
+    stands for (Re rho[c, d] on and above the diagonal, Im rho[d, c] below)."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    for c in range(n):
+        for d in range(n):
+            k = c * n + d
+            if c <= d:
+                basis[k, c, d] = basis[k, d, c] = 1.0
+            else:
+                basis[k, d, c], basis[k, c, d] = 1j, -1j
+    return basis.reshape(n * n, n * n).T
+
+
+def _amplitude_run(n, seed):
+    d = math.isqrt(n)
+    model = random_amplitude_model(np.random.default_rng(seed), d, d)
+    return model, simulate_model(model, IntegratorConfig(t_max=1.0), mode="full")
+
+
 class TestGeneratorOracle:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_assembled_generator_equals_probed_jump_family(self, d, monkeypatch):
-        # the dense jump list is off the run path; this ties the Liouvillian
-        # integrate steps with back to master_rhs on the explicit family
+        # the dense jump list is off the run path; this ties the real generator
+        # integrate steps with back to master_rhs on the explicit family, mapped
+        # into the real Hermitian coordinates by an explicit change of basis
         rng = np.random.default_rng(40 + d)
         n = d * d
         table = RateTable(rng.uniform(0.05, 1.0, size=(d, d)), 0.05)
@@ -349,6 +360,10 @@ class TestGeneratorOracle:
             unit = np.zeros((n, n), dtype=complex)
             unit.flat[k] = 1.0
             probed[:, k] = master_rhs(h, spec, unit).reshape(-1)
+        basis = _hermitian_basis_columns(n)
+        expected = np.linalg.solve(basis, probed @ basis)
+        scale = np.max(np.abs(probed))
+        assert np.max(np.abs(expected.imag)) <= 1e-12 * scale
         captured = []
         rk4 = evolution._rk4_step_matrix
         monkeypatch.setattr(evolution, "_rk4_step_matrix",
@@ -356,7 +371,64 @@ class TestGeneratorOracle:
         integrate(np.eye(n) / n, h, table.flat_probabilities(), 5.0, 1.0,
                   IntegratorConfig(t_max=1e-3))
         (generator,) = captured
-        assert np.max(np.abs(generator - probed)) <= 1e-12 * np.max(np.abs(probed))
+        assert generator.dtype == np.float64
+        assert np.max(np.abs(generator - expected.real)) <= 1e-12 * scale
+
+
+class TestRealBasis:
+    def test_pack_unpack_round_trip(self):
+        rng = np.random.default_rng(31)
+        m = random_density_matrix(rng, 5)
+        m = 0.5 * (m + m.conj().T)  # exactly Hermitian, as the round trip needs
+        x = evolution._pack(m)
+        assert x.dtype == np.float64
+        assert np.array_equal(evolution._unpack(x), m)
+        coords = _hermitian_basis_columns(5).T.reshape(25, 5, 5)
+        for k, unit in enumerate(np.eye(25).reshape(25, 5, 5)):
+            assert np.array_equal(evolution._unpack(unit), coords[k])
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_matches_complex_step_map(self, n):
+        # the complex vec(rho) step map, built here only, through the same chain
+        model, traj = _amplitude_run(n, 50 + n)
+        diag_gen = evolution.diag_generator_matrix(model.rate_table().flat_probabilities(),
+                                                   model.gamma, model.omega)
+        step = evolution._rk4_step_matrix(
+            evolution._liouvillian(diag_gen, np.asarray(model.hamiltonian)), traj.dt)
+        ks = evolution._record_steps(traj.n_steps, IntegratorConfig(t_max=1.0))
+        expected = evolution._propagate(step, model.initial_dm().entries.reshape(-1), ks)
+        assert np.abs(traj.states - expected.reshape(-1, n, n)).max() <= 1e-9
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_snapshots_are_exactly_hermitian(self, n):
+        _, traj = _amplitude_run(n, 60 + n)
+        assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
+
+
+class TestInputGuards:
+    @staticmethod
+    def _inputs():
+        model = spin_half_scenario(ALPHA_S, ALPHA_A, 5.0, 1.0)
+        rho0 = np.array(model.initial_dm().entries)
+        h = np.array(model.hamiltonian)
+        return model.rate_table().flat_probabilities(), rho0, h
+
+    @pytest.mark.parametrize("which, fragment", [
+        ("rho0", "initial state is not Hermitian: max asymmetry 1.000e-03"),
+        ("hamiltonian", "Hamiltonian is not Hermitian: max asymmetry 1.000e-03"),
+    ])
+    def test_non_hermitian_input_is_rejected_before_assembly(self, which, fragment,
+                                                             monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the generator was assembled")
+
+        monkeypatch.setattr(evolution, "_liouvillian", forbidden)
+        p_all, rho0, h = self._inputs()
+        bad = rho0 if which == "rho0" else h
+        bad[0, 1] += 1e-3
+        with pytest.raises(ValidationError) as err:
+            integrate(rho0, h, p_all, 5.0, 1.0, IntegratorConfig(t_max=0.1))
+        assert fragment in str(err.value)
 
 
 class TestFastRates:
