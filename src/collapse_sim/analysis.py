@@ -3,6 +3,7 @@ coupling-strength scaling studies."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -135,8 +136,8 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast", tol: f
     values = [float(g) for g in gammas]
     if not values:
         raise ValidationError("gamma sweep needs at least one value")
-    if any(g <= 0 for g in values):
-        raise ValidationError("sweep gammas must be positive")
+    if not all(math.isfinite(g) and g > 0 for g in values):
+        raise ValidationError(f"sweep gammas must be positive and finite, got {values}")
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(lambda g: _sweep_row(model, g, cfg, mode, tol), values))

@@ -109,6 +109,14 @@ def apply_dissipator_closed_form(rates: RateTable, gamma: float, omega: float, r
     n = gen.shape[0]
     if m.shape != (n, n):
         raise ValidationError(f"matrix shape {m.shape} does not match dimension {n}")
-    out = _coherence_generator(gen) * m
-    out[np.diag_indices(n)] = gen @ np.diagonal(m)
+    return _closed_form_action(gen, m)
+
+
+def _closed_form_action(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The family's action with diagonal generator ``gen`` on every n x n
+    matrix along the last two axes of ``rho``: ``gen`` on the diagonal, the
+    coherence rates of :func:`_coherence_generator` on every other entry."""
+    out = _coherence_generator(gen) * rho
+    diagonal = np.arange(gen.shape[0])
+    out[..., diagonal, diagonal] = np.diagonal(rho, axis1=-2, axis2=-1) @ gen.T
     return out

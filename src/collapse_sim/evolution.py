@@ -3,22 +3,20 @@ reduction, producing trajectories of density-matrix snapshots with derived
 observables.
 
 Both modes read the jump family's rates off the diagonal generator M of
-:func:`diag_generator_matrix`. Full mode assembles its Liouvillian on
-row-major vec(rho) directly: M on the population block,
-``(M[a, a] + M[b, b]) / 2`` on the rest of the diagonal, and
-``-i (H x I - I x H^T)`` for the Hamiltonian.
+:func:`diag_generator_matrix`.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates of a Hermitian rho instead of
 vec(rho): ``Re rho[r, s]`` for r <= s on and above the diagonal of an n x n
 real array and ``Im rho[r, s]`` for r < s at its mirror position (s, r)
-below it (:func:`_pack`). In these coordinates the Liouvillian is a real
-n^2 x n^2 matrix (:func:`_hermitian_basis`), so the step map and every
-product of the propagation are float64, 8 bytes per entry. The recorded
-coordinates are unpacked once into the complex snapshot stack, which is
-exactly Hermitian. The real basis holds only Hermitian matrices, so
-:func:`integrate` rejects a non-Hermitian initial state or Hamiltonian
-before it assembles anything.
+below it (:func:`_pack`). Its generator is the closed-form right-hand side,
+the family's action plus ``-i [H, rho]``, applied to the unpacked unit
+coordinates (:func:`_real_generator`): a real n^2 x n^2 matrix, so the step
+map and every product of the propagation are float64, 8 bytes per entry.
+The recorded coordinates are unpacked once into the complex snapshot stack,
+which is exactly Hermitian. The real basis holds only Hermitian matrices,
+so :func:`integrate` rejects a non-Hermitian or non-finite initial state or
+Hamiltonian before it assembles anything.
 
 The generator is linear and time independent, so a fixed-step classical
 fourth-order Runge-Kutta update is precomputed once as the degree-4 Taylor
@@ -28,8 +26,8 @@ one squaring chain, :func:`_propagate`: S is squared once per bit of the
 largest k, and each power S**(2**j) multiplies, in one batched product, the
 records whose k has bit j set. Only one power is alive at a time, so the
 memory is one step-map-sized matrix plus the T x n x n complex snapshot
-stack (16 bytes per entry), which :data:`MAX_STACK_BYTES` caps before
-anything is allocated.
+stack (16 bytes per entry). :data:`MAX_STACK_BYTES` caps the stack and the
+full-mode assembly before anything is allocated.
 
 The stack is checked and analysed as one array: one batched eigenvalue call
 gives the positivity check, the spectra and the entropy, and one on the
@@ -44,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import DissipatorSpec, _coherence_generator, apply_dissipator, diag_generator_matrix
+from .dissipator import (DissipatorSpec, _closed_form_action, _coherence_generator, apply_dissipator,
+                         diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import HERMITICITY_TOL, DensityMatrix, _as_matrix, _readonly, _spectral_entropy
@@ -53,8 +52,9 @@ TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
-# largest (T, n, n) complex snapshot stack a run may record; the analysis
-# holds a few temporaries of the same size on top of it
+# largest (T, n, n) complex snapshot stack a run may record, and the most the
+# two complex n^2 x n^2 arrays that full-mode assembly keeps may take together;
+# temporaries of the same size come on top (a few in the analysis, one in assembly)
 MAX_STACK_BYTES = 2**28
 
 
@@ -304,32 +304,15 @@ def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
     )
 
 
-def _liouvillian(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
-    """Generator on row-major vec(rho): M on the population block, the
-    coherence rates on the rest of the diagonal and ``-i (H x I - I x H^T)``
-    for the Hamiltonian, when there is one."""
-    n = diag_gen.shape[0]
-    generator = np.diag(_coherence_generator(diag_gen).reshape(-1).astype(complex))
-    populations = np.arange(n) * (n + 1)
-    generator[np.ix_(populations, populations)] = diag_gen
-    if h is not None:
-        # entry ((a, b), (c, d)) gains -i (H[a, c] delta_bd - delta_ac H[d, b]):
-        # 2 n^3 nonzeros, written in place rather than as dense Kronecker products
-        blocks = generator.reshape(n, n, n, n)
-        diagonal = np.arange(n)
-        blocks[:, diagonal, :, diagonal] -= 1j * h
-        blocks[diagonal, :, diagonal, :] += 1j * h.T
-    return generator
-
-
 def _strictly_lower(n: int) -> np.ndarray:
     return np.tri(n, k=-1, dtype=bool)
 
 
 def _pack(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix: ``Re m`` on and above the
-    diagonal, ``Im m[r, s]`` (r < s) at (s, r) below it."""
-    return np.where(_strictly_lower(m.shape[-1]), m.imag.T, m.real)
+    """Real coordinates of the Hermitian matrices along the last two axes of
+    ``m``: ``Re m`` on and above the diagonal, ``Im m[r, s]`` (r < s) at
+    (s, r) below it."""
+    return np.where(_strictly_lower(m.shape[-1]), np.swapaxes(m.imag, -1, -2), m.real)
 
 
 def _unpack(x: np.ndarray) -> np.ndarray:
@@ -343,24 +326,18 @@ def _unpack(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_basis(generator: np.ndarray) -> np.ndarray:
-    """The real matrix of a Hermiticity-preserving ``generator`` on row-major
-    vec(rho), in the coordinates of :func:`_pack`.
-
-    Column (c, d) is the generator applied to the matrix that unit coordinate
-    (c, d) unpacks to: ``|c><d| + |d><c|`` for c < d, ``|c><c|`` on the
-    diagonal and ``i (|d><c| - |c><d|)`` for c > d, so column pairs (c, d) and
-    (d, c) combine. Each combined column is a Hermitian matrix; its
-    coordinates are the real parts of its upper rows and, at the mirror rows,
-    their imaginary parts. O(n^4) work and no matrix product.
-    """
-    n = math.isqrt(generator.shape[0])
-    lower = _strictly_lower(n)
-    g = generator.reshape(n * n, n, n)
-    gt = g.transpose(0, 2, 1)
-    columns = np.where(lower, 1j * (gt - g), g + np.where(lower.T, gt, 0.0)).reshape(n, n, n * n)
-    coords = np.where(lower[:, :, None], columns.imag.transpose(1, 0, 2), columns.real)
-    return coords.reshape(n * n, n * n)
+def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    """The right-hand side as a real n^2 x n^2 matrix in the coordinates of
+    :func:`_pack`: column k is the packed image, under the closed-form action
+    and the commutator with ``h`` (when there is one), of the Hermitian
+    matrix that unit coordinate k unpacks to."""
+    n = diag_gen.shape[0]
+    basis = _unpack(np.eye(n * n).reshape(n * n, n, n))
+    images = _closed_form_action(diag_gen, basis)
+    if h is not None:
+        images -= 1j * (h @ basis)
+        images += 1j * (basis @ h)
+    return _pack(images).reshape(n * n, n * n).T
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -381,7 +358,7 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     if m0.shape != (n, n):
         raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
     asym = float(np.abs(m0 - m0.conj().T).max())
-    if asym > SNAPSHOT_HERMITICITY_TOL:
+    if not asym <= SNAPSHOT_HERMITICITY_TOL:
         raise ValidationError(f"initial state is not Hermitian: max asymmetry {asym:.3e}")
     h = None
     h_norm = 0.0
@@ -390,14 +367,18 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
         if h.shape != (n, n):
             raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
         asym = float(np.abs(h - h.conj().T).max())
-        if asym > HERMITICITY_TOL:
+        if not asym <= HERMITICITY_TOL:
             raise ValidationError(f"Hamiltonian is not Hermitian: max asymmetry {asym:.3e}")
         h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
     dt, n_steps = _resolve_step(cfg, max_weight + h_norm)
     _check_stack_size(n_steps, n, cfg)
+    assembly = 2 * n**4 * np.dtype(complex).itemsize  # the unit-coordinate stack and its image
+    if assembly > MAX_STACK_BYTES:
+        raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
+                          f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     ks = _record_steps(n_steps, cfg)
-    step = _rk4_step_matrix(_hermitian_basis(_liouvillian(diag_gen, h)), dt)
+    step = _rk4_step_matrix(_real_generator(diag_gen, h), dt)
     coords = _propagate(step, _pack(m0).reshape(-1), ks)
     return _build_trajectory(ks * dt, _unpack(coords.reshape(-1, n, n)), target, dt, n_steps)
 
@@ -432,6 +413,8 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
 def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
     """Earliest recorded time from which the trace distance to ``target``
     stays at or below ``tol`` through the end of the trajectory."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"alignment tolerance must be positive and finite, got {tol!r}")
     target_m = _as_matrix(target)
     if np.array_equal(target_m, traj.target):
         dist = traj.trace_dist

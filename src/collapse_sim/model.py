@@ -216,7 +216,7 @@ class MeasurementModel:
             if h.shape != (n, n):
                 raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
             asym = float(np.max(np.abs(h - h.conj().T)))
-            if asym > HERMITICITY_TOL:
+            if not asym <= HERMITICITY_TOL:
                 raise ValidationError(f"Hamiltonian is not Hermitian: max asymmetry {asym:.3e}")
             object.__setattr__(self, "hamiltonian", _readonly(h))
         # rejects an epsilon large enough to mask a physical rate

@@ -77,6 +77,8 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValidationError("density matrix has non-finite entries")
         asym = float(np.max(np.abs(m - m.conj().T)))
         if asym > hermiticity_tol:
             raise ValidationError(f"density matrix is not Hermitian: max asymmetry {asym:.3e}")
@@ -114,7 +116,7 @@ def aligned_dm(probs, correspondence) -> DensityMatrix:
     """
     p = np.asarray(probs, dtype=float).reshape(-1)
     total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValidationError(f"probabilities sum to {total!r}, expected 1")
     if np.any(p < 0):
         raise ValidationError("probabilities must be non-negative")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,9 @@ class TestGammaSweep:
             gamma_sweep(two_level_model, [], cfg)
         with pytest.raises(ValidationError):
             gamma_sweep(two_level_model, [1.0, -2.0], cfg)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="sweep gammas must be positive and finite"):
+                gamma_sweep(two_level_model, [5.0, bad], cfg)
 
     def test_not_aligned_propagates(self, two_level_model):
         with pytest.raises(NotAlignedError):

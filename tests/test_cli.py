@@ -293,6 +293,11 @@ class TestSweep:
     def test_empty_gamma_list_is_usage_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--gammas", ""]) == 1
         assert main(["sweep", "--config", config_path]) == 1
+        for gammas in ("5,nan", "5,inf"):
+            capsys.readouterr()
+            assert main(["sweep", "--config", config_path, "--gammas", gammas]) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: sweep gammas must be positive and finite")
 
     def test_thread_cap_env_var(self, tmp_path, config_path, monkeypatch):
         out_serial = tmp_path / "serial"

@@ -33,6 +33,7 @@ from collapse_sim.model import RateTable
 from conftest import (
     ALPHA_A,
     ALPHA_S,
+    closed_form_generator,
     exact_states,
     random_amplitude_model,
     random_density_matrix,
@@ -380,9 +381,13 @@ class TestRealBasis:
         rng = np.random.default_rng(31)
         m = random_density_matrix(rng, 5)
         m = 0.5 * (m + m.conj().T)  # exactly Hermitian, as the round trip needs
-        x = evolution._pack(m)
-        assert x.dtype == np.float64
-        assert np.array_equal(evolution._unpack(x), m)
+        stack = np.array([random_density_matrix(rng, 5) for _ in range(3)])
+        stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        for hermitian in (m, stack):
+            x = evolution._pack(hermitian)
+            assert x.dtype == np.float64
+            assert np.array_equal(evolution._unpack(x), hermitian)
+        assert np.array_equal(evolution._pack(stack), [evolution._pack(s) for s in stack])
         coords = _hermitian_basis_columns(5).T.reshape(25, 5, 5)
         for k, unit in enumerate(np.eye(25).reshape(25, 5, 5)):
             assert np.array_equal(evolution._unpack(unit), coords[k])
@@ -391,10 +396,7 @@ class TestRealBasis:
     def test_matches_complex_step_map(self, n):
         # the complex vec(rho) step map, built here only, through the same chain
         model, traj = _amplitude_run(n, 50 + n)
-        diag_gen = evolution.diag_generator_matrix(model.rate_table().flat_probabilities(),
-                                                   model.gamma, model.omega)
-        step = evolution._rk4_step_matrix(
-            evolution._liouvillian(diag_gen, np.asarray(model.hamiltonian)), traj.dt)
+        step = evolution._rk4_step_matrix(closed_form_generator(model), traj.dt)
         ks = evolution._record_steps(traj.n_steps, IntegratorConfig(t_max=1.0))
         expected = evolution._propagate(step, model.initial_dm().entries.reshape(-1), ks)
         assert np.abs(traj.states - expected.reshape(-1, n, n)).max() <= 1e-9
@@ -419,13 +421,23 @@ class TestInputGuards:
     ])
     def test_non_hermitian_input_is_rejected_before_assembly(self, which, fragment,
                                                              monkeypatch):
+        self._check_rejected(which, 1e-3, fragment, monkeypatch)
+
+    @pytest.mark.parametrize("which, fragment", [
+        ("rho0", "initial state is not Hermitian: max asymmetry nan"),
+        ("hamiltonian", "Hamiltonian is not Hermitian: max asymmetry nan"),
+    ])
+    def test_non_finite_input_is_rejected_before_assembly(self, which, fragment, monkeypatch):
+        self._check_rejected(which, math.nan, fragment, monkeypatch)
+
+    def _check_rejected(self, which, defect, fragment, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the generator was assembled")
 
-        monkeypatch.setattr(evolution, "_liouvillian", forbidden)
+        monkeypatch.setattr(evolution, "_real_generator", forbidden)
         p_all, rho0, h = self._inputs()
         bad = rho0 if which == "rho0" else h
-        bad[0, 1] += 1e-3
+        bad[0, 1] += defect
         with pytest.raises(ValidationError) as err:
             integrate(rho0, h, p_all, 5.0, 1.0, IntegratorConfig(t_max=0.1))
         assert fragment in str(err.value)
@@ -576,6 +588,12 @@ class TestAlignmentTime:
                                 np.array(two_level_model.aligned_target().entries), tol=0.01)
         assert own == copied
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -0.01, math.inf])
+    def test_rejects_nan_or_nonpositive_tolerance(self, two_level_trajectory, two_level_model,
+                                                   tol):
+        with pytest.raises(ValidationError, match="alignment tolerance"):
+            alignment_time(two_level_trajectory, two_level_model.aligned_target(), tol=tol)
+
     def test_not_aligned_error_carries_distance(self, two_level_model):
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=1e-3), mode="full")
         with pytest.raises(NotAlignedError) as err:
@@ -624,6 +642,20 @@ class TestSizeGuard:
         cfg = IntegratorConfig(t_max=100.0, record_points=10**9)
         with pytest.raises(ConfigError, match="MiB limit"):
             simulate_model(two_level_model, cfg, mode=mode)
+
+    @pytest.mark.parametrize("n, allowed", [(49, True), (64, False)])
+    def test_oversized_generator_is_rejected_before_assembly(self, n, allowed, monkeypatch):
+        class Assembled(Exception):
+            pass
+
+        def forbidden(*args):
+            raise Assembled
+
+        monkeypatch.setattr(evolution, "_real_generator", forbidden)
+        p_all = np.full(n, 1.0 / n)
+        expected = Assembled if allowed else ConfigError
+        with pytest.raises(expected, match=None if allowed else "assemble its generator"):
+            integrate(np.eye(n) / n, None, p_all, 5.0, 1.0, IntegratorConfig(t_max=1e-3))
 
 
 class TestSimulateModel:

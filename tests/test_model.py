@@ -203,18 +203,21 @@ class TestMeasurementModel:
             )
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        h = np.zeros((4, 4))
-        h[0, 1] = 1.0
-        with pytest.raises(ValidationError, match="Hermitian"):
-            MeasurementModel(
-                sys=StateVector([1, 0]),
-                app=StateVector([1, 0]),
-                correspondence=CorrespondenceMap.one_to_one(2),
-                gamma=1.0,
-                omega=1.0,
-                epsilon=1e-4,
-                hamiltonian=h,
-            )
+        asymmetric = np.zeros((4, 4))
+        asymmetric[0, 1] = 1.0
+        not_finite = np.eye(4)
+        not_finite[2, 2] = np.nan
+        for h in (asymmetric, not_finite):
+            with pytest.raises(ValidationError, match="Hermitian"):
+                MeasurementModel(
+                    sys=StateVector([1, 0]),
+                    app=StateVector([1, 0]),
+                    correspondence=CorrespondenceMap.one_to_one(2),
+                    gamma=1.0,
+                    omega=1.0,
+                    epsilon=1e-4,
+                    hamiltonian=h,
+                )
 
     def test_builders(self, two_level_model):
         rho0 = two_level_model.initial_dm()

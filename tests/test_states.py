@@ -50,6 +50,15 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError, match="Hermitian"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("entries", [
+        np.full((2, 2), np.nan),
+        np.diag([np.nan, 1.0]),
+        np.diag([np.inf, 0.0]),
+    ])
+    def test_rejects_non_finite(self, entries):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(entries)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValidationError, match="trace"):
             DensityMatrix(np.eye(2))
@@ -139,6 +148,8 @@ class TestAlignedDm:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValidationError, match="sum"):
             aligned_dm([0.5, 0.4], CorrespondenceMap.one_to_one(2))
+        with pytest.raises(ValidationError, match="sum"):
+            aligned_dm([math.nan, math.nan], CorrespondenceMap.one_to_one(2))
 
 
 class TestTraceDistance:
