@@ -100,6 +100,8 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float |
     rhs = np.asarray(initial_rhs, dtype=complex)
     if rhs.shape != m0.shape:
         raise ValidationError(f"rhs shape {rhs.shape} does not match state {m0.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValidationError("initial right-hand side has non-finite entries")
     numerator = trace_distance(rho_inf, rho0)
     if denominator_norm == "diag_rms":
         denominator = float(np.sqrt(np.mean(np.diagonal(rhs).real ** 2)))

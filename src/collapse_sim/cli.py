@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -30,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache  # built on the first call, then reused: parsing keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="collapse-sim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

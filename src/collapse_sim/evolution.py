@@ -16,7 +16,8 @@ map and every product of the propagation are float64, 8 bytes per entry.
 The recorded coordinates are unpacked once into the complex snapshot stack,
 which is exactly Hermitian. The real basis holds only Hermitian matrices,
 so :func:`integrate` rejects a non-Hermitian or non-finite initial state or
-Hamiltonian before it assembles anything.
+Hamiltonian before it assembles anything. :func:`integrate_fast_limit` runs
+the same initial-state check before it propagates anything.
 
 The generator is linear and time independent, so a fixed-step classical
 fourth-order Runge-Kutta update is precomputed once as the degree-4 Taylor
@@ -340,6 +341,15 @@ def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     return _pack(images).reshape(n * n, n * n).T
 
 
+def _check_initial_state(m0: np.ndarray, n: int) -> None:
+    # a NaN or infinite entry makes the asymmetry NaN or infinite, which fails too
+    if m0.shape != (n, n):
+        raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
+    asym = float(np.abs(m0 - m0.conj().T).max())
+    if not asym <= SNAPSHOT_HERMITICITY_TOL:
+        raise ValidationError(f"initial state is not Hermitian: max asymmetry {asym:.3e}")
+
+
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
               target=None) -> Trajectory:
     """Integrate the full master equation from ``rho0`` up to ``cfg.t_max``.
@@ -355,11 +365,7 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     m0 = _as_matrix(rho0)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
-    if m0.shape != (n, n):
-        raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
-    asym = float(np.abs(m0 - m0.conj().T).max())
-    if not asym <= SNAPSHOT_HERMITICITY_TOL:
-        raise ValidationError(f"initial state is not Hermitian: max asymmetry {asym:.3e}")
+    _check_initial_state(m0, n)
     h = None
     h_norm = 0.0
     if hamiltonian is not None:
@@ -390,13 +396,13 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     Diagonals evolve under the linear rate equation (fourth-order fixed
     step); each off-diagonal decays analytically as
     ``rho_rs(0) * exp(-rate * t)``, which is unconditionally stable and keeps
-    initially real elements real.
+    initially real elements real. ``rho0`` is checked as in :func:`integrate`
+    (shape, finite entries, Hermiticity) before any work.
     """
     m0 = _as_matrix(rho0)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
-    if m0.shape != (n, n):
-        raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
+    _check_initial_state(m0, n)
     dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
     _check_stack_size(n_steps, n, cfg)
     ks = _record_steps(n_steps, cfg)

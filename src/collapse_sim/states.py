@@ -145,9 +145,9 @@ def trace_distance(a, b) -> float:
 def von_neumann_entropy(dm, log_base: float | None = None, positivity_tol: float = POSITIVITY_TOL) -> float:
     """Spectral entropy -sum(P log P) over the eigenvalues of ``dm``.
 
-    Natural logarithm by default; pass ``log_base`` (> 1) for another base.
-    Eigenvalues in ``[-positivity_tol, 0]`` count as exact zeros; anything
-    lower raises PositivityError.
+    Natural logarithm by default; pass a finite ``log_base`` (> 1) for
+    another base. Eigenvalues in ``[-positivity_tol, 0]`` count as exact
+    zeros; anything lower raises PositivityError.
     """
     evals = np.linalg.eigvalsh(_as_matrix(dm))
     smallest = float(evals[0])
@@ -155,8 +155,8 @@ def von_neumann_entropy(dm, log_base: float | None = None, positivity_tol: float
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
     s = float(_spectral_entropy(evals))
     if log_base is not None:
-        if log_base <= 1.0:
-            raise ValidationError(f"log base must exceed 1, got {log_base!r}")
+        if not 1.0 < log_base < math.inf:
+            raise ValidationError(f"log base must be finite and exceed 1, got {log_base!r}")
         s /= math.log(log_base)
     return s
 

@@ -97,9 +97,10 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str,
     )
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(
-            f"{px(float(xx)):.2f},{py(float(yy)):.2f}" for xx, yy in zip(x, y)
-        )
+        # px and py map whole arrays; elementwise float64 arithmetic in the same
+        # order gives the same doubles as mapping one point at a time
+        coords = np.column_stack((px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float))))
+        pts = " ".join(["%.2f,%.2f"] * len(coords)) % tuple(coords.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_TOP + 14 + 16 * k
         lx = _MARGIN_LEFT + plot_w - 150

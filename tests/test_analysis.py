@@ -138,6 +138,14 @@ class TestQslLowerBound:
         assert frob_report.denominator == pytest.approx(float(np.linalg.norm(rhs)))
         assert frob_report.bound < diag_report.bound
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rhs(self, two_level_model, bad):
+        rho0 = two_level_model.initial_dm()
+        target = two_level_model.aligned_target()
+        rhs = np.full((4, 4), bad, dtype=complex)
+        with pytest.raises(ValidationError, match="non-finite"):
+            qsl_lower_bound(rho0, target, rhs)
+
     def test_rejects_unknown_norm(self, two_level_model):
         rho0 = two_level_model.initial_dm()
         with pytest.raises(ValidationError, match="norm"):

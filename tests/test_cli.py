@@ -2,12 +2,15 @@ import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import collapse_sim
 from collapse_sim import lindblad_jump_family, master_rhs, qsl_lower_bound
 from collapse_sim.cli import main
 from collapse_sim.config import load_run_config
@@ -220,6 +223,26 @@ class TestSimulate:
             assert main(["simulate", "--config", config_path, "--plot", "--out", str(out)]) == 0
         for name in ("trajectory.csv", "fig1.svg", "fig2.svg"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path, config_path):
+        # main builds its parser once per process; a flag of the first call
+        # (--plot) must not leak into the second, which writes no figures
+        runs = (["simulate", "--plot"], ["simulate", "--mode", "fast"])
+        for k, argv in enumerate(runs):
+            assert main([*argv, "--config", config_path, "--out", str(tmp_path / f"same{k}")]) == 0
+        package_root = os.path.dirname(os.path.dirname(collapse_sim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        for k, argv in enumerate(runs):
+            fresh = tmp_path / f"fresh{k}"
+            subprocess.run([sys.executable, "-m", "collapse_sim.cli", *argv, "--config", config_path,
+                            "--out", str(fresh)], env=env, check=True, timeout=120)
+            same = tmp_path / f"same{k}"
+            names = sorted(os.listdir(fresh))
+            assert sorted(os.listdir(same)) == names
+            assert names == (["fig1.svg", "fig2.svg", "trajectory.csv"] if k == 0 else ["trajectory.csv"])
+            for name in names:
+                assert (same / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestSpectrum:

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import xml.etree.ElementTree as ET
 
@@ -7,6 +9,7 @@ import pytest
 from collapse_sim import IntegratorConfig, simulate_model
 from collapse_sim.analysis import QslReport, SweepRow
 from collapse_sim.csvio import (
+    _BLOCK_ROWS,
     atomic_write_text,
     read_csv_columns,
     trajectory_header,
@@ -14,12 +17,60 @@ from collapse_sim.csvio import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from collapse_sim.evolution import Trajectory
+from collapse_sim.svgplot import _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP
 from collapse_sim.svgplot import render_line_plot, write_line_plot
+from conftest import random_amplitude_model
 
 
 @pytest.fixture(scope="module")
 def short_trajectory(two_level_model):
     return simulate_model(two_level_model, IntegratorConfig(t_max=0.05), mode="full")
+
+
+def per_value_trajectory_csv(traj) -> str:
+    """The trajectory writer as it was before bulk formatting: one
+    ``format(x, ".17g")`` per value, rows through ``csv.writer``."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(trajectory_header(traj))
+    for k in range(traj.times.size):
+        row = [fmt(traj.times[k])]
+        row += [fmt(traj.diagonals[k, c]) for c in range(traj.dim)]
+        for c in range(len(traj.offdiag_pairs)):
+            row += [fmt(traj.offdiag_re[k, c]), fmt(traj.offdiag_im[k, c])]
+        row.append(fmt(traj.entropy[k]))
+        row += [fmt(traj.eigenvalues[k, c]) for c in range(traj.dim)]
+        row.append(fmt(traj.trace_dist[k]))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def synthetic_trajectory(n_rows, n):
+    """A trajectory whose columns cycle through values that stress the
+    shortest round-trip digits: signed zero, subnormals, huge and tiny
+    magnitudes, and fractions without a short decimal form."""
+    special = np.array([-0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e16, 1e17,
+                        -2.5e-310, 6.02e23, -1.0, 0.0, 2.0**-52])
+    rng = np.random.default_rng(3)
+    pairs = tuple((r, s) for r in range(n) for s in range(r + 1, n))
+
+    def column(*shape):
+        size = int(np.prod(shape))
+        values = np.where(rng.random(size) < 0.5, np.resize(special, size),
+                          rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size))
+        return values.reshape(shape)
+
+    return Trajectory(
+        times=column(n_rows), states=np.zeros((n_rows, n, n), dtype=complex),
+        diagonals=column(n_rows, n), offdiag_pairs=pairs,
+        offdiag_re=column(n_rows, len(pairs)), offdiag_im=column(n_rows, len(pairs)),
+        entropy=column(n_rows), eigenvalues=column(n_rows, n), trace_dist=column(n_rows),
+        target=np.zeros((n, n), dtype=complex), dt=0.1, n_steps=n_rows,
+    )
 
 
 class TestCsvFormat:
@@ -50,6 +101,26 @@ class TestCsvFormat:
         for k, (r, s) in enumerate(short_trajectory.offdiag_pairs):
             assert np.array_equal(cols[f"re_{r}_{s}"], short_trajectory.offdiag_re[:, k])
             assert np.array_equal(cols[f"im_{r}_{s}"], short_trajectory.offdiag_im[:, k])
+
+    def test_reference_trajectory_matches_per_value_writer(self, tmp_path, two_level_trajectory):
+        assert len(two_level_trajectory.offdiag_pairs) == 6
+        self._assert_matches_oracle(tmp_path, two_level_trajectory)
+
+    def test_fast_amplitude_trajectory_matches_per_value_writer(self, tmp_path):
+        model = random_amplitude_model(np.random.default_rng(7), 3, 3)
+        traj = simulate_model(model, IntegratorConfig(t_max=0.5), mode="fast")
+        assert traj.dim == 9 and len(traj.offdiag_pairs) == 1
+        self._assert_matches_oracle(tmp_path, traj)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * _BLOCK_ROWS + 3])
+    def test_synthetic_trajectory_matches_per_value_writer(self, tmp_path, n_rows):
+        self._assert_matches_oracle(tmp_path, synthetic_trajectory(n_rows, 3))
+
+    @staticmethod
+    def _assert_matches_oracle(tmp_path, traj):
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_trajectory_csv(traj).encode()
 
     def test_sweep_and_qsl_headers(self, tmp_path):
         sweep_path = str(tmp_path / "sweep.csv")
@@ -93,3 +164,45 @@ class TestSvgPlots:
         x = np.array([0.0, 1.0])
         doc = render_line_plot([("flat", x, np.zeros(2))], title="", xlabel="", ylabel="")
         assert "polyline" in doc
+
+    def test_polylines_match_per_point_formatting(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            series = []
+            for k in range(rng.integers(1, 4)):
+                size = int(rng.integers(1, 200))
+                scale = 10.0 ** rng.integers(-12, 12)
+                x = np.sort(rng.uniform(0.0, 1.0, size)) * scale
+                y = rng.normal(size=size) * 10.0 ** rng.integers(-12, 12)
+                if k == 1:
+                    y[:] = y[0]
+                series.append((f"s{k}", x, y))
+            doc = render_line_plot(series, title="", xlabel="", ylabel="")
+            points = [el.get("points") for el in ET.fromstring(doc).iter()
+                      if el.tag.endswith("polyline")]
+            assert points == per_point_polylines(series)
+
+
+def per_point_polylines(series, width=760, height=440):
+    """Polyline point lists as the renderer wrote them before numpy: scalar
+    ``px``/``py`` per point, each formatted by its own f-string."""
+    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
+    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo) or 1.0
+    y_lo -= pad
+    y_hi += pad
+    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+
+    def px(x):
+        return _MARGIN_LEFT + plot_w * (x - x_lo) / (x_hi - x_lo)
+
+    def py(y):
+        return _MARGIN_TOP + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
+
+    return [" ".join(f"{px(float(xx)):.2f},{py(float(yy)):.2f}" for xx, yy in zip(x, y))
+            for _, x, y in series]

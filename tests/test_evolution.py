@@ -442,6 +442,23 @@ class TestInputGuards:
             integrate(rho0, h, p_all, 5.0, 1.0, IntegratorConfig(t_max=0.1))
         assert fragment in str(err.value)
 
+    @pytest.mark.parametrize("entry, defect, fragment", [
+        ((0, 0), math.nan, "initial state is not Hermitian: max asymmetry nan"),
+        ((1, 2), math.inf, "initial state is not Hermitian: max asymmetry inf"),
+        ((0, 1), 0.1, "initial state is not Hermitian: max asymmetry 1.000e-01"),
+    ])
+    def test_fast_limit_rejects_bad_initial_state_before_propagation(self, entry, defect,
+                                                                     fragment, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the populations were propagated")
+
+        monkeypatch.setattr(evolution, "_propagate", forbidden)
+        p_all, rho0, _ = self._inputs()
+        rho0[entry] += defect
+        with pytest.raises(ValidationError) as err:
+            integrate_fast_limit(rho0, p_all, 5.0, 1.0, IntegratorConfig(t_max=0.1))
+        assert fragment in str(err.value)
+
 
 class TestFastRates:
     def test_symmetric_pair_limit(self):

@@ -211,6 +211,12 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValidationError):
             von_neumann_entropy(dm, log_base=1.0)
 
+    @pytest.mark.parametrize("log_base", [math.nan, math.inf])
+    def test_log_base_must_be_finite(self, log_base):
+        dm = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
+        with pytest.raises(ValidationError, match="finite"):
+            von_neumann_entropy(dm, log_base=log_base)
+
     def test_clamps_tiny_negative_eigenvalues(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         assert von_neumann_entropy(m) == pytest.approx(0.0, abs=1e-9)
