@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,11 +127,10 @@ def _sweep_row(model, gamma_value: float, cfg: IntegratorConfig, mode: str, tol:
     return SweepRow(gamma=gamma_value, alignment_time=tau, gamma_times_tau=gamma_value * tau)
 
 
-def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast", tol: float = 0.01,
-                max_workers: int | None = None) -> list[SweepRow]:
+def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
+                tol: float = 0.01) -> list[SweepRow]:
     """Alignment time per coupling strength, with the product gamma * tau.
 
-    Rows are independent; ``max_workers`` > 1 evaluates them concurrently.
     Alignment failures propagate as NotAlignedError for the offending row.
     """
     values = [float(g) for g in gammas]
@@ -140,7 +138,4 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast", tol: f
         raise ValidationError("gamma sweep needs at least one value")
     if not all(math.isfinite(g) and g > 0 for g in values):
         raise ValidationError(f"sweep gammas must be positive and finite, got {values}")
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda g: _sweep_row(model, g, cfg, mode, tol), values))
     return [_sweep_row(model, g, cfg, mode, tol) for g in values]

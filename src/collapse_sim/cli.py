@@ -1,7 +1,6 @@
 """Command-line front end: simulate, spectrum, qsl, and sweep subcommands.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
-``COLLAPSE_SIM_THREADS`` caps sweep concurrency.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ import numpy as np
 from .analysis import gamma_sweep, generator_spectrum, qsl_lower_bound
 from .config import RunConfig, load_run_config
 from .csvio import write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import apply_dissipator_closed_form, diag_generator_matrix
+from .dissipator import diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .evolution import Trajectory, alignment_time, simulate_model
+from .evolution import Trajectory, _closed_form_rhs, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
 
@@ -130,26 +129,11 @@ def _cmd_qsl(args) -> int:
     target = model.aligned_target()
     measured = alignment_time(traj, target, tol=cfg.alignment_tol)
     rho0 = model.initial_dm().entries
-    initial_rhs = apply_dissipator_closed_form(model.rate_table(), model.gamma, model.omega, rho0)
-    if cfg.mode == "full":
-        initial_rhs -= 1j * (model.hamiltonian @ rho0 - rho0 @ model.hamiltonian)
-    report = qsl_lower_bound(rho0, target, initial_rhs,
-                             measured_alignment_time=measured)
+    diag_gen = diag_generator_matrix(model.rate_table().flat_probabilities(), model.gamma, model.omega)
+    initial_rhs = _closed_form_rhs(diag_gen, model.hamiltonian if cfg.mode == "full" else None, rho0)
+    report = qsl_lower_bound(rho0, target, initial_rhs, measured_alignment_time=measured)
     write_qsl_csv(os.path.join(out, "qsl.csv"), report)
     return 0
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("COLLAPSE_SIM_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"COLLAPSE_SIM_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"COLLAPSE_SIM_THREADS must be at least 1, got {value}")
-    return value
 
 
 def _cmd_sweep(args) -> int:
@@ -166,8 +150,7 @@ def _cmd_sweep(args) -> int:
     if not cfg.gammas:
         raise ValidationError("sweep needs coupling strengths via --gammas or the config's 'gammas'")
     out = _ensure_outdir(cfg)
-    rows = gamma_sweep(cfg.model, cfg.gammas, cfg.integrator, mode=cfg.mode,
-                       tol=cfg.alignment_tol, max_workers=_max_workers())
+    rows = gamma_sweep(cfg.model, cfg.gammas, cfg.integrator, mode=cfg.mode, tol=cfg.alignment_tol)
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)
     return 0
 

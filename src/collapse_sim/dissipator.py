@@ -81,13 +81,18 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
     ``M[r, m] = gamma * omega * (q_r/q_m - delta_rm * Q/q_r)`` with
     ``q = sqrt(p)`` and ``Q = sum_k q_k``. Off-diagonal entries are the jump
     weights, ``-M[a, a]`` is the outflow rate of state a. Columns sum to zero
-    and ``M @ p_all = 0``.
+    and ``M @ p_all = 0``. Rates that overflow raise ValidationError.
     """
     p = np.asarray(p_all, dtype=float).reshape(-1)
     if np.any(p <= 0):
         raise ValidationError("flat probabilities must be strictly positive (floored)")
     q = np.sqrt(p)
-    return float(gamma) * float(omega) * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
+    scale = float(gamma) * float(omega)
+    with np.errstate(over="ignore"):
+        m = scale * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
+    if not np.isfinite(m).all():
+        raise ValidationError(f"jump rates are not finite at gamma * omega = {scale:g}")
+    return m
 
 
 def _coherence_generator(m: np.ndarray) -> np.ndarray:

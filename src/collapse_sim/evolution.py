@@ -28,7 +28,8 @@ largest k, and each power S**(2**j) multiplies, in one batched product, the
 records whose k has bit j set. Only one power is alive at a time, so the
 memory is one step-map-sized matrix plus the T x n x n complex snapshot
 stack (16 bytes per entry). :data:`MAX_STACK_BYTES` caps the stack and the
-full-mode assembly before anything is allocated.
+full-mode assembly, and :data:`MAX_STEPS` the step count, before anything is
+allocated.
 
 The stack is checked and analysed as one array: one batched eigenvalue call
 gives the positivity check, the spectra and the entropy, and one on the
@@ -57,6 +58,8 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # two complex n^2 x n^2 arrays that full-mode assembly keeps may take together;
 # temporaries of the same size come on top (a few in the analysis, one in assembly)
 MAX_STACK_BYTES = 2**28
+# most steps a run may take: float64 t_max / dt counts steps exactly up to here
+MAX_STEPS = 2**53
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,11 @@ def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def _resolve_step(cfg: IntegratorConfig, rate_bound: float) -> tuple[float, int]:
     dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate_bound, 1e-300)
-    n_steps = max(1, math.ceil(cfg.t_max / dt - 1e-9))
+    steps = cfg.t_max / dt if dt > 0 else math.inf
+    if not steps <= MAX_STEPS:  # also refuses NaN
+        raise ConfigError(f"t_max = {cfg.t_max:g} at dt = {dt:.3g} needs {steps:.3g} steps, over the "
+                          f"limit of {MAX_STEPS:.3g}; shorten t_max or lengthen dt")
+    n_steps = max(1, math.ceil(steps - 1e-9))
     return cfg.t_max / n_steps, n_steps
 
 
@@ -224,7 +231,7 @@ def _check_stack_size(n_steps: int, n: int, cfg: IntegratorConfig) -> None:
 
 def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     if cfg.record_every is not None:
-        ks = np.arange(0, n_steps + 1, cfg.record_every)
+        ks = np.arange(0, n_steps + 1, min(cfg.record_every, n_steps))
         if ks[-1] != n_steps:
             ks = np.append(ks, n_steps)
         return ks
@@ -327,18 +334,25 @@ def _unpack(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closed_form_rhs(diag_gen: np.ndarray, h: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
+    """The right-hand side on every complex n x n matrix along the last two
+    axes of ``rho``: the family's action with diagonal generator ``diag_gen``
+    plus ``-i [h, rho]`` when there is an ``h``."""
+    out = _closed_form_action(diag_gen, rho)
+    if h is not None:
+        out -= 1j * (h @ rho)
+        out += 1j * (rho @ h)
+    return out
+
+
 def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     """The right-hand side as a real n^2 x n^2 matrix in the coordinates of
-    :func:`_pack`: column k is the packed image, under the closed-form action
-    and the commutator with ``h`` (when there is one), of the Hermitian
-    matrix that unit coordinate k unpacks to."""
+    :func:`_pack`: column k is the packed image, under
+    :func:`_closed_form_rhs`, of the Hermitian matrix that unit coordinate k
+    unpacks to."""
     n = diag_gen.shape[0]
     basis = _unpack(np.eye(n * n).reshape(n * n, n, n))
-    images = _closed_form_action(diag_gen, basis)
-    if h is not None:
-        images -= 1j * (h @ basis)
-        images += 1j * (basis @ h)
-    return _pack(images).reshape(n * n, n * n).T
+    return _pack(_closed_form_rhs(diag_gen, h, basis)).reshape(n * n, n * n).T
 
 
 def _check_initial_state(m0: np.ndarray, n: int) -> None:

@@ -170,12 +170,6 @@ class TestGammaSweep:
         rows = gamma_sweep(two_level_model, [5.0, 10.0], IntegratorConfig(t_max=1.5), mode="fast")
         assert rows[1].alignment_time == pytest.approx(rows[0].alignment_time / 2.0, rel=0.1)
 
-    def test_concurrent_rows_match_serial(self, two_level_model):
-        cfg = IntegratorConfig(t_max=1.0)
-        serial = gamma_sweep(two_level_model, [2.5, 5.0], cfg, mode="fast")
-        threaded = gamma_sweep(two_level_model, [2.5, 5.0], cfg, mode="fast", max_workers=2)
-        assert serial == threaded
-
     def test_rejects_empty_or_nonpositive(self, two_level_model):
         cfg = IntegratorConfig(t_max=1.0)
         with pytest.raises(ValidationError):

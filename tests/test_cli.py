@@ -126,6 +126,10 @@ class TestSimulate:
             ("scenario", "gamma", "five", "gamma"),
             ("scenario", "omega", float("inf"), "omega"),
             ("scenario", "alpha_s", float("nan"), "alpha_s"),
+            ("scenario", "gamma", 1e308, "gamma * omega"),
+            ("integrator", "t_max", 1e20, "t_max"),
+            ("integrator", "dt", 1e-300, "dt"),
+            ("scenario", "omega", 1e300, "steps"),
         ],
     )
     def test_non_finite_or_non_numeric_value_exits_one(self, tmp_path, capsys, section, key,
@@ -171,6 +175,11 @@ class TestSimulate:
             ({"integrator": {"t_max": 1.0, "record_every": 2.5}}, "record_every must be an integer"),
             ({"integrator": {"t_max": 1.0, "record_points": 240.7}},
              "record_points must be an integer"),
+            ({"mode": "fast", "gammas": [1e308]}, "gamma * omega"),
+            ({"mode": "fast", "gammas": [5.0], "integrator": {"t_max": 1e20}}, "t_max"),
+            # finite rates and H whose summed bound overflows: the automatic dt is 0
+            ({"gammas": [3.6e-5], "scenario": {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A,
+                                               "omega": 1.5e308}}, "needs inf steps"),
         ],
     )
     def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
@@ -321,21 +330,6 @@ class TestSweep:
             assert main(["sweep", "--config", config_path, "--gammas", gammas]) == 1
             assert capsys.readouterr().err.startswith(
                 "error: sweep gammas must be positive and finite")
-
-    def test_thread_cap_env_var(self, tmp_path, config_path, monkeypatch):
-        out_serial = tmp_path / "serial"
-        out_threads = tmp_path / "threads"
-        assert main(["sweep", "--config", config_path, "--gammas", "2.5,5",
-                     "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("COLLAPSE_SIM_THREADS", "2")
-        assert main(["sweep", "--config", config_path, "--gammas", "2.5,5",
-                     "--out", str(out_threads)]) == 0
-        assert (out_serial / "sweep.csv").read_bytes() == (out_threads / "sweep.csv").read_bytes()
-
-    def test_invalid_thread_env_is_config_error(self, config_path, monkeypatch, capsys):
-        monkeypatch.setenv("COLLAPSE_SIM_THREADS", "thirty")
-        assert main(["sweep", "--config", config_path, "--gammas", "5"]) == 1
-        assert "COLLAPSE_SIM_THREADS" in capsys.readouterr().err
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):

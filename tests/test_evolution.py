@@ -621,6 +621,7 @@ class TestAlignmentTime:
 class TestSizeGuard:
     @pytest.mark.parametrize("n_steps, schedule", [
         (10, {"record_every": 10**9}),
+        (10, {"record_every": 10**300}),
         (10, {"record_every": 3}),
         (12, {"record_every": 3}),
         (1, {"record_every": 1}),
@@ -633,7 +634,9 @@ class TestSizeGuard:
     def test_count_matches_or_bounds_record_steps(self, n_steps, schedule):
         cfg = IntegratorConfig(t_max=1.0, **schedule)
         count = evolution._record_count(n_steps, cfg)
-        actual = evolution._record_steps(n_steps, cfg).size
+        steps = evolution._record_steps(n_steps, cfg)
+        assert steps.dtype.kind == "i" and steps[0] == 0 and steps[-1] == n_steps
+        actual = steps.size
         if "record_every" in schedule or n_steps < cfg.record_points:
             assert count == actual
         else:
