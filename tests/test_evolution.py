@@ -621,7 +621,6 @@ class TestAlignmentTime:
 class TestSizeGuard:
     @pytest.mark.parametrize("n_steps, schedule", [
         (10, {"record_every": 10**9}),
-        (10, {"record_every": 10**300}),
         (10, {"record_every": 3}),
         (12, {"record_every": 3}),
         (1, {"record_every": 1}),
@@ -630,6 +629,7 @@ class TestSizeGuard:
         (10**6, {}),
         (10**6, {"record_spacing": "linear"}),
         (10**6, {"record_points": 7}),
+        (10, {"record_every": 10**300}),
     ])
     def test_count_matches_or_bounds_record_steps(self, n_steps, schedule):
         cfg = IntegratorConfig(t_max=1.0, **schedule)
