@@ -4,7 +4,8 @@
 The diagonal entries evolve under a linear generator with one zero mode
 (the stationary Born-weight distribution) and otherwise strictly decaying
 modes. Expanding the initial populations in the eigenbasis reproduces the
-integrated trajectory.
+fast-mode trajectory, whose populations are the closed-form solution of the
+same rate equation.
 """
 
 import math
@@ -38,6 +39,6 @@ coeff = np.linalg.solve(evecs, traj.diagonals[0])
 with np.errstate(under="ignore"):
     reconstructed = (evecs @ (coeff[:, None] * np.exp(np.outer(evals, traj.times)))).T.real
 print(
-    "max |spectral expansion - integrated diagonals| =",
+    "max |spectral expansion - fast-mode diagonals| =",
     f"{np.max(np.abs(reconstructed - traj.diagonals)):.2e}",
 )

@@ -79,8 +79,8 @@ def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
             series.append(
                 (f"diag_{flat} / {weight:.4g}", traj.times, traj.diagonals[:, flat] / weight)
             )
-    aligned = [i * corr.readings + j for i, g in enumerate(corr.assignment) for j in g]
-    pair = (min(aligned), max(aligned)) if len(aligned) >= 2 else traj.offdiag_pairs[0]
+    aligned = corr.aligned_flat_indices()
+    pair = (aligned[0], aligned[-1]) if len(aligned) >= 2 else traj.offdiag_pairs[0]
     if pair in traj.offdiag_pairs:
         k = traj.offdiag_pairs.index(pair)
         series.append((f"re_{pair[0]}_{pair[1]}", traj.times, traj.offdiag_re[:, k]))

@@ -82,44 +82,32 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, k].copy() for k, name in enumerate(header)}
 
 
-def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
+def _write_rows(path: str, rows) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["gamma", "alignment_time", "gamma_times_tau"])
-    for row in rows:
-        writer.writerow([_fmt(row.gamma), _fmt(row.alignment_time), _fmt(row.gamma_times_tau)])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     atomic_write_text(path, buf.getvalue())
+
+
+def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
+    _write_rows(path, [
+        ["gamma", "alignment_time", "gamma_times_tau"],
+        *([_fmt(row.gamma), _fmt(row.alignment_time), _fmt(row.gamma_times_tau)] for row in rows),
+    ])
 
 
 def write_qsl_csv(path: str, report: QslReport) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["numerator", "denominator", "bound", "measured_tau", "ratio"])
-    measured = report.measured_alignment_time
-    writer.writerow(
-        [
-            _fmt(report.numerator),
-            _fmt(report.denominator),
-            _fmt(report.bound),
-            _fmt(measured) if measured is not None else "",
-            _fmt(report.ratio) if report.ratio is not None else "",
-        ]
-    )
-    atomic_write_text(path, buf.getvalue())
+    optional = (report.measured_alignment_time, report.ratio)
+    _write_rows(path, [
+        ["numerator", "denominator", "bound", "measured_tau", "ratio"],
+        [_fmt(report.numerator), _fmt(report.denominator), _fmt(report.bound),
+         *("" if x is None else _fmt(x) for x in optional)],
+    ])
 
 
 def write_spectrum_csv(path: str, spectrum: GeneratorSpectrum) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"])
     stationary = spectrum.stationary_distribution
-    for k in range(spectrum.eigenvalues.size):
-        writer.writerow(
-            [
-                str(k),
-                _fmt(spectrum.eigenvalues[k].real),
-                _fmt(spectrum.eigenvalues[k].imag),
-                _fmt(stationary[k]),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())
+    _write_rows(path, [
+        ["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"],
+        *([str(k), _fmt(ev.real), _fmt(ev.imag), _fmt(stationary[k])]
+          for k, ev in enumerate(spectrum.eigenvalues)),
+    ])

@@ -17,19 +17,20 @@ The recorded coordinates are unpacked once into the complex snapshot stack,
 which is exactly Hermitian. The real basis holds only Hermitian matrices,
 so :func:`integrate` rejects a non-Hermitian or non-finite initial state or
 Hamiltonian before it assembles anything. :func:`integrate_fast_limit` runs
-the same initial-state check before it propagates anything.
+the same initial-state check first.
 
-The generator is linear and time independent, so a fixed-step classical
-fourth-order Runge-Kutta update is precomputed once as the degree-4 Taylor
-polynomial of the step map S (for a linear autonomous system the two are the
-same update). Every record step k is reached from the initial state through
-one squaring chain, :func:`_propagate`: S is squared once per bit of the
-largest k, and each power S**(2**j) multiplies, in one batched product, the
-records whose k has bit j set. Only one power is alive at a time, so the
+The full-mode generator is linear and time independent, so a fixed-step
+classical fourth-order Runge-Kutta update is precomputed once as the degree-4
+Taylor polynomial of the step map S (for a linear autonomous system the two
+are the same update). Every record step k is reached from the initial state
+through one squaring chain, :func:`_propagate`: S is squared once per bit of
+the largest k, and each power S**(2**j) multiplies, in one batched product,
+the records whose k has bit j set. Only one power is alive at a time, so the
 memory is one step-map-sized matrix plus the T x n x n complex snapshot
-stack (16 bytes per entry). :data:`MAX_STACK_BYTES` caps the stack and the
-full-mode assembly, and :data:`MAX_STEPS` the step count, before anything is
-allocated.
+stack (16 bytes per entry). Fast mode has no step map: one symmetric
+eigendecomposition gives its populations in closed form.
+:data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
+:data:`MAX_STEPS` the step count, before anything is allocated.
 
 The stack is checked and analysed as one array: one batched eigenvalue call
 gives the positivity check, the spectra and the entropy, and one on the
@@ -48,7 +49,8 @@ from .dissipator import (DissipatorSpec, _closed_form_action, _coherence_generat
                          diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import HERMITICITY_TOL, DensityMatrix, _as_matrix, _readonly, _spectral_entropy
+from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
+                     _spectral_entropy)
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
@@ -173,7 +175,7 @@ def fast_diag_rhs(p_all, diag, gamma: float, omega: float) -> np.ndarray:
 
 
 def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    """Single-step update matrix of classical RK4 for y' = G y."""
+    """Single-step update matrix of classical RK4 for y' = G y (full mode only)."""
     n = generator.shape[0]
     eye = np.eye(n, dtype=generator.dtype)
     a = dt * generator
@@ -181,7 +183,7 @@ def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Rows ``step**k @ y0`` for every k in ``ks``, from one squaring chain.
+    """Rows ``step**k @ y0`` for every k in ``ks``, from one squaring chain (full mode only).
 
     Power ``step**(2**j)`` multiplies, in one batched product, the rows whose
     k has bit j set, and is then squared into the next power. The cost is one
@@ -355,15 +357,6 @@ def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     return _pack(_closed_form_rhs(diag_gen, h, basis)).reshape(n * n, n * n).T
 
 
-def _check_initial_state(m0: np.ndarray, n: int) -> None:
-    # a NaN or infinite entry makes the asymmetry NaN or infinite, which fails too
-    if m0.shape != (n, n):
-        raise ValidationError(f"initial state shape {m0.shape} does not match dimension {n}")
-    asym = float(np.abs(m0 - m0.conj().T).max())
-    if not asym <= SNAPSHOT_HERMITICITY_TOL:
-        raise ValidationError(f"initial state is not Hermitian: max asymmetry {asym:.3e}")
-
-
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
               target=None) -> Trajectory:
     """Integrate the full master equation from ``rho0`` up to ``cfg.t_max``.
@@ -379,16 +372,12 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     m0 = _as_matrix(rho0)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
-    _check_initial_state(m0, n)
+    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
     h = None
     h_norm = 0.0
     if hamiltonian is not None:
         h = np.asarray(hamiltonian, dtype=complex)
-        if h.shape != (n, n):
-            raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
-        asym = float(np.abs(h - h.conj().T).max())
-        if not asym <= HERMITICITY_TOL:
-            raise ValidationError(f"Hamiltonian is not Hermitian: max asymmetry {asym:.3e}")
+        _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
         h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
     dt, n_steps = _resolve_step(cfg, max_weight + h_norm)
@@ -405,23 +394,33 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
 
 def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
                          target=None) -> Trajectory:
-    """Integrate the dissipator-dominated reduction of the master equation.
+    """Solve the dissipator-dominated reduction of the master equation in
+    closed form at the sample times.
 
-    Diagonals evolve under the linear rate equation (fourth-order fixed
-    step); each off-diagonal decays analytically as
-    ``rho_rs(0) * exp(-rate * t)``, which is unconditionally stable and keeps
-    initially real elements real. ``rho0`` is checked as in :func:`integrate`
-    (shape, finite entries, Hermiticity) before any work.
+    The diagonals obey d' = M d. The jump weights satisfy detailed balance
+    with respect to p, so M = diag(q) K diag(1/q) with q = sqrt(p) and K real
+    symmetric, negative semidefinite, with q as its exact, simple kernel: one
+    ``eigh(K) = (lam, V)`` gives ``exp(M t) d0 = diag(q) V exp(lam t) V^T
+    diag(1/q) d0`` at every t. The largest eigenvalue is set to exactly 0, as
+    its round-off would grow into a trace drift at long times. Each
+    off-diagonal decays as ``rho_rs(0) * exp(-rate * t)``, which keeps
+    initially real elements real. ``dt`` and ``n_steps`` only set the sample
+    grid. ``rho0`` is checked as in :func:`integrate` (shape, finite entries,
+    Hermiticity) before any work.
     """
     m0 = _as_matrix(rho0)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
-    _check_initial_state(m0, n)
+    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
     dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
     _check_stack_size(n_steps, n, cfg)
-    ks = _record_steps(n_steps, cfg)
-    times = ks * dt
-    populations = _propagate(_rk4_step_matrix(diag_gen, dt), np.diagonal(m0).real.copy(), ks)
+    times = _record_steps(n_steps, cfg) * dt
+    q = np.sqrt(np.ravel(p_all))
+    lam, v = np.linalg.eigh(diag_gen * q[None, :] / q[:, None])  # one triangle: asymmetry is harmless
+    lam[-1] = 0.0
+    with np.errstate(under="ignore"):
+        modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
+        populations = modes @ (q[:, None] * v).T
     rate = -_coherence_generator(diag_gen)
     coherences = m0.copy()
     np.fill_diagonal(coherences, 0.0)

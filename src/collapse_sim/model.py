@@ -15,6 +15,7 @@ from .states import (
     NORM_TOL,
     DensityMatrix,
     StateVector,
+    _check_hermitian,
     _checked_amplitudes,
     _readonly,
     aligned_dm,
@@ -212,12 +213,7 @@ class MeasurementModel:
             )
         if self.hamiltonian is not None:
             h = np.array(self.hamiltonian, dtype=complex)
-            n = self.dim
-            if h.shape != (n, n):
-                raise ValidationError(f"Hamiltonian shape {h.shape} does not match dimension {n}")
-            asym = float(np.max(np.abs(h - h.conj().T)))
-            if not asym <= HERMITICITY_TOL:
-                raise ValidationError(f"Hamiltonian is not Hermitian: max asymmetry {asym:.3e}")
+            _check_hermitian(h, self.dim, "Hamiltonian", HERMITICITY_TOL)
             object.__setattr__(self, "hamiltonian", _readonly(h))
         # rejects an epsilon large enough to mask a physical rate
         self.rate_table()

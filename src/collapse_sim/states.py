@@ -32,6 +32,16 @@ def _as_matrix(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
+def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
+    """Raise ValidationError unless ``m`` is n x n and Hermitian within ``tol``;
+    a NaN or infinite entry makes the asymmetry NaN or infinite, which fails too."""
+    if m.shape != (n, n):
+        raise ValidationError(f"{name} shape {m.shape} does not match dimension {n}")
+    asym = float(np.abs(m - m.conj().T).max())
+    if not asym <= tol:
+        raise ValidationError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
+
+
 def _checked_amplitudes(vec, name: str) -> np.ndarray:
     amps = vec.amplitudes if isinstance(vec, StateVector) else np.asarray(vec, dtype=complex).reshape(-1)
     norm_sq = float(np.sum(np.abs(amps) ** 2))

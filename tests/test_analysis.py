@@ -99,7 +99,7 @@ class TestGeneratorSpectrum:
         with np.errstate(under="ignore"):
             modes = coeff[:, None] * np.exp(np.outer(evals, traj.times))
         reconstructed = (evecs @ modes).T.real
-        assert np.max(np.abs(reconstructed - traj.diagonals)) < 1e-6
+        assert np.max(np.abs(reconstructed - traj.diagonals)) < 1e-10
 
 
 class TestQslLowerBound:

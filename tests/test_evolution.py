@@ -450,9 +450,9 @@ class TestInputGuards:
     def test_fast_limit_rejects_bad_initial_state_before_propagation(self, entry, defect,
                                                                      fragment, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("the populations were propagated")
+            raise AssertionError("the sampling grid was built")
 
-        monkeypatch.setattr(evolution, "_propagate", forbidden)
+        monkeypatch.setattr(evolution, "_record_steps", forbidden)
         p_all, rho0, _ = self._inputs()
         rho0[entry] += defect
         with pytest.raises(ValidationError) as err:
@@ -544,6 +544,24 @@ class TestIntegrateFastLimit:
             diffs.append(np.max(np.abs(full.diagonals[-1] - fast.diagonals[-1])))
         assert diffs[1] < 1e-2
         assert diffs[1] < diffs[0]
+
+    @pytest.mark.parametrize("seed, t_max", [(1, 1.0), (2, 1.0), (3, 1.0), (1, 1e6)])
+    def test_wide_scenarios_keep_unit_trace(self, seed, t_max):
+        # random 10 x 10 amplitude scenarios without H, built like the fast_wide
+        # benchmark's: a stepped population update drifted past TRACE_DRIFT_TOL on
+        # these seeds, and the t_max = 1e6 row drifts unless the stationary
+        # eigenvalue is exactly 0
+        rng = np.random.default_rng(seed)
+        model = MeasurementModel(
+            sys=StateVector(random_state(rng, 10)),
+            app=StateVector(random_state(rng, 10)),
+            correspondence=CorrespondenceMap.one_to_one(10),
+            gamma=5.0,
+            omega=1.0,
+            epsilon=1e-4,
+        )
+        traj = simulate_model(model, IntegratorConfig(t_max=t_max), mode="fast")
+        assert np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max() <= 1e-11
 
     def test_rejects_unfloored_probabilities(self, two_level_model):
         with pytest.raises(ValidationError, match="positive"):
