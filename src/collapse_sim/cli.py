@@ -67,18 +67,14 @@ def _ensure_outdir(cfg: RunConfig) -> str:
 
 def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
     out = cfg.out_dir
-    probs = cfg.model.probabilities()
     corr = cfg.model.correspondence
-    series = []
-    for i, (group, weights) in enumerate(zip(corr.assignment, corr.weights)):
-        for j, w in zip(group, weights):
-            weight = probs[i] * w
-            if weight <= 0:
-                continue
-            flat = i * corr.readings + j
-            series.append(
-                (f"diag_{flat} / {weight:.4g}", traj.times, traj.diagonals[:, flat] / weight)
-            )
+    weights = corr.flat_weights(cfg.model.probabilities())
+    # one series per pairing, in assignment order (the legend order)
+    series = [
+        (f"diag_{flat} / {weights[flat]:.4g}", traj.times, traj.diagonals[:, flat] / weights[flat])
+        for _, flat, _ in corr._pairings()
+        if weights[flat] > 0
+    ]
     aligned = corr.aligned_flat_indices()
     pair = (aligned[0], aligned[-1]) if len(aligned) >= 2 else traj.offdiag_pairs[0]
     if pair in traj.offdiag_pairs:

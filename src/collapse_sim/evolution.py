@@ -50,7 +50,7 @@ from .dissipator import (DissipatorSpec, _closed_form_action, _coherence_generat
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
-                     _spectral_entropy)
+                     _spectral_entropy, _trace_distances)
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
@@ -283,13 +283,6 @@ def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     if count < len(states):
         raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
     return evals
-
-
-def _trace_distances(states: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Half the summed |eigenvalues| of each snapshot minus ``target``."""
-    if target.shape != states.shape[1:]:
-        raise ValidationError(f"dimension mismatch: {states.shape[1:]} vs {target.shape}")
-    return 0.5 * np.abs(np.linalg.eigvalsh(states - target)).sum(axis=1)
 
 
 def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:

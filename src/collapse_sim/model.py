@@ -54,10 +54,10 @@ class CorrespondenceMap:
                 if j in seen:
                     raise ValidationError(f"reading {j} assigned to more than one outcome")
                 seen.add(j)
-            if any(x <= 0 for x in w):
+            if any(not x > 0 for x in w):
                 raise ValidationError(f"outcome {i}: reading weights must be positive")
             total = math.fsum(w)
-            if abs(total - 1.0) > NORM_TOL:
+            if not abs(total - 1.0) <= NORM_TOL:
                 raise ValidationError(f"outcome {i}: reading weights sum to {total!r}")
 
     @classmethod
@@ -85,12 +85,35 @@ class CorrespondenceMap:
             g == (i,) for i, g in enumerate(self.assignment)
         )
 
+    def _pairings(self):
+        """``(i, i * J + j, w_ij)`` for every pairing, in assignment order."""
+        for i, (group, weights) in enumerate(zip(self.assignment, self.weights)):
+            for j, w in zip(group, weights):
+                yield i, i * self.readings + j, w
+
     def aligned_flat_indices(self) -> list[int]:
         """Flat indices (i * J + j) of every outcome/reading pairing."""
-        out = []
-        for i, group in enumerate(self.assignment):
-            out.extend(i * self.readings + j for j in group)
-        return sorted(out)
+        return sorted(flat for _, flat, _ in self._pairings())
+
+    def flat_weights(self, probs) -> np.ndarray:
+        """Born weights over the combined flat indices: ``p_i * w_ij`` at
+        ``i * J + j`` for every pairing and zero elsewhere.
+
+        ``probs`` must hold one non-negative probability per outcome and sum
+        to 1 within NORM_TOL; a NaN entry fails the sum check.
+        """
+        p = np.asarray(probs, dtype=float).reshape(-1)
+        if p.size != self.outcomes:
+            raise ValidationError(f"got {p.size} probabilities for {self.outcomes} outcomes")
+        total = float(p.sum())
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        if np.any(p < 0):
+            raise ValidationError("probabilities must be non-negative")
+        out = np.zeros(self.outcomes * self.readings)
+        for i, flat, w in self._pairings():
+            out[flat] = p[i] * w
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,34 +157,18 @@ def born_rate_table(probs, correspondence: CorrespondenceMap, epsilon: float) ->
     """Rate table whose squares reproduce the outcome probabilities.
 
     The entry for outcome ``i`` at an assigned reading ``j`` is
-    ``max(sqrt(p_i * w_ij), epsilon)``; every unassigned entry is exactly
+    ``max(sqrt(p_i * w_ij), epsilon)``, read off
+    :meth:`CorrespondenceMap.flat_weights`; every unassigned entry is exactly
     ``epsilon``. One-to-one with uniform weights reduces to
     ``max(sqrt(p_i), epsilon)`` on the grid diagonal.
     """
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    if p.size != correspondence.outcomes:
-        raise ValidationError(
-            f"got {p.size} probabilities for {correspondence.outcomes} outcomes"
-        )
-    total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-    if epsilon <= 0:
+    roots = np.sqrt(correspondence.flat_weights(probs))
+    if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    physical = [
-        math.sqrt(p[i] * w)
-        for i, (group, weights) in enumerate(zip(correspondence.assignment, correspondence.weights))
-        for _, w in zip(group, weights)
-        if p[i] > 0
-    ]
-    if physical and epsilon >= min(physical):
-        raise ConfigError(
-            f"rate floor {epsilon!r} would mask the smallest physical rate {min(physical)!r}"
-        )
-    grid = np.full((correspondence.outcomes, correspondence.readings), float(epsilon))
-    for i, (group, weights) in enumerate(zip(correspondence.assignment, correspondence.weights)):
-        for j, w in zip(group, weights):
-            grid[i, j] = max(math.sqrt(p[i] * w), epsilon)
+    smallest = float(roots[roots > 0].min(initial=math.inf))
+    if epsilon >= smallest:
+        raise ConfigError(f"rate floor {epsilon!r} would mask the smallest physical rate {smallest!r}")
+    grid = np.maximum(roots, float(epsilon)).reshape(correspondence.outcomes, correspondence.readings)
     return RateTable(grid, float(epsilon))
 
 

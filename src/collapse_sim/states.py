@@ -2,7 +2,9 @@
 
 Combined system+pointer matrices use the flat index convention
 ``(i, j) -> i * J + j`` (row-major, 0-based), where ``i`` labels the
-observable outcome and ``j`` the pointer reading.
+observable outcome and ``j`` the pointer reading. The layout has one home,
+``CorrespondenceMap.flat_weights`` in :mod:`collapse_sim.model`, which places
+the Born weights of the aligned state and of the rate table.
 """
 
 from __future__ import annotations
@@ -89,9 +91,7 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         if not np.isfinite(m).all():
             raise ValidationError("density matrix has non-finite entries")
-        asym = float(np.max(np.abs(m - m.conj().T)))
-        if asym > hermiticity_tol:
-            raise ValidationError(f"density matrix is not Hermitian: max asymmetry {asym:.3e}")
+        _check_hermitian(m, m.shape[0], "density matrix", hermiticity_tol)
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > trace_tol:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
@@ -122,34 +122,22 @@ def aligned_dm(probs, correspondence) -> DensityMatrix:
 
     Outcome ``i`` with probability ``p_i`` places ``p_i * w_ij`` at flat index
     ``(i, j)`` for each reading ``j`` assigned to it (``w_ij = 1/R`` for R
-    uniform readings); every other entry is zero.
+    uniform readings); every other entry is zero. ``correspondence`` is a
+    ``CorrespondenceMap``, whose ``flat_weights`` builds and checks the diagonal.
     """
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    total = float(p.sum())
-    if not abs(total - 1.0) <= NORM_TOL:
-        raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-    if np.any(p < 0):
-        raise ValidationError("probabilities must be non-negative")
-    if p.size != correspondence.outcomes:
-        raise ValidationError(
-            f"got {p.size} probabilities for {correspondence.outcomes} outcomes"
-        )
-    n = correspondence.outcomes * correspondence.readings
-    diag = np.zeros(n)
-    for i, (readings, weights) in enumerate(zip(correspondence.assignment, correspondence.weights)):
-        for j, w in zip(readings, weights):
-            diag[i * correspondence.readings + j] = p[i] * w
-    return DensityMatrix(np.diag(diag.astype(complex)))
+    return DensityMatrix(np.diag(correspondence.flat_weights(probs).astype(complex)))
+
+
+def _trace_distances(states: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Half the summed |eigenvalues| of each matrix in ``states`` minus ``target``."""
+    if target.shape != states.shape[1:]:
+        raise ValidationError(f"dimension mismatch: {states.shape[1:]} vs {target.shape}")
+    return 0.5 * np.abs(np.linalg.eigvalsh(states - target)).sum(axis=1)
 
 
 def trace_distance(a, b) -> float:
     """Half the sum of |eigenvalues| of the difference of two states."""
-    ma = _as_matrix(a)
-    mb = _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    mu = np.linalg.eigvalsh(ma - mb)
-    return 0.5 * float(np.sum(np.abs(mu)))
+    return float(_trace_distances(_as_matrix(a)[None], _as_matrix(b))[0])
 
 
 def von_neumann_entropy(dm, log_base: float | None = None, positivity_tol: float = POSITIVITY_TOL) -> float:

@@ -322,7 +322,7 @@ class TestSnapshotChecks:
                 von_neumann_entropy(snap, positivity_tol=1e-8), abs=1e-14)
             assert np.allclose(traj.eigenvalues[k], dm_eigenvalues(snap),
                                rtol=0, atol=1e-15)
-            assert traj.trace_dist[k] == pytest.approx(trace_distance(snap, target), abs=1e-15)
+            assert traj.trace_dist[k] == trace_distance(snap, target)
 
 
 def _hermitian_basis_columns(n):

@@ -44,6 +44,18 @@ class TestCorrespondenceMap:
     def test_rejects_bad_weights(self):
         with pytest.raises(ValidationError, match="sum"):
             CorrespondenceMap.from_assignment(1, 2, [[0, 1]], [[0.5, 0.6]])
+        with pytest.raises(ValidationError, match="positive"):
+            CorrespondenceMap.from_assignment(2, 2, [[0], [1]], [[math.nan], [1.0]])
+
+    def test_flat_weights_place_born_weights_at_flat_indices(self):
+        corr = CorrespondenceMap.from_assignment(2, 3, [[0], [2, 1]], [[1.0], [0.25, 0.75]])
+        weights = corr.flat_weights([0.36, 0.64])
+        assert weights == pytest.approx([0.36, 0.0, 0.0, 0.0, 0.48, 0.16], abs=1e-15)
+        assert corr.aligned_flat_indices() == [0, 4, 5]
+
+    def test_flat_weights_rejects_wrong_outcome_count(self):
+        with pytest.raises(ValidationError, match="1 probabilities for 2 outcomes"):
+            CorrespondenceMap.one_to_one(2).flat_weights([1.0])
 
 
 class TestBornProbabilities:
@@ -83,6 +95,14 @@ class TestBornRateTable:
         table = born_rate_table([1.0 - p, p], corr, 1e-4)
         assert table.values[1, 1] == pytest.approx(math.sqrt(p / 2.0))
         assert table.values[1, 2] == pytest.approx(math.sqrt(p / 2.0))
+
+    def test_rejects_negative_probabilities(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            born_rate_table([1.5, -0.5], CorrespondenceMap.one_to_one(2), 1e-4)
+
+    def test_rejects_nan_probabilities(self):
+        with pytest.raises(ValidationError, match="sum"):
+            born_rate_table([math.nan, math.nan], CorrespondenceMap.one_to_one(2), 1e-4)
 
     def test_floor_masking_is_an_error(self):
         with pytest.raises(ConfigError, match="mask"):

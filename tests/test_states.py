@@ -150,6 +150,8 @@ class TestAlignedDm:
             aligned_dm([0.5, 0.4], CorrespondenceMap.one_to_one(2))
         with pytest.raises(ValidationError, match="sum"):
             aligned_dm([math.nan, math.nan], CorrespondenceMap.one_to_one(2))
+        with pytest.raises(ValidationError, match="non-negative"):
+            aligned_dm([1.5, -0.5], CorrespondenceMap.one_to_one(2))
 
 
 class TestTraceDistance:
