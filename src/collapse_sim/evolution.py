@@ -33,14 +33,18 @@ eigendecomposition gives its populations in closed form.
 :data:`MAX_STEPS` the step count, before anything is allocated.
 
 The stack is checked and analysed as one array: one batched eigenvalue call
-gives the positivity check, the spectra and the entropy, and one on the
-differences from the target gives the trace distances. Every failed check
-is an :class:`IntegrationError` that names the snapshot's time and value.
+gives the positivity check, the spectra and the entropy. The trace distances
+to the target are computed on first read of :attr:`Trajectory.trace_dist`,
+and :func:`alignment_time` computes them only for the tail it reads, in
+blocks from the last snapshot back. Every failed check is an
+:class:`IntegrationError` that names the snapshot's time and value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +66,8 @@ POSITIVITY_FAILURE_TOL = 1e-6
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
+# snapshots per batched trace-distance call in alignment_time's backward search
+_ALIGNMENT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,13 @@ class IntegratorConfig:
             raise ValidationError("safety factor must lie in (0, 0.5]")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
+        for name in ("record_every", "record_points"):
+            value = getattr(self, name)
+            if value is not None:
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.record_points < 2:
@@ -109,8 +122,8 @@ class Trajectory:
 
     ``states`` is the read-only (T, n, n) stack of density matrices at the
     recorded times; the remaining arrays are the derived per-time series.
-    ``trace_dist`` measures each snapshot against ``target``, the run's
-    target state (the final snapshot when no target was supplied).
+    ``target`` is the run's target state (the final snapshot when no target
+    was supplied); ``trace_dist`` measures each snapshot against it.
     """
 
     times: np.ndarray
@@ -121,10 +134,15 @@ class Trajectory:
     offdiag_im: np.ndarray
     entropy: np.ndarray
     eigenvalues: np.ndarray
-    trace_dist: np.ndarray
     target: np.ndarray
     dt: float
     n_steps: int
+
+    @functools.cached_property
+    def trace_dist(self) -> np.ndarray:
+        """Read-only trace distance of each snapshot to ``target``, computed
+        for the whole stack on first read and kept."""
+        return _readonly(_trace_distances(self.states, self.target))
 
     @property
     def snapshots(self) -> tuple[DensityMatrix, ...]:
@@ -290,7 +308,6 @@ def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
     n = states.shape[1]
     pairs = _tracked_pairs(n)
     offdiag = states[:, [r for r, _ in pairs], [s for _, s in pairs]]
-    target_m = _as_matrix(target) if target is not None else states[-1]
     return Trajectory(
         times=times,
         states=_readonly(states),
@@ -300,11 +317,18 @@ def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
         offdiag_im=offdiag.imag.copy(),
         entropy=_spectral_entropy(evals),
         eigenvalues=evals[:, ::-1].copy(),
-        trace_dist=_trace_distances(states, target_m),
-        target=_readonly(np.array(target_m)),
+        target=_readonly(np.array(target if target is not None else states[-1])),
         dt=dt,
         n_steps=n_steps,
     )
+
+
+def _checked_target(target, n: int) -> np.ndarray:
+    """``target`` as an n x n complex matrix; a ValidationError unless it is
+    finite and Hermitian, before any eigenvalue call can read one triangle."""
+    m = _as_matrix(target)
+    _check_hermitian(m, n, "target", SNAPSHOT_HERMITICITY_TOL)
+    return m
 
 
 def _strictly_lower(n: int) -> np.ndarray:
@@ -358,6 +382,8 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     family, as for :func:`integrate_fast_limit`; ``hamiltonian`` may be None.
     ``rho0`` and the Hamiltonian must be Hermitian, because the state is
     propagated in real Hermitian coordinates (see the module docstring).
+    ``target``, when given, must be a finite Hermitian n x n matrix; it is
+    checked before any work.
     The automatic step is ``safety / (max jump weight + spectral norm of H)``,
     which keeps the stiffest floor-induced rate well inside the stability
     region of the fourth-order update.
@@ -366,6 +392,8 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
     _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
+    if target is not None:
+        target = _checked_target(target, n)
     h = None
     h_norm = 0.0
     if hamiltonian is not None:
@@ -398,13 +426,15 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     its round-off would grow into a trace drift at long times. Each
     off-diagonal decays as ``rho_rs(0) * exp(-rate * t)``, which keeps
     initially real elements real. ``dt`` and ``n_steps`` only set the sample
-    grid. ``rho0`` is checked as in :func:`integrate` (shape, finite entries,
-    Hermiticity) before any work.
+    grid. ``rho0`` and ``target`` are checked as in :func:`integrate` (shape,
+    finite entries, Hermiticity) before any work.
     """
     m0 = _as_matrix(rho0)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     n = diag_gen.shape[0]
     _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
+    if target is not None:
+        target = _checked_target(target, n)
     dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
     _check_stack_size(n_steps, n, cfg)
     times = _record_steps(n_steps, cfg) * dt
@@ -424,21 +454,31 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
 
 def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
     """Earliest recorded time from which the trace distance to ``target``
-    stays at or below ``tol`` through the end of the trajectory."""
+    stays at or below ``tol`` through the end of the trajectory.
+
+    The distances are computed in blocks of snapshots from the last one
+    back, stopping at the first block that holds a sample above ``tol``, so
+    only the tail after the last crossing is read. ``target`` must be a
+    finite Hermitian matrix of the trajectory's dimension.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"alignment tolerance must be positive and finite, got {tol!r}")
-    target_m = _as_matrix(target)
-    if np.array_equal(target_m, traj.target):
-        dist = traj.trace_dist
-    else:
-        dist = _trace_distances(traj.states, target_m)
-    above = np.nonzero(dist > tol)[0]
-    first_ok = 0 if above.size == 0 else int(above[-1]) + 1
-    if first_ok >= dist.size:
+    target_m = _checked_target(target, traj.dim)
+    first_ok = 0
+    for end in range(traj.times.size, 0, -_ALIGNMENT_BLOCK):
+        start = max(0, end - _ALIGNMENT_BLOCK)
+        dist = _trace_distances(traj.states[start:end], target_m)
+        if end == traj.times.size:
+            final = float(dist[-1])
+        above = np.nonzero(dist > tol)[0]
+        if above.size:
+            first_ok = start + int(above[-1]) + 1
+            break
+    if first_ok == traj.times.size:
         raise NotAlignedError(
             f"trace distance never settled below {tol:g} "
-            f"(final distance {dist[-1]:.3e} at t = {traj.times[-1]:g})",
-            float(dist[-1]),
+            f"(final distance {final:.3e} at t = {traj.times[-1]:g})",
+            final,
         )
     return float(traj.times[first_ok])
 

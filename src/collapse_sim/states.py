@@ -39,7 +39,8 @@ def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
     a NaN or infinite entry makes the asymmetry NaN or infinite, which fails too."""
     if m.shape != (n, n):
         raise ValidationError(f"{name} shape {m.shape} does not match dimension {n}")
-    asym = float(np.abs(m - m.conj().T).max())
+    with np.errstate(invalid="ignore"):
+        asym = float(np.abs(m - m.conj().T).max())
     if not asym <= tol:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
 

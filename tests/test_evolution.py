@@ -324,6 +324,11 @@ class TestSnapshotChecks:
                                rtol=0, atol=1e-15)
             assert traj.trace_dist[k] == trace_distance(snap, target)
 
+    def test_trace_dist_is_kept_and_read_only(self, two_level_trajectory):
+        dist = two_level_trajectory.trace_dist
+        assert two_level_trajectory.trace_dist is dist
+        assert not dist.flags.writeable
+
 
 def _hermitian_basis_columns(n):
     """Column (c, d): vec of the Hermitian matrix that real coordinate (c, d)
@@ -635,6 +640,86 @@ class TestAlignmentTime:
             alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
         assert err.value.final_distance > 0.01
 
+    @pytest.mark.parametrize("run, target, tol", [
+        ("reference", "aligned", 0.01),
+        ("reference", "aligned", 0.5),  # last crossing seven blocks back
+        ("reference", "aligned", 0.7),  # never above tol: tau is the first sample
+        ("reference", "aligned", 1e-9),  # not aligned
+        ("reference", "final", 0.01),
+        ("linear", "aligned", 0.01),  # last crossing many blocks before the end
+    ])
+    def test_tail_search_matches_full_scan(self, two_level_model, two_level_trajectory,
+                                           run, target, tol):
+        if run == "reference":
+            traj = two_level_trajectory
+        else:
+            cfg = IntegratorConfig(t_max=1.0, record_points=1000, record_spacing="linear")
+            traj = simulate_model(two_level_model, cfg, mode="fast")
+        target = traj.final() if target == "final" else two_level_model.aligned_target()
+        dist = np.array([trace_distance(s, target) for s in traj.states])
+        above = np.nonzero(dist > tol)[0]
+        first_ok = 0 if above.size == 0 else int(above[-1]) + 1
+        if first_ok < dist.size:
+            assert alignment_time(traj, target, tol=tol) == traj.times[first_ok]
+            if run == "linear":
+                assert dist.size - first_ok > 2 * evolution._ALIGNMENT_BLOCK
+            if tol == 0.7:
+                assert first_ok == 0
+            return
+        with pytest.raises(NotAlignedError) as err:
+            alignment_time(traj, target, tol=tol)
+        assert str(err.value) == (f"trace distance never settled below {tol:g} "
+                                  f"(final distance {dist[-1]:.3e} at t = {traj.times[-1]:g})")
+        assert err.value.final_distance == dist[-1]
+
+    def test_distances_only_for_the_tail(self, two_level_model, monkeypatch):
+        rows = []
+        original = evolution._trace_distances
+
+        def counting(states, target):
+            rows.append(len(states))
+            return original(states, target)
+
+        monkeypatch.setattr(evolution, "_trace_distances", counting)
+        traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode="full")
+        assert rows == []
+        alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
+        assert rows == [evolution._ALIGNMENT_BLOCK] == [32]
+
+    @pytest.mark.parametrize("call", ["alignment_time", "integrate", "integrate_fast_limit"])
+    @pytest.mark.parametrize("defect, match", [
+        ("inf", "not Hermitian"),
+        ("nan", "not Hermitian"),
+        ("non-Hermitian", "not Hermitian"),
+        ("wrong shape", "does not match dimension 4"),
+    ])
+    def test_rejects_bad_target(self, two_level_model, two_level_trajectory, monkeypatch,
+                                call, defect, match):
+        target = np.array(two_level_model.aligned_target().entries)
+        if defect == "inf":
+            target[0, 0] = math.inf
+        elif defect == "nan":
+            target[1, 2] = target[2, 1] = math.nan
+        elif defect == "non-Hermitian":
+            target[0, 3] = 0.1
+        else:
+            target = np.eye(3) / 3
+
+        def forbidden(*args):
+            raise AssertionError("trace distances computed")
+
+        monkeypatch.setattr(evolution, "_trace_distances", forbidden)
+        p_all = two_level_model.rate_table().flat_probabilities()
+        rho0 = two_level_model.initial_dm()
+        cfg = IntegratorConfig(t_max=0.05)
+        with pytest.raises(ValidationError, match=f"target.*{match}"):
+            if call == "alignment_time":
+                alignment_time(two_level_trajectory, target, tol=0.01)
+            elif call == "integrate":
+                integrate(rho0, two_level_model.hamiltonian, p_all, 5.0, 1.0, cfg, target=target)
+            else:
+                integrate_fast_limit(rho0, p_all, 5.0, 1.0, cfg, target=target)
+
 
 class TestSizeGuard:
     @pytest.mark.parametrize("n_steps, schedule", [
@@ -724,3 +809,12 @@ class TestSimulateModel:
             IntegratorConfig(t_max=1.0, safety=0.9)
         with pytest.raises(ValidationError):
             IntegratorConfig(t_max=1.0, record_spacing="cubic")
+
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", math.nan),
+        ("record_points", math.nan),
+        ("record_points", 2.5),
+    ])
+    def test_record_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            IntegratorConfig(t_max=1.0, **{field: value})
