@@ -32,12 +32,21 @@ eigendecomposition gives its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
 :data:`MAX_STEPS` the step count, before anything is allocated.
 
-The stack is checked and analysed as one array: one batched eigenvalue call
-gives the positivity check, the spectra and the entropy. The trace distances
-to the target are computed on first read of :attr:`Trajectory.trace_dist`,
-and :func:`alignment_time` computes them only for the tail it reads, in
-blocks from the last snapshot back. Every failed check is an
-:class:`IntegrationError` that names the snapshot's time and value.
+The stack is checked as one array, without an eigendecomposition: finite
+entries, trace drift and Hermiticity elementwise, and positivity by one
+batched Cholesky factorisation of ``rho + SNAPSHOT_POSITIVITY_TOL * I``,
+which exists, up to round-off, exactly when every eigenvalue lies above
+``-SNAPSHOT_POSITIVITY_TOL``. A stack that fails any of these is handed to
+:func:`_checked_spectra`, whose batched eigenvalue call names the first
+failing snapshot; should it find none (a round-off tie at the tolerance),
+the run goes on and keeps those spectra. The spectra and the entropy
+are computed on first read of :attr:`Trajectory.eigenvalues` or
+:attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
+The trace distances to the target are computed on first read of
+:attr:`Trajectory.trace_dist`, and :func:`alignment_time` computes them only
+for the tail it reads, in blocks from the last snapshot back. Every failed
+check is an :class:`IntegrationError` that names the snapshot's time and
+value.
 """
 
 from __future__ import annotations
@@ -124,6 +133,9 @@ class Trajectory:
     recorded times; the remaining arrays are the derived per-time series.
     ``target`` is the run's target state (the final snapshot when no target
     was supplied); ``trace_dist`` measures each snapshot against it.
+    ``eigenvalues``, ``entropy`` and ``trace_dist`` are read-only arrays
+    computed on first read and kept; the first two share one batched
+    eigenvalue call.
     """
 
     times: np.ndarray
@@ -132,8 +144,6 @@ class Trajectory:
     offdiag_pairs: tuple[tuple[int, int], ...]
     offdiag_re: np.ndarray
     offdiag_im: np.ndarray
-    entropy: np.ndarray
-    eigenvalues: np.ndarray
     target: np.ndarray
     dt: float
     n_steps: int
@@ -143,6 +153,21 @@ class Trajectory:
         """Read-only trace distance of each snapshot to ``target``, computed
         for the whole stack on first read and kept."""
         return _readonly(_trace_distances(self.states, self.target))
+
+    @functools.cached_property
+    def _spectra(self) -> np.ndarray:
+        # ascending eigenvalues of every snapshot, from one batched call
+        return np.linalg.eigvalsh(self.states)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Read-only (T, n) eigenvalues of each snapshot, in descending order."""
+        return _readonly(self._spectra[:, ::-1].copy())
+
+    @functools.cached_property
+    def entropy(self) -> np.ndarray:
+        """Read-only spectral entropy (natural log) of each snapshot."""
+        return _readonly(_spectral_entropy(self._spectra))
 
     @property
     def snapshots(self) -> tuple[DensityMatrix, ...]:
@@ -270,6 +295,14 @@ def _tracked_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return ((0, n - 1),)
 
 
+def _drift_and_asymmetry(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per snapshot: the trace drift |tr rho - 1| and the largest entry of
+    |rho - rho^H|."""
+    drift = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    return drift, asym
+
+
 def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of every snapshot, once the whole stack passes
     the snapshot checks.
@@ -283,8 +316,7 @@ def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     head = states[:count]
     evals = np.linalg.eigvalsh(head)
     smallest = evals[:, 0]
-    drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
-    asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    drift, asym = _drift_and_asymmetry(head)
     checks = (
         (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
             f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
@@ -303,24 +335,45 @@ def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return evals
 
 
+def _passes_snapshot_checks(states: np.ndarray) -> bool:
+    """Whether every snapshot is finite, within the trace-drift and
+    Hermiticity tolerances, and has no eigenvalue below
+    ``-SNAPSHOT_POSITIVITY_TOL``; positivity from one batched Cholesky
+    factorisation of the shifted stack, with no eigenvalue call."""
+    if not np.isfinite(states).all():
+        return False
+    drift, asym = _drift_and_asymmetry(states)
+    if (drift > TRACE_DRIFT_TOL).any() or (asym > SNAPSHOT_HERMITICITY_TOL).any():
+        return False
+    try:
+        np.linalg.cholesky(states + SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
-    evals = _checked_spectra(times, states)
+    # a failing stack goes through _checked_spectra, which raises the error
+    # that names its first failing snapshot; should it pass instead (a
+    # round-off tie at the positivity tolerance), its spectra are kept
+    evals = None if _passes_snapshot_checks(states) else _checked_spectra(times, states)
     n = states.shape[1]
     pairs = _tracked_pairs(n)
     offdiag = states[:, [r for r, _ in pairs], [s for _, s in pairs]]
-    return Trajectory(
+    traj = Trajectory(
         times=times,
         states=_readonly(states),
         diagonals=np.diagonal(states, axis1=1, axis2=2).real.copy(),
         offdiag_pairs=pairs,
         offdiag_re=offdiag.real.copy(),
         offdiag_im=offdiag.imag.copy(),
-        entropy=_spectral_entropy(evals),
-        eigenvalues=evals[:, ::-1].copy(),
         target=_readonly(np.array(target if target is not None else states[-1])),
         dt=dt,
         n_steps=n_steps,
     )
+    if evals is not None:
+        traj.__dict__["_spectra"] = evals
+    return traj
 
 
 def _checked_target(target, n: int) -> np.ndarray:

@@ -35,12 +35,13 @@ def _as_matrix(obj) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
-    """Raise ValidationError unless ``m`` is n x n and Hermitian within ``tol``;
-    a NaN or infinite entry makes the asymmetry NaN or infinite, which fails too."""
+    """Raise ValidationError unless ``m`` is n x n, finite and Hermitian within
+    ``tol``; a NaN or infinite entry is named as such, before any asymmetry."""
     if m.shape != (n, n):
         raise ValidationError(f"{name} shape {m.shape} does not match dimension {n}")
-    with np.errstate(invalid="ignore"):
-        asym = float(np.abs(m - m.conj().T).max())
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    asym = float(np.abs(m - m.conj().T).max())
     if not asym <= tol:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
 
@@ -90,8 +91,6 @@ class DensityMatrix:
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValidationError("density matrix has non-finite entries")
         _check_hermitian(m, m.shape[0], "density matrix", hermiticity_tol)
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > trace_tol:

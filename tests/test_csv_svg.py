@@ -68,11 +68,12 @@ def synthetic_trajectory(n_rows, n):
         times=column(n_rows), states=np.zeros((n_rows, n, n), dtype=complex),
         diagonals=column(n_rows, n), offdiag_pairs=pairs,
         offdiag_re=column(n_rows, len(pairs)), offdiag_im=column(n_rows, len(pairs)),
-        entropy=column(n_rows), eigenvalues=column(n_rows, n),
         target=np.zeros((n, n), dtype=complex), dt=0.1, n_steps=n_rows,
     )
-    # trace_dist is computed on first read; set the special-value column in its place
-    traj.__dict__["trace_dist"] = column(n_rows)
+    # the derived series are computed on first read; set special-value columns in their place
+    for name, shape in (("entropy", (n_rows,)), ("eigenvalues", (n_rows, n)),
+                        ("trace_dist", (n_rows,))):
+        traj.__dict__[name] = column(*shape)
     return traj
 
 

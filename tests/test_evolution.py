@@ -40,6 +40,7 @@ from conftest import (
     random_hamiltonian,
     random_hermitian_unit_trace,
     random_state,
+    random_unitary,
 )
 
 
@@ -267,6 +268,16 @@ def _bad_stack(kind):
         bad *= 1.0 + 1e-6
     elif kind == "non-Hermitian":
         bad[0, 1] += 1e-6
+    elif kind in ("just inside", "just outside"):
+        # smallest eigenvalue 0.1 % inside or outside the -1e-8 tolerance, in a rotated basis
+        smallest = -0.999e-8 if kind == "just inside" else -1.001e-8
+        u = random_unitary(rng, 3)
+        m = u @ np.diag([1.0 - smallest, 0.0, smallest]) @ u.conj().T
+        bad[:] = 0.5 * (m + m.conj().T)
+    elif kind == "pure":
+        # every snapshot rank one, so the factorisation sees eigenvalues at round-off
+        psi = np.array([random_state(rng, 3) for _ in range(10)])
+        stack[:] = psi[:, :, None] * psi[:, None, :].conj()
     return stack
 
 
@@ -277,6 +288,7 @@ class TestSnapshotChecks:
         ("non-finite", IntegrationError, "non-finite state at t = 0.5"),
         ("negative", IntegrationError, "positivity violated at t = 0.5 (eigenvalue -1.000e-03)"),
         ("slightly negative", IntegrationError, "t = 0.5 has eigenvalue -1.000e-07"),
+        ("just outside", IntegrationError, "t = 0.5 has eigenvalue -1.001e-08 below 0"),
         ("trace", IntegrationError, "trace drifted by 1.000e-06 at t = 0.5"),
         ("non-Hermitian", IntegrationError, "t = 0.5 is not Hermitian: max asymmetry 1.000e-06"),
     ])
@@ -328,6 +340,59 @@ class TestSnapshotChecks:
         dist = two_level_trajectory.trace_dist
         assert two_level_trajectory.trace_dist is dist
         assert not dist.flags.writeable
+
+    @pytest.mark.parametrize("kind, spectrum", [
+        ("just inside", [1.0 + 0.999e-8, 0.0, -0.999e-8]),
+        ("pure", [1.0, 0.0, 0.0]),
+    ])
+    def test_boundary_snapshots_pass(self, kind, spectrum):
+        stack = _bad_stack(kind)
+        traj = evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+        assert "_spectra" not in traj.__dict__  # passed by the Cholesky factorisation
+        assert traj.eigenvalues[5] == pytest.approx(spectrum, rel=0, abs=1e-14)
+        assert np.array_equal(traj.eigenvalues, np.linalg.eigvalsh(stack)[:, ::-1])
+
+    def test_round_off_tie_keeps_the_fallback_spectra(self, monkeypatch):
+        # a factorisation that fails where eigvalsh finds no eigenvalue below
+        # the tolerance: the run passes, and the spectra it computed are kept
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        stack = _bad_stack("none")
+        traj = evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+        spectra = traj.__dict__["_spectra"]
+        assert np.array_equal(spectra, np.linalg.eigvalsh(stack))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further call would fail
+        assert np.array_equal(traj.eigenvalues, spectra[:, ::-1])
+        assert traj.entropy.shape == (10,)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_no_stack_eigendecomposition_until_spectra_are_read(self, two_level_model,
+                                                               monkeypatch, mode):
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode=mode)
+        alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
+        assert traj.states.shape == (traj.times.size, 4, 4)
+        assert traj.times.size > evolution._ALIGNMENT_BLOCK
+        assert traj.states.shape not in shapes
+        entropy, eigenvalues = traj.entropy, traj.eigenvalues
+        assert shapes.count(traj.states.shape) == 1
+        assert traj.entropy is entropy and traj.eigenvalues is eigenvalues
+        assert shapes.count(traj.states.shape) == 1
+        for series in (entropy, eigenvalues):
+            assert not series.flags.writeable
+            with pytest.raises(ValueError):
+                series[0] = 0.0
+        with pytest.raises(AttributeError):
+            traj.entropy = entropy
 
 
 def _hermitian_basis_columns(n):
@@ -429,8 +494,8 @@ class TestInputGuards:
         self._check_rejected(which, 1e-3, fragment, monkeypatch)
 
     @pytest.mark.parametrize("which, fragment", [
-        ("rho0", "initial state is not Hermitian: max asymmetry nan"),
-        ("hamiltonian", "Hamiltonian is not Hermitian: max asymmetry nan"),
+        ("rho0", "initial state has non-finite entries"),
+        ("hamiltonian", "Hamiltonian has non-finite entries"),
     ])
     def test_non_finite_input_is_rejected_before_assembly(self, which, fragment, monkeypatch):
         self._check_rejected(which, math.nan, fragment, monkeypatch)
@@ -448,8 +513,8 @@ class TestInputGuards:
         assert fragment in str(err.value)
 
     @pytest.mark.parametrize("entry, defect, fragment", [
-        ((0, 0), math.nan, "initial state is not Hermitian: max asymmetry nan"),
-        ((1, 2), math.inf, "initial state is not Hermitian: max asymmetry inf"),
+        ((0, 0), math.nan, "initial state has non-finite entries"),
+        ((1, 2), math.inf, "initial state has non-finite entries"),
         ((0, 1), 0.1, "initial state is not Hermitian: max asymmetry 1.000e-01"),
     ])
     def test_fast_limit_rejects_bad_initial_state_before_propagation(self, entry, defect,
@@ -688,8 +753,8 @@ class TestAlignmentTime:
 
     @pytest.mark.parametrize("call", ["alignment_time", "integrate", "integrate_fast_limit"])
     @pytest.mark.parametrize("defect, match", [
-        ("inf", "not Hermitian"),
-        ("nan", "not Hermitian"),
+        ("inf", "non-finite"),
+        ("nan", "non-finite"),
         ("non-Hermitian", "not Hermitian"),
         ("wrong shape", "does not match dimension 4"),
     ])

@@ -227,8 +227,8 @@ class TestMeasurementModel:
         asymmetric[0, 1] = 1.0
         not_finite = np.eye(4)
         not_finite[2, 2] = np.nan
-        for h in (asymmetric, not_finite):
-            with pytest.raises(ValidationError, match="Hermitian"):
+        for h, match in ((asymmetric, "not Hermitian"), (not_finite, "non-finite entries")):
+            with pytest.raises(ValidationError, match=match):
                 MeasurementModel(
                     sys=StateVector([1, 0]),
                     app=StateVector([1, 0]),
