@@ -23,9 +23,10 @@ print(f"outcome probabilities: p1 = {p1:.6f}, p4 = {p4:.6f}")
 traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="full")
 print(f"{traj.n_steps} steps at dt = {traj.dt:.3e}, {traj.times.size} recorded samples")
 
+coh03 = traj.states[:, 0, 3]  # the coherence between the two aligned states
 print("\n    t        diag_0    diag_3    |offdiag_03|   entropy   dist_to_target")
 for k in np.linspace(0, traj.times.size - 1, 12).astype(int):
-    c = math.hypot(traj.offdiag_re[k, 2], traj.offdiag_im[k, 2])  # pair (0, 3)
+    c = math.hypot(coh03[k].real, coh03[k].imag)
     print(
         f"  {traj.times[k]:9.3e}  {traj.diagonals[k, 0]:.5f}   {traj.diagonals[k, 3]:.5f}"
         f"   {c:.5f}        {traj.entropy[k]:.5f}    {traj.trace_dist[k]:.5f}"
@@ -35,13 +36,12 @@ tau = alignment_time(traj, model.aligned_target(), tol=0.01)
 print(f"\ntrace distance stays below 0.01 from t = {tau:.4f}/omega on")
 
 os.makedirs("output", exist_ok=True)
-k03 = traj.offdiag_pairs.index((0, 3))
 write_line_plot(
     "output/alignment.svg",
     [
         ("diag_0 / p1", traj.times, traj.diagonals[:, 0] / p1),
         ("diag_3 / p4", traj.times, traj.diagonals[:, 3] / p4),
-        ("re_0_3", traj.times, traj.offdiag_re[:, k03]),
+        ("re_0_3", traj.times, coh03.real),
     ],
     title="Normalized aligned diagonals and a decaying coherence",
     xlabel="t [1/omega]",

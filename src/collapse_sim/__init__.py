@@ -34,8 +34,6 @@ from .evolution import (
     IntegratorConfig,
     Trajectory,
     alignment_time,
-    fast_diag_rhs,
-    fast_offdiag_rate,
     integrate,
     integrate_fast_limit,
     master_rhs,
@@ -87,8 +85,6 @@ __all__ = [
     "born_rate_table",
     "diag_generator_matrix",
     "dm_eigenvalues",
-    "fast_diag_rhs",
-    "fast_offdiag_rate",
     "gamma_sweep",
     "generator_spectrum",
     "integrate",

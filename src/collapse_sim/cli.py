@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import gamma_sweep, generator_spectrum, qsl_lower_bound
 from .config import RunConfig, load_run_config
-from .csvio import write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
+from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
 from .dissipator import diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
@@ -75,11 +75,11 @@ def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
         for _, flat, _ in corr._pairings()
         if weights[flat] > 0
     ]
+    # the coherence between the outermost aligned states, else the first CSV pair (none at n = 1)
     aligned = corr.aligned_flat_indices()
-    pair = (aligned[0], aligned[-1]) if len(aligned) >= 2 else traj.offdiag_pairs[0]
-    if pair in traj.offdiag_pairs:
-        k = traj.offdiag_pairs.index(pair)
-        series.append((f"re_{pair[0]}_{pair[1]}", traj.times, traj.offdiag_re[:, k]))
+    pairs = [(aligned[0], aligned[-1])] if len(aligned) >= 2 else _tracked_pairs(traj.dim)[:1]
+    for r, s in pairs:
+        series.append((f"re_{r}_{s}", traj.times, traj.states[:, r, s].real))
     write_line_plot(
         os.path.join(out, "fig1.svg"),
         series,

@@ -41,11 +41,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _tracked_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The flat index pairs (r, s) whose coherence gets ``re_r_s`` and
+    ``im_r_s`` columns: every upper-triangle pair while n <= 8, else only
+    (0, n - 1)."""
+    if n <= 8:
+        return tuple((r, s) for r in range(n) for s in range(r + 1, n))
+    return ((0, n - 1),)
+
+
 def trajectory_header(traj: Trajectory) -> list[str]:
     n = traj.dim
     header = ["t"]
     header += [f"diag_{k}" for k in range(n)]
-    for r, s in traj.offdiag_pairs:
+    for r, s in _tracked_pairs(n):
         header += [f"re_{r}_{s}", f"im_{r}_{s}"]
     header.append("entropy")
     header += [f"eig_{k}" for k in range(n)]
@@ -57,13 +66,15 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     header = trajectory_header(traj)
     row = ",".join(["%.17g"] * len(header)) + "\n"
     chunks = [",".join(header) + "\n"]
+    r, s = np.array(_tracked_pairs(traj.dim), dtype=int).reshape(-1, 2).T
     for start in range(0, traj.times.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        offdiag = np.stack((traj.offdiag_re[rows], traj.offdiag_im[rows]), axis=-1)
+        coherences = traj.states[rows, r, s]
         table = np.column_stack((
             traj.times[rows],
             traj.diagonals[rows],
-            offdiag.reshape(len(offdiag), -1),  # re_r_s, im_r_s per pair, as in the header
+            # re_r_s, im_r_s per pair, as in the header
+            np.stack((coherences.real, coherences.imag), axis=-1).reshape(len(coherences), -1),
             traj.entropy[rows],
             traj.eigenvalues[rows],
             traj.trace_dist[rows],

@@ -1,6 +1,6 @@
 """Time integration of the master equation and of its dissipator-dominated
-reduction, producing trajectories of density-matrix snapshots with derived
-observables.
+reduction. A run returns a :class:`Trajectory`: the stack of density-matrix
+snapshots at the recorded times, from which every observable is read.
 
 Both modes read the jump family's rates off the diagonal generator M of
 :func:`diag_generator_matrix`.
@@ -127,26 +127,29 @@ def _snapshot(entries) -> DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded history of an integration run.
+    """Recorded history of an integration run: the snapshot stack and what
+    the run computed to produce it.
 
     ``states`` is the read-only (T, n, n) stack of density matrices at the
-    recorded times; the remaining arrays are the derived per-time series.
-    ``target`` is the run's target state (the final snapshot when no target
-    was supplied); ``trace_dist`` measures each snapshot against it.
-    ``eigenvalues``, ``entropy`` and ``trace_dist`` are read-only arrays
-    computed on first read and kept; the first two share one batched
-    eigenvalue call.
+    recorded ``times``; every per-time series is read from it. Populations
+    are ``diagonals``, a view of its real diagonal, and the coherence of
+    the flat pair (r, s) is ``states[:, r, s]``. ``target`` is the run's
+    target state (the final snapshot when no target was supplied);
+    ``trace_dist`` measures each snapshot against it. ``eigenvalues``,
+    ``entropy`` and ``trace_dist`` are read-only arrays computed on first
+    read and kept; the first two share one batched eigenvalue call.
     """
 
     times: np.ndarray
     states: np.ndarray
-    diagonals: np.ndarray
-    offdiag_pairs: tuple[tuple[int, int], ...]
-    offdiag_re: np.ndarray
-    offdiag_im: np.ndarray
     target: np.ndarray
     dt: float
     n_steps: int
+
+    @property
+    def diagonals(self) -> np.ndarray:
+        """Read-only (T, n) populations: a view of the real diagonal of ``states``."""
+        return np.diagonal(self.states, axis1=1, axis2=2).real
 
     @functools.cached_property
     def trace_dist(self) -> np.ndarray:
@@ -197,24 +200,6 @@ def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
             raise ValidationError(f"Hamiltonian shape {h.shape} does not match state {m.shape}")
         out = out - 1j * (h @ m - m @ h)
     return out
-
-
-def fast_offdiag_rate(r: int, s: int, p_all, gamma: float, omega: float) -> float:
-    """Decay rate ``-(M[r, r] + M[s, s]) / 2`` of the coherence at flat indices
-    (r, s), with M from :func:`diag_generator_matrix`: exactly the rate the jump
-    family imposes, so the closed-form exponential reproduces the full
-    equation at zero Hamiltonian."""
-    return -float(_coherence_generator(diag_generator_matrix(p_all, gamma, omega))[r, s])
-
-
-def fast_diag_rhs(p_all, diag, gamma: float, omega: float) -> np.ndarray:
-    """Rate of change ``M @ diag`` of the diagonal entries under the jump
-    family, with M from :func:`diag_generator_matrix`; it sums to zero."""
-    m = diag_generator_matrix(p_all, gamma, omega)
-    d = np.asarray(diag, dtype=float).reshape(-1)
-    if d.size != m.shape[0]:
-        raise ValidationError(f"diagonal size {d.size} does not match {m.shape[0]} states")
-    return m @ d
 
 
 def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
@@ -288,13 +273,6 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     return np.unique(np.concatenate(([0], interior)))
 
 
-def _tracked_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    # all upper-triangle pairs while the matrix stays small
-    if n <= 8:
-        return tuple((r, s) for r in range(n) for s in range(r + 1, n))
-    return ((0, n - 1),)
-
-
 def _drift_and_asymmetry(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per snapshot: the trace drift |tr rho - 1| and the largest entry of
     |rho - rho^H|."""
@@ -357,16 +335,9 @@ def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
     # that names its first failing snapshot; should it pass instead (a
     # round-off tie at the positivity tolerance), its spectra are kept
     evals = None if _passes_snapshot_checks(states) else _checked_spectra(times, states)
-    n = states.shape[1]
-    pairs = _tracked_pairs(n)
-    offdiag = states[:, [r for r, _ in pairs], [s for _, s in pairs]]
     traj = Trajectory(
         times=times,
         states=_readonly(states),
-        diagonals=np.diagonal(states, axis1=1, axis2=2).real.copy(),
-        offdiag_pairs=pairs,
-        offdiag_re=offdiag.real.copy(),
-        offdiag_im=offdiag.imag.copy(),
         target=_readonly(np.array(target if target is not None else states[-1])),
         dt=dt,
         n_steps=n_steps,

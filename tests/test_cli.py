@@ -116,27 +116,34 @@ class TestSimulate:
             assert root.tag.endswith("svg")
 
     def test_fig1_legend_follows_assignment_order(self, tmp_path):
-        # outcome 1 takes readings 2 then 1, so assignment order is not flat order
-        path = str(tmp_path / "multi.json")
-        cfg = {
-            "scenario": {
-                "sys_amplitudes": [0.6, 0.8],
-                "app_amplitudes": [0.5, 0.5, [0.5, 0.5]],
-                "gamma": 5.0,
-                "omega": 1.0,
-                "correspondence": {"assignment": {"0": [0], "1": [2, 1]}, "weights": {"1": [0.25, 0.75]}},
-            },
-            "integrator": {"t_max": 1.0},
-            "mode": "fast",
-            "outputs": {"dir": str(tmp_path), "plot": True},
-        }
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        assert main(["simulate", "--config", path]) == 0
-        root = ET.parse(str(tmp_path / "fig1.svg")).getroot()
-        labels = [el.text for el in root.iter()
-                  if el.tag.endswith("text") and el.text.startswith(("diag_", "re_"))]
-        assert labels == ["diag_0 / 0.36", "diag_5 / 0.16", "diag_4 / 0.48", "re_0_5"]
+        cases = [
+            # outcome 1 takes readings 2 then 1, so assignment order is not flat order
+            ({"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.5, 0.5, [0.5, 0.5]],
+              "correspondence": {"assignment": {"0": [0], "1": [2, 1]}, "weights": {"1": [0.25, 0.75]}}},
+             ["diag_0 / 0.36", "diag_5 / 0.16", "diag_4 / 0.48", "re_0_5"]),
+            # n = 9 > 8: the aligned coherence (1, 6) is plotted though trajectory.csv holds only (0, 8)
+            ({"sys_amplitudes": [0.6, 0.64, 0.48], "app_amplitudes": [0.6, 0.64, 0.48],
+              "correspondence": {"assignment": {"0": [1], "1": [2], "2": [0]}}},
+             ["diag_1 / 0.36", "diag_5 / 0.4096", "diag_6 / 0.2304", "re_1_6"]),
+            # n = 1: no coherence to plot
+            ({"sys_amplitudes": [1], "app_amplitudes": [1]}, ["diag_0 / 1"]),
+        ]
+        for k, (scenario, expected) in enumerate(cases):
+            out = tmp_path / str(k)
+            path = str(tmp_path / f"case{k}.json")
+            cfg = {
+                "scenario": {**scenario, "gamma": 5.0, "omega": 1.0},
+                "integrator": {"t_max": 1.0},
+                "mode": "fast",
+                "outputs": {"dir": str(out), "plot": True},
+            }
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
+            assert main(["simulate", "--config", path]) == 0
+            root = ET.parse(str(out / "fig1.svg")).getroot()
+            labels = [el.text for el in root.iter()
+                      if el.tag.endswith("text") and el.text.startswith(("diag_", "re_"))]
+            assert labels == expected
 
     @pytest.mark.parametrize(
         "section, key, value, fragment",

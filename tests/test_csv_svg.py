@@ -10,6 +10,7 @@ from collapse_sim import IntegratorConfig, simulate_model
 from collapse_sim.analysis import QslReport, SweepRow
 from collapse_sim.csvio import (
     _BLOCK_ROWS,
+    _tracked_pairs,
     atomic_write_text,
     read_csv_columns,
     trajectory_header,
@@ -39,9 +40,9 @@ def per_value_trajectory_csv(traj) -> str:
     writer.writerow(trajectory_header(traj))
     for k in range(traj.times.size):
         row = [fmt(traj.times[k])]
-        row += [fmt(traj.diagonals[k, c]) for c in range(traj.dim)]
-        for c in range(len(traj.offdiag_pairs)):
-            row += [fmt(traj.offdiag_re[k, c]), fmt(traj.offdiag_im[k, c])]
+        row += [fmt(traj.states[k, c, c].real) for c in range(traj.dim)]
+        for r, s in _tracked_pairs(traj.dim):
+            row += [fmt(traj.states[k, r, s].real), fmt(traj.states[k, r, s].imag)]
         row.append(fmt(traj.entropy[k]))
         row += [fmt(traj.eigenvalues[k, c]) for c in range(traj.dim)]
         row.append(fmt(traj.trace_dist[k]))
@@ -52,11 +53,14 @@ def per_value_trajectory_csv(traj) -> str:
 def synthetic_trajectory(n_rows, n):
     """A trajectory whose columns cycle through values that stress the
     shortest round-trip digits: signed zero, subnormals, huge and tiny
-    magnitudes, and fractions without a short decimal form."""
+    magnitudes, and fractions without a short decimal form. The diagonal
+    and upper-triangle entries of ``states`` are set through ``.real`` and
+    ``.imag``, which keeps every bit of those values."""
     special = np.array([-0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e16, 1e17,
                         -2.5e-310, 6.02e23, -1.0, 0.0, 2.0**-52])
     rng = np.random.default_rng(3)
-    pairs = tuple((r, s) for r in range(n) for s in range(r + 1, n))
+    diag = np.arange(n)
+    upper = np.triu_indices(n, k=1)
 
     def column(*shape):
         size = int(np.prod(shape))
@@ -64,12 +68,13 @@ def synthetic_trajectory(n_rows, n):
                           rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size))
         return values.reshape(shape)
 
-    traj = Trajectory(
-        times=column(n_rows), states=np.zeros((n_rows, n, n), dtype=complex),
-        diagonals=column(n_rows, n), offdiag_pairs=pairs,
-        offdiag_re=column(n_rows, len(pairs)), offdiag_im=column(n_rows, len(pairs)),
-        target=np.zeros((n, n), dtype=complex), dt=0.1, n_steps=n_rows,
-    )
+    times = column(n_rows)
+    states = np.zeros((n_rows, n, n), dtype=complex)
+    states.real[:, diag, diag] = column(n_rows, n)
+    states.real[:, upper[0], upper[1]] = column(n_rows, upper[0].size)
+    states.imag[:, upper[0], upper[1]] = column(n_rows, upper[0].size)
+    traj = Trajectory(times=times, states=states, target=np.zeros((n, n), dtype=complex),
+                      dt=0.1, n_steps=n_rows)
     # the derived series are computed on first read; set special-value columns in their place
     for name, shape in (("entropy", (n_rows,)), ("eigenvalues", (n_rows, n)),
                         ("trace_dist", (n_rows,))):
@@ -102,18 +107,22 @@ class TestCsvFormat:
             assert np.array_equal(cols[f"eig_{k}"], short_trajectory.eigenvalues[:, k])
         assert np.array_equal(cols["entropy"], short_trajectory.entropy)
         assert np.array_equal(cols["trace_dist_to_target"], short_trajectory.trace_dist)
-        for k, (r, s) in enumerate(short_trajectory.offdiag_pairs):
-            assert np.array_equal(cols[f"re_{r}_{s}"], short_trajectory.offdiag_re[:, k])
-            assert np.array_equal(cols[f"im_{r}_{s}"], short_trajectory.offdiag_im[:, k])
+        # every pair at n = 4, each column bit for bit equal to its stack entry
+        pairs = [(r, s) for r in range(4) for s in range(r + 1, 4)]
+        assert [name for name in cols if name.startswith("re_")] == [f"re_{r}_{s}" for r, s in pairs]
+        for r, s in pairs:
+            coherence = short_trajectory.states[:, r, s]
+            assert cols[f"re_{r}_{s}"].tobytes() == coherence.real.tobytes()
+            assert cols[f"im_{r}_{s}"].tobytes() == coherence.imag.tobytes()
 
     def test_reference_trajectory_matches_per_value_writer(self, tmp_path, two_level_trajectory):
-        assert len(two_level_trajectory.offdiag_pairs) == 6
+        assert len(_tracked_pairs(two_level_trajectory.dim)) == 6
         self._assert_matches_oracle(tmp_path, two_level_trajectory)
 
     def test_fast_amplitude_trajectory_matches_per_value_writer(self, tmp_path):
         model = random_amplitude_model(np.random.default_rng(7), 3, 3)
         traj = simulate_model(model, IntegratorConfig(t_max=0.5), mode="fast")
-        assert traj.dim == 9 and len(traj.offdiag_pairs) == 1
+        assert traj.dim == 9 and _tracked_pairs(traj.dim) == ((0, 8),)
         self._assert_matches_oracle(tmp_path, traj)
 
     @pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * _BLOCK_ROWS + 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ from collapse_sim import (
     MeasurementModel,
     NotAlignedError,
     StateVector,
+    Trajectory,
     ValidationError,
     alignment_time,
     apply_dissipator,
+    diag_generator_matrix,
     dm_eigenvalues,
-    fast_diag_rhs,
-    fast_offdiag_rate,
     integrate,
     integrate_fast_limit,
     lindblad_jump_family,
@@ -169,17 +170,19 @@ class TestIntegrate:
         rho0 = two_level_model.initial_dm()
         traj = integrate(rho0, None, p_all, two_level_model.gamma, two_level_model.omega,
                          IntegratorConfig(t_max=0.3))
-        for k, (r, s) in enumerate(traj.offdiag_pairs):
-            rate = fast_offdiag_rate(r, s, p_all,
-                                     two_level_model.gamma, two_level_model.omega)
+        m = diag_generator_matrix(p_all, two_level_model.gamma, two_level_model.omega)
+        for r, s in zip(*np.triu_indices(traj.dim, k=1)):
+            rate = -(m[r, r] + m[s, s]) / 2
             with np.errstate(under="ignore"):
                 expected = rho0.entries[r, s].real * np.exp(-rate * traj.times)
-            assert np.max(np.abs(traj.offdiag_re[:, k] - expected)) < 1e-6
-            assert np.max(np.abs(traj.offdiag_im[:, k])) < 1e-12
+            assert np.max(np.abs(traj.states[:, r, s].real - expected)) < 1e-6
+            assert np.max(np.abs(traj.states[:, r, s].imag)) < 1e-12
 
     def test_hamiltonian_modulation_creates_imaginary_parts(self, two_level_trajectory):
         interior = slice(1, -1)
-        assert np.max(np.abs(two_level_trajectory.offdiag_im[interior])) > 1e-6
+        upper = np.triu_indices(two_level_trajectory.dim, k=1)
+        coherences = two_level_trajectory.states[interior][:, upper[0], upper[1]]
+        assert np.max(np.abs(coherences.imag)) > 1e-6
 
     def test_unstable_step_raises(self, two_level_model):
         p_all = two_level_model.rate_table().flat_probabilities()
@@ -340,6 +343,19 @@ class TestSnapshotChecks:
         dist = two_level_trajectory.trace_dist
         assert two_level_trajectory.trace_dist is dist
         assert not dist.flags.writeable
+
+    def test_record_is_the_stack_and_what_the_run_computed(self, two_level_trajectory):
+        traj = two_level_trajectory
+        assert [f.name for f in dataclasses.fields(Trajectory)] == [
+            "times", "states", "target", "dt", "n_steps"]
+        diag = traj.diagonals
+        assert np.array_equal(diag, np.diagonal(traj.states, axis1=1, axis2=2).real)
+        assert np.shares_memory(diag, traj.states)
+        assert not diag.flags.writeable
+        with pytest.raises(ValueError):
+            diag[0, 0] = 0.5
+        with pytest.raises(AttributeError):
+            traj.diagonals = diag.copy()
 
     @pytest.mark.parametrize("kind, spectrum", [
         ("just inside", [1.0 + 0.999e-8, 0.0, -0.999e-8]),
@@ -531,10 +547,13 @@ class TestInputGuards:
 
 
 class TestFastRates:
+    # the rates of the jump family, read off its diagonal generator M: the
+    # populations move as M @ d and coherence (r, s) decays at -(M[r, r] + M[s, s]) / 2
     def test_symmetric_pair_limit(self):
         eps = 1e-9
         p_all = [0.5, eps**2, eps**2, 0.5]
-        rate = fast_offdiag_rate(0, 3, p_all, 1.0, 1.0)
+        m = diag_generator_matrix(p_all, 1.0, 1.0)
+        rate = -(m[0, 0] + m[3, 3]) / 2
         assert rate == pytest.approx(1.0, abs=1e-6)
 
     def test_positive_and_symmetric(self):
@@ -542,15 +561,16 @@ class TestFastRates:
         for _ in range(100):
             p_all = rng.uniform(1e-6, 1.0, size=4)
             r, s = rng.integers(0, 4, size=2)
-            a = fast_offdiag_rate(r, s, p_all, 2.0, 0.5)
-            b = fast_offdiag_rate(s, r, p_all, 2.0, 0.5)
+            m = diag_generator_matrix(p_all, 2.0, 0.5)
+            a = -(m[r, r] + m[s, s]) / 2
+            b = -(m[s, s] + m[r, r]) / 2
             assert a > 0.0
             assert a == pytest.approx(b, rel=1e-14)
 
     def test_diag_rhs_vanishes_at_stationary_point(self):
         rng = np.random.default_rng(14)
         p_all = rng.uniform(0.01, 1.0, size=6)
-        out = fast_diag_rhs(p_all, p_all, 3.0, 1.0)
+        out = diag_generator_matrix(p_all, 3.0, 1.0) @ p_all
         assert np.max(np.abs(out)) < 1e-12
 
     def test_diag_rhs_is_trace_free(self):
@@ -559,7 +579,7 @@ class TestFastRates:
             p_all = rng.uniform(0.01, 1.0, size=5)
             diag = rng.uniform(0.0, 1.0, size=5)
             diag /= diag.sum()
-            assert abs(fast_diag_rhs(p_all, diag, 1.7, 0.9).sum()) < 1e-12
+            assert abs((diag_generator_matrix(p_all, 1.7, 0.9) @ diag).sum()) < 1e-12
 
     def test_diag_rhs_matches_two_sum_formula(self):
         # hand evaluation of the inflow/outflow sums for a frozen fixture
@@ -574,7 +594,7 @@ class TestFastRates:
                 for r in range(4)
             ]
         )
-        out = fast_diag_rhs(p_all, diag, 1.0, 1.0)
+        out = diag_generator_matrix(p_all, 1.0, 1.0) @ diag
         assert out == pytest.approx(expected, rel=1e-12)
         assert abs(out.sum()) < 1e-12
 
@@ -586,17 +606,18 @@ class TestIntegrateFastLimit:
         rho0 = two_level_model.initial_dm()
         traj = integrate_fast_limit(rho0, p_all, two_level_model.gamma,
                                     two_level_model.omega, IntegratorConfig(t_max=0.5))
-        for k, (r, s) in enumerate(traj.offdiag_pairs):
-            rate = fast_offdiag_rate(r, s, p_all,
-                                     two_level_model.gamma, two_level_model.omega)
+        m = diag_generator_matrix(p_all, two_level_model.gamma, two_level_model.omega)
+        for r, s in zip(*np.triu_indices(traj.dim, k=1)):
+            rate = -(m[r, r] + m[s, s]) / 2
             with np.errstate(under="ignore"):
                 expected = rho0.entries[r, s].real * np.exp(-rate * traj.times)
-            assert np.max(np.abs(traj.offdiag_re[:, k] - expected)) < 1e-15
-            assert np.max(np.abs(traj.offdiag_im[:, k])) == 0.0
+            assert np.max(np.abs(traj.states[:, r, s].real - expected)) < 1e-15
+            assert np.max(np.abs(traj.states[:, r, s].imag)) == 0.0
 
     def test_offdiagonal_magnitudes_decay_monotonically(self, two_level_model):
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=0.5), mode="fast")
-        mags = np.hypot(traj.offdiag_re, traj.offdiag_im)
+        upper = np.triu_indices(traj.dim, k=1)
+        mags = np.abs(traj.states[:, upper[0], upper[1]])
         assert np.all(np.diff(mags, axis=0) <= 1e-15)
 
     def test_diagonals_converge_to_flat_probabilities(self, two_level_model):
