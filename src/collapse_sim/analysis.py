@@ -121,9 +121,8 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float |
 def _sweep_row(model, gamma_value: float, cfg: IntegratorConfig, mode: str, tol: float) -> SweepRow:
     # fixed dimensionless horizon gamma * omega * t_max across the sweep
     scaled = replace(cfg, t_max=cfg.t_max * model.gamma / gamma_value)
-    swept = replace(model, gamma=gamma_value)
-    traj = simulate_model(swept, scaled, mode=mode)
-    tau = alignment_time(traj, swept.aligned_target(), tol=tol)
+    traj = simulate_model(model, scaled, mode=mode, gamma=gamma_value)
+    tau = alignment_time(traj, model.aligned_target(), tol=tol)
     return SweepRow(gamma=gamma_value, alignment_time=tau, gamma_times_tau=gamma_value * tau)
 
 
@@ -131,7 +130,10 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
                 tol: float = 0.01) -> list[SweepRow]:
     """Alignment time per coupling strength, with the product gamma * tau.
 
-    Alignment failures propagate as NotAlignedError for the offending row.
+    Every row runs on ``model`` itself through ``simulate_model``'s
+    ``gamma`` keyword, so all rows share the rate table, initial state and
+    target that the model derives once. Alignment failures propagate as
+    NotAlignedError for the offending row.
     """
     values = [float(g) for g in gammas]
     if not values:

@@ -42,9 +42,10 @@ class RunConfig:
 
 
 def _number(value, name: str) -> float:
+    """A finite number; a JSON boolean is rejected, not read as 0 or 1."""
     try:
         number = float(value)
-        if np.isfinite(number):
+        if np.isfinite(number) and not isinstance(value, bool):
             return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -52,10 +53,10 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """An integral number; 2.0 passes, 2.5 is rejected rather than truncated."""
+    """An integral number; 2.0 passes, 2.5 and JSON booleans are rejected."""
     try:
         number = float(value)
-        if number.is_integer():
+        if number.is_integer() and not isinstance(value, bool):
             return int(number)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -82,8 +83,9 @@ def _index(raw, count: int, name: str) -> int:
 
 
 def _amplitudes(raw, name: str) -> np.ndarray:
+    entries = _list(raw, name)
     try:
-        values = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x) for x in raw]
+        values = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x) for x in entries]
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"{name}: amplitudes must be numbers or [re, im] pairs") from exc
     return np.asarray(values, dtype=complex)
@@ -180,6 +182,12 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
     model = _model_from_scenario(raw["scenario"])
     integrator = _integrator(raw.get("integrator"))
     outputs = _section(raw.get("outputs", {}), "outputs")
+    config_dir = outputs.get("dir", ".")
+    if not isinstance(config_dir, str):
+        raise ConfigError(f"outputs dir must be a JSON string, got {config_dir!r}")
+    config_plot = outputs.get("plot", False)
+    if not isinstance(config_plot, bool):
+        raise ConfigError(f"outputs plot must be a JSON boolean, got {config_plot!r}")
     resolved_mode = mode or raw.get("mode", "full")
     if resolved_mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {resolved_mode!r}; expected 'full' or 'fast'")
@@ -194,8 +202,8 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
         model=model,
         integrator=integrator,
         mode=resolved_mode,
-        out_dir=out_dir if out_dir is not None else str(outputs.get("dir", ".")),
-        plot=bool(plot) if plot is not None else bool(outputs.get("plot", False)),
+        out_dir=out_dir if out_dir is not None else config_dir,
+        plot=bool(plot) if plot is not None else config_plot,
         alignment_tol=alignment_tol,
         gammas=gammas,
     )

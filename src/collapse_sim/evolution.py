@@ -25,9 +25,11 @@ Taylor polynomial of the step map S (for a linear autonomous system the two
 are the same update). Every record step k is reached from the initial state
 through one squaring chain, :func:`_propagate`: S is squared once per bit of
 the largest k, and each power S**(2**j) multiplies, in one batched product,
-the records whose k has bit j set. Only one power is alive at a time, so the
-memory is one step-map-sized matrix plus the T x n x n complex snapshot
-stack (16 bytes per entry). Fast mode has no step map: one symmetric
+the records whose k has bit j set. Each squaring holds the current power and
+its square at once while :func:`integrate` still holds S, so the chain's
+peak is two step-map-sized matrices plus its T x n^2 output above the
+caller's S, and the run also keeps the T x n x n complex snapshot stack
+(16 bytes per entry). Fast mode has no step map: one symmetric
 eigendecomposition gives its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
 :data:`MAX_STEPS` the step count, before anything is allocated.
@@ -215,17 +217,19 @@ def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
     Power ``step**(2**j)`` multiplies, in one batched product, the rows whose
     k has bit j set, and is then squared into the next power. The cost is one
-    squaring per bit of ``max(ks)`` plus the row products; only one power is
-    alive at a time.
+    squaring per bit of ``max(ks)`` plus the row products. Each squaring
+    holds the current power and its square at once, and the caller keeps
+    ``step``: the peak is two step-sized matrices plus the output above it.
     """
     ks = np.asarray(ks, dtype=np.int64)
     out = np.empty((ks.size, y0.size), dtype=np.result_type(step, y0))
     out[:] = y0
+    bits = (ks[:, None] >> np.arange(int(ks.max()).bit_length())) & 1  # (T, bits)
     power = step
-    for j in range(int(ks.max()).bit_length()):
+    for j, column in enumerate(bits.T):
         if j:
             power = power @ power
-        rows = (ks >> j) & 1 == 1
+        rows = column.nonzero()[0]
         out[rows] = out[rows] @ power.T
     return out
 
@@ -259,6 +263,14 @@ def _check_stack_size(n_steps: int, n: int, cfg: IntegratorConfig) -> None:
         )
 
 
+def _distinct(ks: np.ndarray) -> np.ndarray:
+    """The entries of a non-decreasing ``ks`` with repeats dropped."""
+    keep = np.empty(ks.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=keep[1:])
+    return ks[keep]
+
+
 def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     if cfg.record_every is not None:
         ks = np.arange(0, n_steps + 1, min(cfg.record_every, n_steps))
@@ -267,10 +279,11 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
         return ks
     if n_steps + 1 <= cfg.record_points:
         return np.arange(n_steps + 1)
+    # both automatic schedules round an increasing grid, so they never decrease
     if cfg.record_spacing == "linear":
-        return np.unique(np.round(np.linspace(0, n_steps, cfg.record_points)).astype(int))
+        return _distinct(np.round(np.linspace(0, n_steps, cfg.record_points)).astype(int))
     interior = np.round(np.geomspace(1, n_steps, cfg.record_points - 1)).astype(int)
-    return np.unique(np.concatenate(([0], interior)))
+    return _distinct(np.concatenate(([0], interior)))
 
 
 def _drift_and_asymmetry(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,11 +382,15 @@ def _pack(m: np.ndarray) -> np.ndarray:
 def _unpack(x: np.ndarray) -> np.ndarray:
     """The exactly Hermitian complex matrices whose coordinates are the last
     two axes of ``x``; the inverse of :func:`_pack`."""
-    lower = _strictly_lower(x.shape[-1])
+    n = x.shape[-1]
+    lower = _strictly_lower(n)
     xt = np.swapaxes(x, -1, -2)
     out = np.empty(x.shape, dtype=complex)
-    out.real = np.where(lower, xt, x)
-    out.imag = np.where(lower, -x, np.where(lower.T, xt, 0.0))
+    np.copyto(out.real, x, where=~lower)
+    np.copyto(out.real, xt, where=lower)
+    np.negative(x, out=out.imag, where=lower)
+    np.copyto(out.imag, xt, where=lower.T)
+    out.imag[..., range(n), range(n)] = 0.0
     return out
 
 
@@ -507,14 +524,23 @@ def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
     return float(traj.times[first_ok])
 
 
-def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None) -> Trajectory:
+def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None,
+                   gamma: float | None = None) -> Trajectory:
     """Run a measurement scenario end to end and return its trajectory.
 
     ``mode="full"`` integrates the complete master equation and requires the
     model to carry a Hamiltonian; ``mode="fast"`` runs the
     dissipator-dominated reduction. The trace-distance series is measured
     against the scenario's aligned target unless ``target`` overrides it.
+    ``gamma``, when given, replaces ``model.gamma`` for this run and must be
+    positive and finite. The run reads the model's rate table, initial state
+    and target, which the model derives once and which do not depend on
+    gamma, so a coupling sweep runs every value on the one model.
     """
+    if gamma is None:
+        gamma = model.gamma
+    elif not (math.isfinite(gamma) and gamma > 0):
+        raise ValidationError(f"gamma must be positive and finite, got {gamma!r}")
     if target is None:
         target = model.aligned_target()
     p_all = model.rate_table().flat_probabilities()
@@ -522,8 +548,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None
     if mode == "full":
         if model.hamiltonian is None:
             raise ConfigError("mode 'full' requires a Hamiltonian")
-        return integrate(rho0, model.hamiltonian, p_all, model.gamma, model.omega, cfg,
-                         target=target)
+        return integrate(rho0, model.hamiltonian, p_all, gamma, model.omega, cfg, target=target)
     if mode == "fast":
-        return integrate_fast_limit(rho0, p_all, model.gamma, model.omega, cfg, target=target)
+        return integrate_fast_limit(rho0, p_all, gamma, model.omega, cfg, target=target)
     raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")

@@ -193,6 +193,12 @@ class MeasurementModel:
     frequency that carries the units (hbar = 1), ``epsilon`` the rate floor.
     ``hamiltonian`` may be None for scenarios run only in the
     dissipator-dominated mode.
+
+    None of the rate table, the initial state and the aligned target depends
+    on ``gamma``. A model derives each of them once: the rate table when it
+    is built (which also validates ``epsilon``), the initial state and the
+    target on their first call. Every later call returns the same read-only
+    object, so a coupling sweep runs on one model and does not rebuild them.
     """
 
     sys: StateVector
@@ -223,7 +229,8 @@ class MeasurementModel:
             _check_hermitian(h, self.dim, "Hamiltonian", HERMITICITY_TOL)
             object.__setattr__(self, "hamiltonian", _readonly(h))
         # rejects an epsilon large enough to mask a physical rate
-        self.rate_table()
+        rates = born_rate_table(self.probabilities(), self.correspondence, self.epsilon)
+        object.__setattr__(self, "_rate_table", rates)
 
     @property
     def dim(self) -> int:
@@ -233,13 +240,18 @@ class MeasurementModel:
         return born_probabilities(self.sys)
 
     def rate_table(self) -> RateTable:
-        return born_rate_table(self.probabilities(), self.correspondence, self.epsilon)
+        return self._rate_table
 
     def initial_dm(self) -> DensityMatrix:
-        return product_state_dm(self.sys, self.app)
+        if "_initial_dm" not in self.__dict__:
+            object.__setattr__(self, "_initial_dm", product_state_dm(self.sys, self.app))
+        return self._initial_dm
 
     def aligned_target(self) -> DensityMatrix:
-        return aligned_dm(self.probabilities(), self.correspondence)
+        if "_aligned_target" not in self.__dict__:
+            object.__setattr__(self, "_aligned_target",
+                               aligned_dm(self.probabilities(), self.correspondence))
+        return self._aligned_target
 
 
 def spin_half_scenario(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from collapse_sim import (
+    DensityMatrix,
     IntegratorConfig,
+    MeasurementModel,
     NotAlignedError,
     ValidationError,
     alignment_time,
@@ -16,8 +18,10 @@ from collapse_sim import (
     master_rhs,
     qsl_lower_bound,
     simulate_model,
+    spin_half_scenario,
 )
 from collapse_sim.model import RateTable
+from conftest import ALPHA_A, ALPHA_S
 
 
 class TestDiagGeneratorMatrix:
@@ -163,6 +167,20 @@ class TestGammaSweep:
         rows = gamma_sweep(two_level_model, [5.0], IntegratorConfig(t_max=1.0), mode="full")
         assert rows[0].alignment_time == tau
         assert rows[0].gamma_times_tau == 5.0 * tau
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_rows_run_on_the_one_model(self, mode, monkeypatch):
+        model = spin_half_scenario(ALPHA_S, ALPHA_A, 5.0, 1.0)
+        built = []
+        for cls in (MeasurementModel, RateTable, DensityMatrix):
+            def counted(self, *args, _init=cls.__post_init__, _name=cls.__name__):
+                built.append(_name)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        rows = gamma_sweep(model, [2.5, 5.0, 10.0, 20.0], IntegratorConfig(t_max=1.0), mode=mode)
+        assert len(rows) == 4
+        # no model and no rate table; the initial state and the target once each
+        assert sorted(built) == ["DensityMatrix", "DensityMatrix"]
 
     def test_products_stay_constant(self, two_level_model):
         rows = gamma_sweep(two_level_model, [2.5, 5.0, 10.0, 20.0],

@@ -160,6 +160,10 @@ class TestSimulate:
             ("integrator", "t_max", 1e20, "t_max"),
             ("integrator", "dt", 1e-300, "dt"),
             ("scenario", "omega", 1e300, "steps"),
+            # JSON true is not the number 1
+            ("integrator", "t_max", True, "t_max must be a finite number, got True"),
+            ("scenario", "gamma", True, "gamma must be a finite number, got True"),
+            ("integrator", "record_every", True, "record_every must be an integer, got True"),
         ],
     )
     def test_non_finite_or_non_numeric_value_exits_one(self, tmp_path, capsys, section, key,
@@ -185,6 +189,8 @@ class TestSimulate:
             ({"sys_amplitudes": [[0.6]]}, "sys_amplitudes"),
             ({"correspondence": {"assignment": {"0": [0], "1": [1.5]}}},
              "correspondence reading must be an integer"),
+            # a string is not iterated as a list of digit amplitudes
+            ({"sys_amplitudes": "10"}, "sys_amplitudes must be a JSON list"),
         ],
     )
     def test_malformed_correspondence_or_amplitudes_exit_one(self, tmp_path, capsys, overrides,
@@ -210,6 +216,8 @@ class TestSimulate:
             # finite rates and H whose summed bound overflows: the automatic dt is 0
             ({"gammas": [3.6e-5], "scenario": {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A,
                                                "omega": 1.5e308}}, "needs inf steps"),
+            ({"outputs": {"plot": "false"}}, "outputs plot must be a JSON boolean"),
+            ({"outputs": {"dir": ["x"]}}, "outputs dir must be a JSON string"),
         ],
     )
     def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
@@ -256,11 +264,17 @@ class TestSimulate:
         assert fragment in errors[0]
 
     def test_byte_identical_reruns(self, tmp_path, config_path):
+        # every command twice in one process: nothing one run derives or
+        # caches may change what the next one writes
+        commands = (["simulate", "--plot"], ["spectrum"], ["qsl"], ["sweep", "--gammas", "2.5,5,10,20"])
+        names = ["fig1.svg", "fig2.svg", "qsl.csv", "spectrum.csv", "sweep.csv", "trajectory.csv"]
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         for out in (out_a, out_b):
-            assert main(["simulate", "--config", config_path, "--plot", "--out", str(out)]) == 0
-        for name in ("trajectory.csv", "fig1.svg", "fig2.svg"):
+            for argv in commands:
+                assert main([*argv, "--config", config_path, "--out", str(out)]) == 0
+            assert sorted(os.listdir(out)) == names
+        for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_reused_parser_matches_fresh_processes(self, tmp_path, config_path):

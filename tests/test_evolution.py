@@ -242,6 +242,23 @@ class TestPropagate:
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    def test_matches_boolean_mask_chain(self):
+        # the per-bit mask formulation the chain replaced, bit for bit
+        rng = np.random.default_rng(5)
+        step = self._step(rng, 5)
+        y0 = rng.normal(size=5) + 1j * rng.normal(size=5)
+        for ks in (np.array([0, 1]), evolution._record_steps(917775, IntegratorConfig(t_max=1.0)),
+                   np.arange(0, 65, 3)):
+            expected = np.empty((ks.size, y0.size), dtype=complex)
+            expected[:] = y0
+            power = step
+            for j in range(int(ks.max()).bit_length()):
+                if j:
+                    power = power @ power
+                rows = (ks >> j) & 1 == 1
+                expected[rows] = expected[rows] @ power.T
+            assert evolution._propagate(step, y0, ks).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("k", [2**20 - 1, 897883])
     def test_matches_matrix_power(self, k, two_level_model, monkeypatch):
         # the step map and initial vector of the reference full-mode run
@@ -477,6 +494,31 @@ class TestRealBasis:
         coords = _hermitian_basis_columns(5).T.reshape(25, 5, 5)
         for k, unit in enumerate(np.eye(25).reshape(25, 5, 5)):
             assert np.array_equal(evolution._unpack(unit), coords[k])
+
+    @staticmethod
+    def _unpack_with_where(x):
+        # the np.where formulation _unpack replaced
+        lower = np.tri(x.shape[-1], k=-1, dtype=bool)
+        xt = np.swapaxes(x, -1, -2)
+        out = np.empty(x.shape, dtype=complex)
+        out.real = np.where(lower, xt, x)
+        out.imag = np.where(lower, -x, np.where(lower.T, xt, 0.0))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_unpack_matches_where_formulation(self, n):
+        rng = np.random.default_rng(n)
+        stacks = [np.eye(n * n).reshape(n * n, n, n), np.eye(n * n).reshape(n * n, n, n)[0]]
+        for shape in ((7, n, n), (n, n)):
+            x = rng.normal(size=shape)
+            x[rng.random(shape) < 0.3] = -0.0
+            x[rng.random(shape) < 0.2] = 0.0
+            stacks.append(x)
+        stacks.append(-stacks[0])  # every zero signed negative
+        for x in stacks:
+            got = evolution._unpack(x)
+            assert got.dtype == np.complex128 and got.shape == x.shape
+            assert got.tobytes() == self._unpack_with_where(x).tobytes()
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_matches_complex_step_map(self, n):
@@ -831,6 +873,23 @@ class TestSizeGuard:
         else:
             assert actual <= count == cfg.record_points
 
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("points", [2, 3, 240, 4000])
+    def test_automatic_schedule_matches_unique(self, spacing, points):
+        # the np.unique expressions the neighbour comparison replaced
+        cfg = IntegratorConfig(t_max=1.0, record_points=points, record_spacing=spacing)
+        for n_steps in (1, 2, 3, 238, 239, 240, 241, 917775, 2**40):
+            if n_steps + 1 <= points:
+                expected = np.arange(n_steps + 1)
+            elif spacing == "linear":
+                expected = np.unique(np.round(np.linspace(0, n_steps, points)).astype(int))
+            else:
+                interior = np.round(np.geomspace(1, n_steps, points - 1)).astype(int)
+                expected = np.unique(np.concatenate(([0], interior)))
+            got = evolution._record_steps(n_steps, cfg)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
     def test_huge_stride_gives_two_records(self):
         cfg = IntegratorConfig(t_max=1.0, record_every=10**9)
         assert evolution._record_count(123, cfg) == 2
@@ -895,6 +954,28 @@ class TestSimulateModel:
             IntegratorConfig(t_max=1.0, safety=0.9)
         with pytest.raises(ValidationError):
             IntegratorConfig(t_max=1.0, record_spacing="cubic")
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("gamma", [2.5, 20.0])
+    def test_gamma_keyword_matches_replaced_model(self, mode, gamma):
+        cfg = IntegratorConfig(t_max=0.5)
+        models = (spin_half_scenario(ALPHA_S, ALPHA_A, 5.0, 1.0),
+                  random_amplitude_model(np.random.default_rng(3), 2, 3))
+        for model in models:
+            kept = simulate_model(model, cfg, mode, gamma=gamma)
+            replaced = simulate_model(dataclasses.replace(model, gamma=gamma), cfg, mode)
+            assert kept.states.tobytes() == replaced.states.tobytes()
+            assert kept.times.tobytes() == replaced.times.tobytes()
+            assert (kept.dt, kept.n_steps) == (replaced.dt, replaced.n_steps)
+
+    @pytest.mark.parametrize("gamma", [math.nan, 0.0, -1.0, math.inf])
+    def test_gamma_keyword_must_be_positive_and_finite(self, two_level_model, gamma, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(evolution, "integrate", forbidden)
+        with pytest.raises(ValidationError, match="gamma must be positive and finite"):
+            simulate_model(two_level_model, IntegratorConfig(t_max=0.1), "full", gamma=gamma)
 
     @pytest.mark.parametrize("field, value", [
         ("record_every", math.nan),

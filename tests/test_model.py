@@ -239,6 +239,15 @@ class TestMeasurementModel:
                     hamiltonian=h,
                 )
 
+    def test_derived_objects_are_built_once(self):
+        model = spin_half_scenario(ALPHA_S, ALPHA_A, 5.0, 1.0)
+        table, rho0, target = model.rate_table(), model.initial_dm(), model.aligned_target()
+        assert model.rate_table() is table
+        assert model.initial_dm() is rho0
+        assert model.aligned_target() is target
+        assert not table.values.flags.writeable
+        assert not rho0.entries.flags.writeable and not target.entries.flags.writeable
+
     def test_builders(self, two_level_model):
         rho0 = two_level_model.initial_dm()
         assert abs(np.trace(rho0.entries @ rho0.entries).real - 1.0) < 1e-10
