@@ -15,11 +15,11 @@ import numpy as np
 from .analysis import gamma_sweep, generator_spectrum, qsl_lower_bound
 from .config import RunConfig, load_run_config
 from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import diag_generator_matrix
+from .dissipator import _closed_form_rhs, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .evolution import Trajectory, _closed_form_rhs, alignment_time, simulate_model
+from .evolution import Trajectory, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .model import CorrespondenceMap, MeasurementModel, StateVector, spin_half_s
 
 DEFAULT_EPSILON = 1e-4
 DEFAULT_ALIGNMENT_TOL = 0.01
+_FLOAT_MAX = sys.float_info.max  # a Python float, so a huge int compares exactly
 
 
 @dataclass(frozen=True)
@@ -41,26 +43,24 @@ class RunConfig:
     gammas: tuple[float, ...] | None
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a finite JSON number: not a string or a boolean,
+    not NaN or infinite, and not an integer too large for a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
 def _number(value, name: str) -> float:
-    """A finite number; a JSON boolean is rejected, not read as 0 or 1."""
-    try:
-        number = float(value)
-        if np.isfinite(number) and not isinstance(value, bool):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    """A finite JSON number; a string or a JSON boolean is rejected."""
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, name: str) -> int:
-    """An integral number; 2.0 passes, 2.5 and JSON booleans are rejected."""
-    try:
-        number = float(value)
-        if number.is_integer() and not isinstance(value, bool):
-            return int(number)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    """An integral JSON number; 2.0 passes, 2.5, strings and JSON booleans are rejected."""
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _section(raw, name: str) -> dict:
@@ -82,12 +82,28 @@ def _index(raw, count: int, name: str) -> int:
     return index
 
 
+def _keyed(raw, count: int, name: str) -> dict:
+    """A JSON object keyed by outcome: each key a decimal integer such as
+    "0" or "12" that names an outcome in 0..count-1, and no outcome named twice."""
+    out = {}
+    for key, value in _section(raw, name).items():
+        if not (key.isascii() and key.removeprefix("-").isdecimal()):
+            raise ConfigError(f"correspondence outcome must be an integer, got {key!r}")
+        index = _index(int(key), count, "correspondence outcome")
+        if index in out:
+            raise ConfigError(f"{name} names outcome {index} twice")
+        out[index] = value
+    return out
+
+
 def _amplitudes(raw, name: str) -> np.ndarray:
-    entries = _list(raw, name)
-    try:
-        values = [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else complex(x) for x in entries]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{name}: amplitudes must be numbers or [re, im] pairs") from exc
+    """Finite JSON numbers or [re, im] pairs of them."""
+    values = []
+    for x in _list(raw, name):
+        parts = x if isinstance(x, list) else [x, 0]
+        if len(parts) != 2:
+            raise ConfigError(f"{name}: amplitudes must be numbers or [re, im] pairs, got {x!r}")
+        values.append(complex(*(_number(v, f"{name} entry") for v in parts)))
     return np.asarray(values, dtype=complex)
 
 
@@ -103,16 +119,16 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
     if assignment_raw is None:
         raise ConfigError("correspondence section needs an 'assignment' mapping")
     assignment = [[] for _ in range(outcomes)]
-    for key, group in _section(assignment_raw, "correspondence assignment").items():
-        assignment[_index(key, outcomes, "correspondence outcome")] = [
+    for index, group in _keyed(assignment_raw, outcomes, "correspondence assignment").items():
+        assignment[index] = [
             _index(j, readings, "correspondence reading")
             for j in _list(group, "correspondence assignment group")
         ]
     weights = None
     if raw.get("weights") is not None:
         weights = [[1.0 / max(len(group), 1)] * len(group) for group in assignment]
-        for key, group in _section(raw["weights"], "correspondence weights").items():
-            weights[_index(key, outcomes, "correspondence outcome")] = [
+        for index, group in _keyed(raw["weights"], outcomes, "correspondence weights").items():
+            weights[index] = [
                 _number(w, "correspondence weight")
                 for w in _list(group, "correspondence weight group")
             ]

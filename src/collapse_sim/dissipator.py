@@ -7,9 +7,13 @@ rate-table entries. The term moves population from ``s`` into ``r``; the
 stationary state of the family is the diagonal of the squared rates.
 
 The family's whole action is fixed by the diagonal generator M of
-:func:`diag_generator_matrix`, the one place its rates are computed. The
-dense family (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the
-independent reference that tests check M-based code against.
+:func:`diag_generator_matrix`, the one place its rates are computed.
+:func:`_closed_form_rhs` applies that action, plus ``-i [H, rho]`` when
+there is an H, to any stack of matrices; it is the one right-hand side that
+full-mode assembly, the ``qsl`` command and
+:func:`apply_dissipator_closed_form` use. The dense family
+(:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
+reference that tests check M-based code against.
 """
 
 from __future__ import annotations
@@ -114,14 +118,19 @@ def apply_dissipator_closed_form(rates: RateTable, gamma: float, omega: float, r
     n = gen.shape[0]
     if m.shape != (n, n):
         raise ValidationError(f"matrix shape {m.shape} does not match dimension {n}")
-    return _closed_form_action(gen, m)
+    return _closed_form_rhs(gen, None, m)
 
 
-def _closed_form_action(gen: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The family's action with diagonal generator ``gen`` on every n x n
-    matrix along the last two axes of ``rho``: ``gen`` on the diagonal, the
-    coherence rates of :func:`_coherence_generator` on every other entry."""
+def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
+    """The closed-form right-hand side on every complex n x n matrix along
+    the last two axes of ``rho``: the family's action with diagonal
+    generator ``gen`` (``gen`` on the diagonal, the coherence rates of
+    :func:`_coherence_generator` on every other entry), plus
+    ``-i [h, rho]`` when there is an ``h``."""
     out = _coherence_generator(gen) * rho
     diagonal = np.arange(gen.shape[0])
     out[..., diagonal, diagonal] = np.diagonal(rho, axis1=-2, axis2=-1) @ gen.T
+    if h is not None:
+        out -= 1j * (h @ rho)
+        out += 1j * (rho @ h)
     return out

@@ -9,10 +9,11 @@ The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates of a Hermitian rho instead of
 vec(rho): ``Re rho[r, s]`` for r <= s on and above the diagonal of an n x n
 real array and ``Im rho[r, s]`` for r < s at its mirror position (s, r)
-below it (:func:`_pack`). Its generator is the closed-form right-hand side,
-the family's action plus ``-i [H, rho]``, applied to the unpacked unit
-coordinates (:func:`_real_generator`): a real n^2 x n^2 matrix, so the step
-map and every product of the propagation are float64, 8 bytes per entry.
+below it (:func:`_pack`). Its generator is the closed-form right-hand side
+``dissipator._closed_form_rhs``, the family's action plus ``-i [H, rho]``,
+applied to the unpacked unit coordinates (:func:`_real_generator`): a real
+n^2 x n^2 matrix, so the step map and every product of the propagation are
+float64, 8 bytes per entry.
 The recorded coordinates are unpacked once into the complex snapshot stack,
 which is exactly Hermitian. The real basis holds only Hermitian matrices,
 so :func:`integrate` rejects a non-Hermitian or non-finite initial state or
@@ -34,16 +35,17 @@ eigendecomposition gives its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
 :data:`MAX_STEPS` the step count, before anything is allocated.
 
-The stack is checked as one array, without an eigendecomposition: finite
-entries, trace drift and Hermiticity elementwise, and positivity by one
-batched Cholesky factorisation of ``rho + SNAPSHOT_POSITIVITY_TOL * I``,
-which exists, up to round-off, exactly when every eigenvalue lies above
-``-SNAPSHOT_POSITIVITY_TOL``. A stack that fails any of these is handed to
-:func:`_checked_spectra`, whose batched eigenvalue call names the first
-failing snapshot; should it find none (a round-off tie at the tolerance),
-the run goes on and keeps those spectra. The spectra and the entropy
-are computed on first read of :attr:`Trajectory.eigenvalues` or
-:attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
+The stack is checked in one ordered pass, :func:`_check_snapshots`, once the
+:class:`Trajectory` exists: finite entries, trace drift and Hermiticity
+elementwise, computed once, and, when they pass, positivity by one batched
+Cholesky factorisation of ``rho + SNAPSHOT_POSITIVITY_TOL * I``, which
+exists, up to round-off, exactly when every eigenvalue lies above
+``-SNAPSHOT_POSITIVITY_TOL``. Only a stack that fails one of these is
+eigendecomposed, to name the first failing snapshot; should the spectra find
+none (a round-off tie at the tolerance), the run goes on and the trajectory
+keeps them. The spectra and the entropy are computed on first read of
+:attr:`Trajectory.eigenvalues` or :attr:`Trajectory.entropy`, from one
+batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
 :attr:`Trajectory.trace_dist`, and :func:`alignment_time` computes them only
 for the tail it reads, in blocks from the last snapshot back. Every failed
@@ -53,6 +55,7 @@ value.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (DissipatorSpec, _closed_form_action, _coherence_generator, apply_dissipator,
+from .dissipator import (DissipatorSpec, _closed_form_rhs, _coherence_generator, apply_dissipator,
                          diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
@@ -234,13 +237,23 @@ def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resolve_step(cfg: IntegratorConfig, rate_bound: float) -> tuple[float, int]:
+def _resolve_step(cfg: IntegratorConfig, rate_bound: float, n: int) -> tuple[float, int]:
+    """The step and step count of a run at dimension ``n``; a ConfigError
+    when it would take more than :data:`MAX_STEPS` steps or record a stack
+    over :data:`MAX_STACK_BYTES`, before anything is allocated."""
     dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate_bound, 1e-300)
     steps = cfg.t_max / dt if dt > 0 else math.inf
     if not steps <= MAX_STEPS:  # also refuses NaN
         raise ConfigError(f"t_max = {cfg.t_max:g} at dt = {dt:.3g} needs {steps:.3g} steps, over the "
                           f"limit of {MAX_STEPS:.3g}; shorten t_max or lengthen dt")
     n_steps = max(1, math.ceil(steps - 1e-9))
+    count = _record_count(n_steps, cfg)
+    size = count * n * n * np.dtype(complex).itemsize
+    if size > MAX_STACK_BYTES:
+        raise ConfigError(
+            f"{count} records of {n} x {n} snapshots need {size / 2**20:.0f} MiB, over the "
+            f"{MAX_STACK_BYTES // 2**20} MiB limit; raise record_every or lower record_points"
+        )
     return cfg.t_max / n_steps, n_steps
 
 
@@ -251,16 +264,6 @@ def _record_count(n_steps: int, cfg: IntegratorConfig) -> int:
     if cfg.record_every is not None:
         return n_steps // cfg.record_every + 1 + (n_steps % cfg.record_every != 0)
     return min(n_steps + 1, cfg.record_points)
-
-
-def _check_stack_size(n_steps: int, n: int, cfg: IntegratorConfig) -> None:
-    count = _record_count(n_steps, cfg)
-    size = count * n * n * np.dtype(complex).itemsize
-    if size > MAX_STACK_BYTES:
-        raise ConfigError(
-            f"{count} records of {n} x {n} snapshots need {size / 2**20:.0f} MiB, over the "
-            f"{MAX_STACK_BYTES // 2**20} MiB limit; raise record_every or lower record_points"
-        )
 
 
 def _distinct(ks: np.ndarray) -> np.ndarray:
@@ -286,28 +289,31 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     return _distinct(np.concatenate(([0], interior)))
 
 
-def _drift_and_asymmetry(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per snapshot: the trace drift |tr rho - 1| and the largest entry of
-    |rho - rho^H|."""
-    drift = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    asym = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    return drift, asym
+def _check_snapshots(traj: Trajectory) -> None:
+    """Check every snapshot of ``traj`` in one ordered pass.
 
-
-def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of every snapshot, once the whole stack passes
-    the snapshot checks.
-
-    A failure names the first failing snapshot in time order. Within one
-    snapshot the checks run in a fixed order: finite entries, gross
-    positivity, trace drift, Hermiticity, snapshot positivity.
+    Finite entries, trace drift and Hermiticity are computed once for the
+    finite prefix of the stack. When they pass, one batched Cholesky
+    factorisation of the shifted stack settles positivity with no
+    eigenvalue call. Otherwise the spectra (``traj._spectra``, or those of
+    the finite prefix) name the first failing snapshot in time order; within
+    one snapshot the checks run in a fixed order: finite entries, gross
+    positivity, trace drift, Hermiticity, snapshot positivity. Spectra that
+    find no failure (a round-off tie at the positivity tolerance) stay
+    cached on ``traj``.
     """
+    times, states = traj.times, traj.states
     finite = np.isfinite(states).all(axis=(1, 2))
-    count = len(states) if finite.all() else int(finite.argmin())
+    whole = bool(finite.all())
+    count = len(states) if whole else int(finite.argmin())
     head = states[:count]
-    evals = np.linalg.eigvalsh(head)
-    smallest = evals[:, 0]
-    drift, asym = _drift_and_asymmetry(head)
+    drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    if whole and (drift <= TRACE_DRIFT_TOL).all() and (asym <= SNAPSHOT_HERMITICITY_TOL).all():
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(states + SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1]))
+            return
+    smallest = (traj._spectra if whole else np.linalg.eigvalsh(head))[:, 0]
     checks = (
         (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
             f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
@@ -321,33 +327,11 @@ def _checked_spectra(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     first = min((int(failed.argmax()) for failed, _ in checks if failed.any()), default=count)
     if first < count:
         raise next(error(first) for failed, error in checks if failed[first])
-    if count < len(states):
+    if not whole:
         raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
-    return evals
-
-
-def _passes_snapshot_checks(states: np.ndarray) -> bool:
-    """Whether every snapshot is finite, within the trace-drift and
-    Hermiticity tolerances, and has no eigenvalue below
-    ``-SNAPSHOT_POSITIVITY_TOL``; positivity from one batched Cholesky
-    factorisation of the shifted stack, with no eigenvalue call."""
-    if not np.isfinite(states).all():
-        return False
-    drift, asym = _drift_and_asymmetry(states)
-    if (drift > TRACE_DRIFT_TOL).any() or (asym > SNAPSHOT_HERMITICITY_TOL).any():
-        return False
-    try:
-        np.linalg.cholesky(states + SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
-    # a failing stack goes through _checked_spectra, which raises the error
-    # that names its first failing snapshot; should it pass instead (a
-    # round-off tie at the positivity tolerance), its spectra are kept
-    evals = None if _passes_snapshot_checks(states) else _checked_spectra(times, states)
     traj = Trajectory(
         times=times,
         states=_readonly(states),
@@ -355,8 +339,7 @@ def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
         dt=dt,
         n_steps=n_steps,
     )
-    if evals is not None:
-        traj.__dict__["_spectra"] = evals
+    _check_snapshots(traj)
     return traj
 
 
@@ -366,6 +349,18 @@ def _checked_target(target, n: int) -> np.ndarray:
     m = _as_matrix(target)
     _check_hermitian(m, n, "target", SNAPSHOT_HERMITICITY_TOL)
     return m
+
+
+def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
+    """The initial state as a checked n x n matrix, the diagonal generator M
+    and the checked ``target`` (None stays None), in the order both solvers
+    check them."""
+    m0 = _as_matrix(rho0)
+    diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    _check_hermitian(m0, diag_gen.shape[0], "initial state", SNAPSHOT_HERMITICITY_TOL)
+    if target is not None:
+        target = _checked_target(target, diag_gen.shape[0])
+    return m0, diag_gen, target
 
 
 def _strictly_lower(n: int) -> np.ndarray:
@@ -394,17 +389,6 @@ def _unpack(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _closed_form_rhs(diag_gen: np.ndarray, h: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
-    """The right-hand side on every complex n x n matrix along the last two
-    axes of ``rho``: the family's action with diagonal generator ``diag_gen``
-    plus ``-i [h, rho]`` when there is an ``h``."""
-    out = _closed_form_action(diag_gen, rho)
-    if h is not None:
-        out -= 1j * (h @ rho)
-        out += 1j * (rho @ h)
-    return out
-
-
 def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     """The right-hand side as a real n^2 x n^2 matrix in the coordinates of
     :func:`_pack`: column k is the packed image, under
@@ -429,12 +413,8 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     which keeps the stiffest floor-induced rate well inside the stability
     region of the fourth-order update.
     """
-    m0 = _as_matrix(rho0)
-    diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
     n = diag_gen.shape[0]
-    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
-    if target is not None:
-        target = _checked_target(target, n)
     h = None
     h_norm = 0.0
     if hamiltonian is not None:
@@ -442,8 +422,7 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
         _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
         h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
-    dt, n_steps = _resolve_step(cfg, max_weight + h_norm)
-    _check_stack_size(n_steps, n, cfg)
+    dt, n_steps = _resolve_step(cfg, max_weight + h_norm, n)
     assembly = 2 * n**4 * np.dtype(complex).itemsize  # the unit-coordinate stack and its image
     if assembly > MAX_STACK_BYTES:
         raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
@@ -470,14 +449,9 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     grid. ``rho0`` and ``target`` are checked as in :func:`integrate` (shape,
     finite entries, Hermiticity) before any work.
     """
-    m0 = _as_matrix(rho0)
-    diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
     n = diag_gen.shape[0]
-    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
-    if target is not None:
-        target = _checked_target(target, n)
-    dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()))
-    _check_stack_size(n_steps, n, cfg)
+    dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()), n)
     times = _record_steps(n_steps, cfg) * dt
     q = np.sqrt(np.ravel(p_all))
     lam, v = np.linalg.eigh(diag_gen * q[None, :] / q[:, None])  # one triangle: asymmetry is harmless

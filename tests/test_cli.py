@@ -164,6 +164,10 @@ class TestSimulate:
             ("integrator", "t_max", True, "t_max must be a finite number, got True"),
             ("scenario", "gamma", True, "gamma must be a finite number, got True"),
             ("integrator", "record_every", True, "record_every must be an integer, got True"),
+            # a JSON string is not a number, whatever it spells
+            ("scenario", "gamma", "5", "gamma must be a finite number, got '5'"),
+            ("scenario", "alpha_s", "1.16", "alpha_s must be a finite number, got '1.16'"),
+            ("integrator", "record_points", "240", "record_points must be an integer, got '240'"),
         ],
     )
     def test_non_finite_or_non_numeric_value_exits_one(self, tmp_path, capsys, section, key,
@@ -191,6 +195,20 @@ class TestSimulate:
              "correspondence reading must be an integer"),
             # a string is not iterated as a list of digit amplitudes
             ({"sys_amplitudes": "10"}, "sys_amplitudes must be a JSON list"),
+            ({"sys_amplitudes": ["0.6", "0.8"]}, "sys_amplitudes entry must be a finite number, got '0.6'"),
+            ({"sys_amplitudes": [True, False]}, "sys_amplitudes entry must be a finite number, got True"),
+            ({"app_amplitudes": [[True, 0], 0]}, "app_amplitudes entry must be a finite number, got True"),
+            ({"sys_amplitudes": [[0.6, 0, 7], 0.8]}, "amplitudes must be numbers or [re, im] pairs"),
+            # "1.0" would silently overwrite "1"; keys are decimal integers
+            ({"app_amplitudes": [0.6, 0.6, math.sqrt(0.28)],
+              "correspondence": {"assignment": {"0": [0], "1": [1], "1.0": [2]}}},
+             "correspondence outcome must be an integer, got '1.0'"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [1], "01": [1]}}},
+             "correspondence assignment names outcome 1 twice"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [1]}, "weights": {"1": [1.0], "01": [1.0]}}},
+             "correspondence weights names outcome 1 twice"),
+            ({"correspondence": {"assignment": {"0": ["0"], "1": [1]}}},
+             "correspondence reading must be an integer, got '0'"),
         ],
     )
     def test_malformed_correspondence_or_amplitudes_exit_one(self, tmp_path, capsys, overrides,
@@ -322,27 +340,32 @@ class TestQsl:
         assert cols["bound"][0] < cols["measured_tau"][0]
         assert cols["ratio"][0] == pytest.approx(cols["measured_tau"][0] / cols["bound"][0])
 
-    def test_fast_mode_denominator_matches_dense_jump_family(self, tmp_path):
-        path = str(tmp_path / "amps.json")
-        cfg = {
-            "scenario": {
-                "sys_amplitudes": [0.6, 0.64, 0.48],
-                "app_amplitudes": [0.48, 0.6, 0.64],
-                "gamma": 5.0,
-                "omega": 1.0,
-            },
-            "integrator": {"t_max": 2.0},
-            "mode": "fast",
-            "outputs": {"dir": str(tmp_path)},
-        }
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_denominator_matches_dense_jump_family(self, tmp_path, mode):
+        # the tilt-angle scenario adds -i[H, rho0] to the family's action; amplitudes carry no H
+        path = str(tmp_path / "run.json")
+        if mode == "full":
+            write_config(path)
+        else:
+            cfg = {
+                "scenario": {
+                    "sys_amplitudes": [0.6, 0.64, 0.48],
+                    "app_amplitudes": [0.48, 0.6, 0.64],
+                    "gamma": 5.0,
+                    "omega": 1.0,
+                },
+                "integrator": {"t_max": 2.0},
+                "mode": "fast",
+                "outputs": {"dir": str(tmp_path)},
+            }
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)
         assert main(["qsl", "--config", path]) == 0
         cols = read_csv_columns(str(tmp_path / "qsl.csv"))
         model = load_run_config(path).model
         spec = lindblad_jump_family(model.rate_table(), model.gamma, model.omega)
         rho0 = model.initial_dm()
-        expected = qsl_lower_bound(rho0, model.aligned_target(), master_rhs(None, spec, rho0))
+        expected = qsl_lower_bound(rho0, model.aligned_target(), master_rhs(model.hamiltonian, spec, rho0))
         assert cols["denominator"][0] == pytest.approx(expected.denominator, rel=1e-12)
 
 

@@ -150,7 +150,8 @@ class TestCsvFormat:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "payload\n")
-        assert open(path).read() == "payload\n"
+        with open(path) as fh:
+            assert fh.read() == "payload\n"
         assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
 
