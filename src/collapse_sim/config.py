@@ -189,9 +189,10 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bad UTF-8 or too many integer digits; RecursionError: deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ConfigError(f"config file {path} lacks a 'scenario' section")

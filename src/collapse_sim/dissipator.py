@@ -111,7 +111,8 @@ def apply_dissipator_closed_form(rates: RateTable, gamma: float, omega: float, r
     The diagonal evolves as ``M @ diag(rho)`` with M from
     :func:`diag_generator_matrix`, and every off-diagonal entry (a, b) decays
     at half the summed outflow rates of a and b. The result is algebraically
-    identical to :func:`apply_dissipator` on the full jump family.
+    identical to :func:`apply_dissipator` on the full jump family. ``rho``
+    need not be Hermitian: there is no commutator term here.
     """
     m = _as_matrix(rho)
     gen = diag_generator_matrix(rates.flat_probabilities(), gamma, omega)
@@ -126,11 +127,19 @@ def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, rho: np.ndarray) -> 
     the last two axes of ``rho``: the family's action with diagonal
     generator ``gen`` (``gen`` on the diagonal, the coherence rates of
     :func:`_coherence_generator` on every other entry), plus
-    ``-i [h, rho]`` when there is an ``h``."""
+    ``-i [h, rho]`` when there is an ``h``.
+
+    With an ``h``, ``h`` and every ``rho`` must be Hermitian: the commutator
+    is ``iY + (iY)^H`` with ``Y = rho h`` from one flat product, formed first
+    so that one stack-sized temporary is alive at a time, and the output is
+    exactly Hermitian. Without one, any matrices will do."""
+    n = gen.shape[0]
+    if h is not None:
+        z = (rho.reshape(-1, n) @ (1j * h)).reshape(rho.shape)
+        z += np.conjugate(np.swapaxes(z, -1, -2), order="C")
     out = _coherence_generator(gen) * rho
-    diagonal = np.arange(gen.shape[0])
+    diagonal = np.arange(n)
     out[..., diagonal, diagonal] = np.diagonal(rho, axis1=-2, axis2=-1) @ gen.T
     if h is not None:
-        out -= 1j * (h @ rho)
-        out += 1j * (rho @ h)
+        out += z
     return out

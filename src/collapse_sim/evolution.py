@@ -21,15 +21,16 @@ Hamiltonian before it assembles anything. :func:`integrate_fast_limit` runs
 the same initial-state check first.
 
 The full-mode generator is linear and time independent, so a fixed-step
-classical fourth-order Runge-Kutta update is precomputed once as the degree-4
-Taylor polynomial of the step map S (for a linear autonomous system the two
-are the same update). Every record step k is reached from the initial state
-through one squaring chain, :func:`_propagate`: S is squared once per bit of
-the largest k, and each power S**(2**j) multiplies, in one batched product,
-the records whose k has bit j set. Each squaring holds the current power and
-its square at once while :func:`integrate` still holds S, so the chain's
-peak is two step-map-sized matrices plus its T x n^2 output above the
-caller's S, and the run also keeps the T x n x n complex snapshot stack
+classical fourth-order Runge-Kutta update is precomputed once, from two
+products, as the degree-4 Taylor polynomial of the step map S (the same
+update for a linear autonomous system); G and S are kept transposed, as rows.
+Every record step k is reached through one squaring chain, :func:`_propagate`:
+each power S**(2**j) multiplies, in one batched product, the records whose k
+has bit j set, until marching the rest costs no more than one more squaring.
+Each squaring holds the current power and its square at once while
+:func:`integrate` still holds S, so the chain's peak is two step-map-sized
+matrices plus its T x n^2 output above the caller's S, and the run also
+keeps the T x n x n complex snapshot stack
 (16 bytes per entry). Fast mode has no step map: one symmetric
 eigendecomposition gives its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
@@ -208,32 +209,52 @@ def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
 
 
 def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    """Single-step update matrix of classical RK4 for y' = G y (full mode only)."""
+    """Single-step update matrix of classical RK4 for y' = G y (full mode only),
+    I + a + a^2 (I/2 + a/6 + a^2/24) with a = dt G; transposed for G^T."""
     n = generator.shape[0]
-    eye = np.eye(n, dtype=generator.dtype)
     a = dt * generator
-    return eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+    a2 = a @ a
+    tail = a2 / 24.0 + a / 6.0
+    tail.flat[::n + 1] += 0.5
+    step = a2 @ tail
+    step += a
+    step.flat[::n + 1] += 1.0
+    return step
 
 
-def _propagate(step: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Rows ``step**k @ y0`` for every k in ``ks``, from one squaring chain (full mode only).
+def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Rows ``y0 @ step_t**k``, the states ``step**k @ y0`` for ``step_t =
+    step^T``, for every k in ``ks``, from one squaring chain (full mode only).
 
-    Power ``step**(2**j)`` multiplies, in one batched product, the rows whose
-    k has bit j set, and is then squared into the next power. The cost is one
-    squaring per bit of ``max(ks)`` plus the row products. Each squaring
-    holds the current power and its square at once, and the caller keeps
-    ``step``: the peak is two step-sized matrices plus the output above it.
+    Power ``step_t**(2**j)`` multiplies, in one batched product, the rows
+    whose k has bit j set, and is squared into the next power up to the
+    first j at which the rows' remaining ``2 * (k >> (j + 1))`` products with
+    it come to at most N, no more than one more N x N squaring costs; then
+    they march. Each squaring holds the current power and its square at
+    once, and the caller keeps ``step_t``: the peak is two step-sized
+    matrices plus the output above it.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty((ks.size, y0.size), dtype=np.result_type(step, y0))
+    out = np.empty((ks.size, y0.size), dtype=np.result_type(step_t, y0))
     out[:] = y0
-    bits = (ks[:, None] >> np.arange(int(ks.max()).bit_length())) & 1  # (T, bits)
-    power = step
-    for j, column in enumerate(bits.T):
+    k_max = int(ks.max())
+    shifted = ks[:, None] >> np.arange(max(1, k_max.bit_length()))  # (T, bits): k >> j
+    bits = shifted & 1
+    # from the top bit down, high = sum(k >> (stop + 1)) by Horner's rule; it stays under N
+    counts = bits.sum(axis=0).tolist()
+    stop, high = len(counts) - 1, 0
+    while stop and 4 * high + 2 * counts[stop] <= step_t.shape[0]:
+        stop, high = stop - 1, 2 * high + counts[stop]
+    power = step_t
+    for j, column in enumerate(bits.T[:stop + 1]):
         if j:
             power = power @ power
         rows = column.nonzero()[0]
-        out[rows] = out[rows] @ power.T
+        out[rows] = out[rows] @ power
+    marches = 2 * (shifted[:, stop] >> 1)
+    for count in range(2 * (k_max >> (stop + 1))):
+        rows = (marches > count).nonzero()[0]
+        out[rows] = out[rows] @ power
     return out
 
 
@@ -390,13 +411,13 @@ def _unpack(x: np.ndarray) -> np.ndarray:
 
 
 def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
-    """The right-hand side as a real n^2 x n^2 matrix in the coordinates of
-    :func:`_pack`: column k is the packed image, under
-    :func:`_closed_form_rhs`, of the Hermitian matrix that unit coordinate k
-    unpacks to."""
+    """The transpose G^T of the right-hand side as a real n^2 x n^2 matrix in
+    the coordinates of :func:`_pack`, C-contiguous: row k is the packed
+    image, under :func:`_closed_form_rhs`, of the Hermitian matrix that unit
+    coordinate k unpacks to."""
     n = diag_gen.shape[0]
     basis = _unpack(np.eye(n * n).reshape(n * n, n, n))
-    return _pack(_closed_form_rhs(diag_gen, h, basis)).reshape(n * n, n * n).T
+    return _pack(_closed_form_rhs(diag_gen, h, basis)).reshape(n * n, n * n)
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -428,8 +449,8 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
         raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
                           f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     ks = _record_steps(n_steps, cfg)
-    step = _rk4_step_matrix(_real_generator(diag_gen, h), dt)
-    coords = _propagate(step, _pack(m0).reshape(-1), ks)
+    step_t = _rk4_step_matrix(_real_generator(diag_gen, h), dt)
+    coords = _propagate(step_t, _pack(m0).reshape(-1), ks)
     return _build_trajectory(ks * dt, _unpack(coords.reshape(-1, n, n)), target, dt, n_steps)
 
 

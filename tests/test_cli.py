@@ -61,11 +61,18 @@ class TestSimulate:
         assert missing in capsys.readouterr().err
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
-        path = str(tmp_path / "broken.json")
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        assert main(["simulate", "--config", path]) == 1
-        assert "JSON" in capsys.readouterr().err
+        # malformed text, a non-UTF-8 byte, an integer past Python's digit
+        # limit and nesting past the recursion limit each give one error line
+        payloads = [b"{not json", b'{"scenario": {"gamma": 5\xff}}',
+                    b'{"scenario": {"gamma": ' + b"7" * 5000 + b"}}", b"[" * 200000]
+        for k, payload in enumerate(payloads):
+            path = str(tmp_path / f"broken{k}.json")
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            assert main(["simulate", "--config", path]) == 1
+            err = capsys.readouterr().err
+            assert "JSON" in err and "Traceback" not in err
+            assert err.count("error:") == 1 and err.count("\n") == 1
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["simulate"]) == 1

@@ -13,6 +13,7 @@ from collapse_sim import (
     born_rate_table,
     lindblad_jump_family,
 )
+from collapse_sim import dissipator, evolution
 from collapse_sim.model import RateTable
 from conftest import random_hermitian_unit_trace
 
@@ -161,3 +162,49 @@ class TestClosedForm:
         table = mild_random_table(np.random.default_rng(2), 2, 2)
         with pytest.raises(ValidationError, match="match"):
             apply_dissipator_closed_form(table, 1.0, 1.0, np.eye(3))
+
+    def test_non_hermitian_input_without_hamiltonian(self):
+        # the action alone takes any matrix: elementwise rates off the
+        # diagonal, M @ diag(rho) on it
+        rng = np.random.default_rng(38)
+        table = mild_random_table(rng, 2, 3)
+        gen = dissipator.diag_generator_matrix(table.flat_probabilities(), 1.5, 0.5)
+        rho = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        expected = dissipator._coherence_generator(gen) * rho
+        expected[range(6), range(6)] = gen @ np.diagonal(rho)
+        out = apply_dissipator_closed_form(table, 1.5, 0.5, rho)
+        assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.abs(out - out.conj().T).max() > 1e-3
+
+
+class TestCommutator:
+    # -i [H, rho] = iY + (iY)^H with Y = rho H, for Hermitian H and rho, against
+    # the two-product form -i (H rho) + i (rho H)
+    @staticmethod
+    def _two_product_rhs(gen, h, rho):
+        out = dissipator._closed_form_rhs(gen, None, rho)
+        out -= 1j * (h @ rho)
+        out += 1j * (rho @ h)
+        return out
+
+    @staticmethod
+    def _setup(rng, n):
+        gen = dissipator.diag_generator_matrix(rng.uniform(0.05, 1.0, size=n), 5.0, 1.0)
+        return gen, random_hermitian_unit_trace(rng, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
+    def test_bit_equal_on_hermitian_unit_stack(self, n):
+        gen, h = self._setup(np.random.default_rng(70 + n), n)
+        basis = evolution._unpack(np.eye(n * n).reshape(n * n, n, n))
+        out = dissipator._closed_form_rhs(gen, h, basis)
+        assert np.array_equal(out, self._two_product_rhs(gen, h, basis))
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 16])
+    def test_random_hermitian_stacks(self, n):
+        rng = np.random.default_rng(80 + n)
+        gen, h = self._setup(rng, n)
+        stack = np.array([random_hermitian_unit_trace(rng, n) for _ in range(7)])
+        out = dissipator._closed_form_rhs(gen, h, stack)
+        expected = self._two_product_rhs(gen, h, stack)
+        assert np.abs(out - expected).max() <= 2e-16 * np.abs(expected).max()
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))

@@ -238,26 +238,85 @@ class TestPropagate:
             if k in ks:
                 expected.append(y)
         expected = np.array(expected)
-        got = evolution._propagate(step, y0, ks)
+        got = evolution._propagate(step.T, y0, ks)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_matches_boolean_mask_chain(self):
-        # the per-bit mask formulation the chain replaced, bit for bit
+    @staticmethod
+    def _model_step(seed=64):
+        # the transposed step map and initial coordinates of a full-mode run
+        # at n = 8, N = 64: trace preserving, so every power stays bounded
+        model = random_amplitude_model(np.random.default_rng(seed), 2, 4)
+        captured = []
+        propagate = evolution._propagate
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_propagate",
+                          lambda step_t, y0, ks: captured.append((step_t, y0)) or propagate(step_t, y0, ks))
+            simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
+        ((step_t, y0),) = captured
+        assert step_t.shape == (64, 64)
+        return step_t, y0
+
+    @staticmethod
+    def _plain_schedule(step_t, y0, ks):
+        # the chain's schedule, written out: square while marching the rows'
+        # remaining high parts would take more row products than N, then march
+        n = step_t.shape[0]
+        top = max(1, int(ks.max()).bit_length())
+        stop = next(j for j in range(top) if 2 * sum(int(k) >> (j + 1) for k in ks) <= n)
+        expected = np.empty((ks.size, y0.size), dtype=np.result_type(step_t, y0))
+        expected[:] = y0
+        power = step_t
+        for j in range(stop + 1):
+            if j:
+                power = power @ power
+            rows = (ks >> j) & 1 == 1
+            expected[rows] = expected[rows] @ power
+        marches = 2 * (ks >> (stop + 1))
+        for count in range(int(marches.max())):
+            rows = marches > count
+            expected[rows] = expected[rows] @ power
+        return stop, expected
+
+    def test_matches_plain_schedule(self):
+        # bit for bit, on schedules that stop squaring early and on ones that do not
         rng = np.random.default_rng(5)
-        step = self._step(rng, 5)
-        y0 = rng.normal(size=5) + 1j * rng.normal(size=5)
-        for ks in (np.array([0, 1]), evolution._record_steps(917775, IntegratorConfig(t_max=1.0)),
-                   np.arange(0, 65, 3)):
-            expected = np.empty((ks.size, y0.size), dtype=complex)
-            expected[:] = y0
-            power = step
-            for j in range(int(ks.max()).bit_length()):
-                if j:
-                    power = power @ power
-                rows = (ks >> j) & 1 == 1
-                expected[rows] = expected[rows] @ power.T
-            assert evolution._propagate(step, y0, ks).tobytes() == expected.tobytes()
+        cases = [(self._step(rng, 5).T, rng.normal(size=5) + 1j * rng.normal(size=5)),
+                 self._model_step()]
+        log_ks = evolution._record_steps(917775, IntegratorConfig(t_max=1.0))
+        stops = set()
+        for step_t, y0 in cases:
+            for ks in (np.array([0, 1]), log_ks, np.arange(0, 65, 3), np.array([0, 1, 3, 2**20 - 1]),
+                       np.array([5, 2, 2**12 + 1, 7])):
+                stop, expected = self._plain_schedule(step_t, y0, ks)
+                stops.add(stop < int(ks.max()).bit_length() - 1)
+                assert evolution._propagate(step_t, y0, ks).tobytes() == expected.tobytes()
+        assert stops == {True, False}
+
+    def test_early_stop_matches_matrix_power(self):
+        step_t, y0 = self._model_step()
+        ks = np.array([0, 1, 3, 2**20 - 1])
+        stop, _ = self._plain_schedule(step_t, y0, ks)
+        assert stop < 19  # the chain stops short of the top bit
+        got = evolution._propagate(step_t, y0, ks)
+        for row, k in zip(got, ks):
+            expected = y0 @ np.linalg.matrix_power(step_t, int(k))
+            assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("ks", [[0], [0, 0]])
+    def test_zero_steps_return_the_initial_rows(self, ks):
+        step_t, y0 = self._model_step()
+        got = evolution._propagate(step_t, y0, np.array(ks))
+        assert np.array_equal(got, np.tile(y0, (len(ks), 1)))
+
+    def test_largest_step_count_on_many_rows(self):
+        # 4096 rows at k = 2**53 - 1: the rows' high parts sum past the int64
+        # range, and every row takes the same path through the chain
+        angle = 0.3
+        step_t = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        got = evolution._propagate(step_t, np.array([1.0, 0.0]), np.full(4096, 2**53 - 1))
+        assert np.isfinite(got).all()
+        assert (got == got[0]).all()
 
     @pytest.mark.parametrize("k", [2**20 - 1, 897883])
     def test_matches_matrix_power(self, k, two_level_model, monkeypatch):
@@ -268,10 +327,29 @@ class TestPropagate:
                             lambda step, y0, ks: captured.append((step, y0)) or propagate(step, y0, ks))
         simulate_model(two_level_model, IntegratorConfig(t_max=1e-3), mode="full")
         ((step, y0),) = captured
-        expected = np.linalg.matrix_power(step, k) @ y0
+        expected = np.linalg.matrix_power(step.T, k) @ y0
         got = propagate(step, y0, np.array([0, k]))
         assert np.array_equal(got[0], y0)
         assert np.abs(got[1] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestStepPolynomial:
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_two_products_match_nested_taylor_form(self, d, monkeypatch):
+        # N = 16 and 256: the transposed generator and step of a full-mode run
+        captured = []
+        rk4 = evolution._rk4_step_matrix
+        monkeypatch.setattr(evolution, "_rk4_step_matrix",
+                            lambda g, dt: captured.append((g, dt)) or rk4(g, dt))
+        model = random_amplitude_model(np.random.default_rng(90 + d), d, d)
+        simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
+        ((g, dt),) = captured
+        eye = np.eye(g.shape[0])
+        a = dt * g
+        nested = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+        step = rk4(g, dt)
+        assert step.shape == (d**4, d**4) and step.flags.c_contiguous
+        assert np.abs(step - nested).max() <= 4 * np.spacing(np.abs(nested).max())
 
 
 def _bad_stack(kind):
@@ -475,8 +553,8 @@ class TestGeneratorOracle:
         integrate(np.eye(n) / n, h, table.flat_probabilities(), 5.0, 1.0,
                   IntegratorConfig(t_max=1e-3))
         (generator,) = captured
-        assert generator.dtype == np.float64
-        assert np.max(np.abs(generator - expected.real)) <= 1e-12 * scale
+        assert generator.dtype == np.float64 and generator.flags.c_contiguous
+        assert np.max(np.abs(generator.T - expected.real)) <= 1e-12 * scale
 
 
 class TestRealBasis:
@@ -526,7 +604,7 @@ class TestRealBasis:
         model, traj = _amplitude_run(n, 50 + n)
         step = evolution._rk4_step_matrix(closed_form_generator(model), traj.dt)
         ks = evolution._record_steps(traj.n_steps, IntegratorConfig(t_max=1.0))
-        expected = evolution._propagate(step, model.initial_dm().entries.reshape(-1), ks)
+        expected = evolution._propagate(step.T, model.initial_dm().entries.reshape(-1), ks)
         assert np.abs(traj.states - expected.reshape(-1, n, n)).max() <= 1e-9
 
     @pytest.mark.parametrize("n", [4, 9, 16])
