@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dissipator import _balanced_modes
 from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
 from .evolution import IntegratorConfig, alignment_time, simulate_model
@@ -22,7 +23,9 @@ class GeneratorSpectrum:
     """Eigen-decomposition of the diagonal rate generator.
 
     ``zero_index`` marks the stationary mode; its eigenvector is rescaled to
-    unit sum, all others to unit Euclidean norm.
+    unit sum, all others to unit Euclidean norm. :func:`generator_spectrum`
+    decomposes any matrix (complex eigenpairs in LAPACK's order); the
+    ``spectrum`` command's jump-family spectrum is real and ascending.
     """
 
     eigenvalues: np.ndarray
@@ -86,6 +89,23 @@ def generator_spectrum(m, rate_scale: float | None = None) -> GeneratorSpectrum:
     return GeneratorSpectrum(eigenvalues=evals, eigenvectors=vecs, zero_index=zero_index)
 
 
+def _balanced_spectrum(gen: np.ndarray, p_all) -> GeneratorSpectrum:
+    """The spectrum of the jump family's diagonal generator ``gen`` at the
+    flat probabilities ``p_all``, read off ``dissipator._balanced_modes``.
+
+    The eigenvalues are real and ascending, the last, the stationary one,
+    exactly 0. Its column is ``p / sum(p)``, the family's stationary state by
+    detailed balance; every other column is ``q * V`` scaled to unit norm.
+    The kernel is simple, so there is no near-zero threshold to pick.
+    """
+    q, lam, v = _balanced_modes(gen, p_all)
+    vecs = q[:, None] * v
+    vecs /= np.linalg.norm(vecs, axis=0)
+    p = np.ravel(p_all)
+    vecs[:, -1] = p / p.sum()
+    return GeneratorSpectrum(eigenvalues=lam, eigenvectors=vecs, zero_index=lam.size - 1)
+
+
 def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float | None = None,
                     denominator_norm: str = "diag_rms") -> QslReport:
     """Lower bound on the alignment duration: distance over initial speed.
@@ -120,8 +140,13 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float |
 
 def _sweep_row(model, gamma_value: float, cfg: IntegratorConfig, mode: str, tol: float) -> SweepRow:
     # fixed dimensionless horizon gamma * omega * t_max across the sweep
-    scaled = replace(cfg, t_max=cfg.t_max * model.gamma / gamma_value)
-    traj = simulate_model(model, scaled, mode=mode, gamma=gamma_value)
+    t_max = cfg.t_max * model.gamma / gamma_value
+    try:
+        traj = simulate_model(model, replace(cfg, t_max=t_max), mode=mode, gamma=gamma_value)
+    except ValidationError as exc:
+        # the user set the config's t_max, not this row's: name the row's gamma
+        raise type(exc)(f"sweep gamma {gamma_value!r}, run to t_max = {t_max:g} so that "
+                        f"gamma * t_max stays {cfg.t_max * model.gamma:g}: {exc}") from exc
     tau = alignment_time(traj, model.aligned_target(), tol=tol)
     return SweepRow(gamma=gamma_value, alignment_time=tau, gamma_times_tau=gamma_value * tau)
 
@@ -132,8 +157,9 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
 
     Every row runs on ``model`` itself through ``simulate_model``'s
     ``gamma`` keyword, so all rows share the rate table, initial state and
-    target that the model derives once. Alignment failures propagate as
-    NotAlignedError for the offending row.
+    target that the model derives once, up to ``t_max * model.gamma /
+    gamma``. A row's ValidationError names its gamma; alignment failures
+    propagate as NotAlignedError for the offending row.
     """
     values = [float(g) for g in gammas]
     if not values:

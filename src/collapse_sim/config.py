@@ -208,8 +208,6 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
     resolved_mode = mode or raw.get("mode", "full")
     if resolved_mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {resolved_mode!r}; expected 'full' or 'fast'")
-    if resolved_mode == "full" and model.hamiltonian is None:
-        raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     if gammas is None and raw.get("gammas") is not None:
         gammas = tuple(_number(g, "gammas entry") for g in _list(raw["gammas"], "gammas"))
     alignment_tol = _number(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol")

@@ -11,7 +11,9 @@ The family's whole action is fixed by the diagonal generator M of
 :func:`_closed_form_rhs` applies that action, plus ``-i [H, rho]`` when
 there is an H, to any stack of matrices; it is the one right-hand side that
 full-mode assembly, the ``qsl`` command and
-:func:`apply_dissipator_closed_form` use. The dense family
+:func:`apply_dissipator_closed_form` use. M has one eigendecomposition too,
+:func:`_balanced_modes`, of the symmetric form that detailed balance gives
+it; fast mode and the ``spectrum`` command read it. The dense family
 (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
 reference that tests check M-based code against.
 """
@@ -97,6 +99,27 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError(f"jump rates are not finite at gamma * omega = {scale:g}")
     return m
+
+
+def _balanced_modes(gen: np.ndarray, p_all) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``q = sqrt(p)`` and the ascending eigenpairs ``(lam, V)`` of the
+    balanced generator ``K = diag(1/q) M diag(q)``, for M = ``gen`` of
+    :func:`diag_generator_matrix` at the flat probabilities ``p_all``.
+
+    The jump weights satisfy detailed balance with respect to p, so K =
+    gamma * omega * (1 1^T - diag(Q/q)) with Q = sum(q) is real symmetric
+    and M = diag(q) K diag(1/q): ``q * V`` holds the eigenvectors of M. K is
+    negative semidefinite with q as its simple kernel (every off-diagonal
+    entry is gamma * omega > 0), and, K being diagonal plus rank one, its
+    nonzero rates ``-lam`` interlace ``gamma * omega * Q/q``: the k-th
+    smallest lies between the k-th and (k+1)-th smallest of those.
+    ``lam[-1]``, the kernel's, is set to exactly 0: its round-off would
+    otherwise grow into a trace drift at long times.
+    """
+    q = np.sqrt(np.ravel(p_all))
+    lam, v = np.linalg.eigh(gen * q[None, :] / q[:, None])  # one triangle: asymmetry is harmless
+    lam[-1] = 0.0
+    return q, lam, v
 
 
 def _coherence_generator(m: np.ndarray) -> np.ndarray:

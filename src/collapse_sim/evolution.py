@@ -31,8 +31,9 @@ Each squaring holds the current power and its square at once while
 :func:`integrate` still holds S, so the chain's peak is two step-map-sized
 matrices plus its T x n^2 output above the caller's S, and the run also
 keeps the T x n x n complex snapshot stack
-(16 bytes per entry). Fast mode has no step map: one symmetric
-eigendecomposition gives its populations in closed form.
+(16 bytes per entry). Fast mode has no step map: the one symmetric
+eigendecomposition of the family, ``dissipator._balanced_modes``, gives
+its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
 :data:`MAX_STEPS` the step count, before anything is allocated.
 
@@ -64,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (DissipatorSpec, _closed_form_rhs, _coherence_generator, apply_dissipator,
-                         diag_generator_matrix)
+from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
+                         apply_dissipator, diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -459,12 +460,10 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     """Solve the dissipator-dominated reduction of the master equation in
     closed form at the sample times.
 
-    The diagonals obey d' = M d. The jump weights satisfy detailed balance
-    with respect to p, so M = diag(q) K diag(1/q) with q = sqrt(p) and K real
-    symmetric, negative semidefinite, with q as its exact, simple kernel: one
-    ``eigh(K) = (lam, V)`` gives ``exp(M t) d0 = diag(q) V exp(lam t) V^T
-    diag(1/q) d0`` at every t. The largest eigenvalue is set to exactly 0, as
-    its round-off would grow into a trace drift at long times. Each
+    The diagonals obey d' = M d, and M = diag(q) K diag(1/q) with q =
+    sqrt(p) and K real symmetric: the eigenpairs ``(lam, V)`` of K from
+    ``dissipator._balanced_modes``, kernel eigenvalue exactly 0, give
+    ``exp(M t) d0 = diag(q) V exp(lam t) V^T diag(1/q) d0`` at every t. Each
     off-diagonal decays as ``rho_rs(0) * exp(-rate * t)``, which keeps
     initially real elements real. ``dt`` and ``n_steps`` only set the sample
     grid. ``rho0`` and ``target`` are checked as in :func:`integrate` (shape,
@@ -474,9 +473,7 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     n = diag_gen.shape[0]
     dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()), n)
     times = _record_steps(n_steps, cfg) * dt
-    q = np.sqrt(np.ravel(p_all))
-    lam, v = np.linalg.eigh(diag_gen * q[None, :] / q[:, None])  # one triangle: asymmetry is harmless
-    lam[-1] = 0.0
+    q, lam, v = _balanced_modes(diag_gen, p_all)
     with np.errstate(under="ignore"):
         modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
         populations = modes @ (q[:, None] * v).T
@@ -542,7 +539,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None
     rho0 = model.initial_dm()
     if mode == "full":
         if model.hamiltonian is None:
-            raise ConfigError("mode 'full' requires a Hamiltonian")
+            raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
         return integrate(rho0, model.hamiltonian, p_all, gamma, model.omega, cfg, target=target)
     if mode == "fast":
         return integrate_fast_limit(rho0, p_all, gamma, model.omega, cfg, target=target)

@@ -262,7 +262,11 @@ def spin_half_scenario(
     epsilon: float = 1e-4,
 ) -> MeasurementModel:
     """Two-level system and two-level pointer, both prepared in eigenstates
-    of fields tilted by ``2 * alpha``; one-to-one correspondence."""
+    of fields tilted by ``2 * alpha``; one-to-one correspondence. An angle
+    whose double is not a finite float raises ValidationError naming it."""
+    for name, alpha in (("alpha_s", alpha_s), ("alpha_a", alpha_a)):
+        if not math.isfinite(2.0 * alpha):
+            raise ValidationError(f"{name} must be an angle with 2 * {name} finite, got {alpha!r}")
     sys = StateVector(np.array([math.cos(alpha_s), math.sin(alpha_s)]))
     app = StateVector(np.array([math.cos(alpha_a), math.sin(alpha_a)]))
     h_sys = zeeman_hamiltonian(alpha_s, omega)

@@ -48,7 +48,8 @@ def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
 
 def _checked_amplitudes(vec, name: str) -> np.ndarray:
     amps = vec.amplitudes if isinstance(vec, StateVector) else np.asarray(vec, dtype=complex).reshape(-1)
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused below
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValidationError(
             f"{name} vector is not normalized: sum of |amplitude|^2 is {norm_sq!r}"

@@ -20,6 +20,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / target
+    if not raw > 0:  # a span so small that its step underflows: one tick
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

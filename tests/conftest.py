@@ -107,3 +107,17 @@ def exact_states(model, times):
     coeff = np.linalg.solve(v, model.initial_dm().entries.reshape(-1))
     n = model.dim
     return ((np.exp(np.outer(times, w)) * coeff) @ v.T).reshape(-1, n, n)
+
+
+def balanced_draws(count=200, seed=2026):
+    """Seeded (p, gamma, omega) draws at 1 <= n <= 59, with probabilities
+    spread over eight decades and about a fifth of them at the 1e-8 floor."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(1, 60))
+        p = 10.0 ** rng.uniform(-8.0, 0.0, size=n)
+        p[rng.random(n) < 0.2] = 1e-8
+        draws.append((p, 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-1.0, 1.0)))
+    return draws
+

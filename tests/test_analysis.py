@@ -20,8 +20,9 @@ from collapse_sim import (
     simulate_model,
     spin_half_scenario,
 )
+from collapse_sim.analysis import _balanced_spectrum
 from collapse_sim.model import RateTable
-from conftest import ALPHA_A, ALPHA_S
+from conftest import ALPHA_A, ALPHA_S, balanced_draws
 
 
 class TestDiagGeneratorMatrix:
@@ -61,6 +62,33 @@ class TestDiagGeneratorMatrix:
         with pytest.raises(ValidationError):
             diag_generator_matrix([0.5, 0.0], 1.0, 1.0)
 
+
+
+class TestBalancedSpectrum:
+    # the spectrum command's route against the general eig route of generator_spectrum
+    def test_agrees_with_generator_spectrum(self):
+        for p, gamma, omega in balanced_draws():
+            gen = diag_generator_matrix(p, gamma, omega)
+            balanced = _balanced_spectrum(gen, p)
+            general = generator_spectrum(gen, rate_scale=gamma * omega)
+            expected = np.sort(general.eigenvalues.real)
+            scale = max(np.abs(expected).max(), gamma * omega)
+            assert np.abs(balanced.eigenvalues - expected).max() <= 1e-12 * scale
+            stationary_gap = balanced.stationary_distribution - general.stationary_distribution
+            assert np.abs(stationary_gap).max() <= 1e-12
+
+    def test_columns_are_generator_eigenvectors(self, two_level_model):
+        p_all = two_level_model.rate_table().flat_probabilities()
+        draws = [(p_all, 5.0, 1.0), *balanced_draws(40)]
+        for p, gamma, omega in draws:
+            gen = diag_generator_matrix(p, gamma, omega)
+            spectrum = _balanced_spectrum(gen, p)
+            vecs, lam = spectrum.eigenvectors, spectrum.eigenvalues
+            assert spectrum.zero_index == p.size - 1 and lam[-1] == 0.0
+            assert np.array_equal(spectrum.stationary_distribution, p / p.sum())
+            assert np.allclose(np.linalg.norm(vecs[:, :-1], axis=0), 1.0, rtol=0, atol=1e-14)
+            residual = gen @ vecs - vecs * lam
+            assert np.abs(residual).max() <= 1e-11 * max(np.abs(gen).max(), 1.0)
 
 class TestGeneratorSpectrum:
     def test_reference_scenario_spectrum(self, two_level_model):

@@ -175,6 +175,9 @@ class TestSimulate:
             ("scenario", "gamma", "5", "gamma must be a finite number, got '5'"),
             ("scenario", "alpha_s", "1.16", "alpha_s must be a finite number, got '1.16'"),
             ("integrator", "record_points", "240", "record_points must be an integer, got '240'"),
+            # finite angles whose double, the field's tilt, overflows
+            ("scenario", "alpha_s", 1e308, "alpha_s"),
+            ("scenario", "alpha_a", 1e308, "alpha_a"),
         ],
     )
     def test_non_finite_or_non_numeric_value_exits_one(self, tmp_path, capsys, section, key,
@@ -331,6 +334,43 @@ class TestSpectrum:
         assert (magnitudes < 1e-9 * 5.0).sum() == 1
         assert (cols["eigenvalue_re"] < 0).sum() == 3
 
+    def test_rows_ascend_to_an_exact_zero(self, tmp_path, config_path):
+        assert main(["spectrum", "--config", config_path]) == 0
+        cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
+        assert np.all(np.diff(cols["eigenvalue_re"]) > 0)
+        assert cols["eigenvalue_re"][-1] == 0.0
+        assert np.all(cols["eigenvalue_im"] == 0.0)
+
+    def test_one_symmetric_eigendecomposition_per_command(self, tmp_path, config_path, monkeypatch):
+        # spectrum and fast mode read the one balanced decomposition; neither runs eig
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda k: calls.append("eigh") or eigh(k))
+        monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append("eig"))
+        for argv in (["spectrum"], ["simulate", "--mode", "fast"]):
+            assert main([*argv, "--config", config_path]) == 0
+            assert calls == ["eigh"]
+            calls.clear()
+
+    def test_amplitude_config_without_mode(self, tmp_path, capsys):
+        # the spectrum has no mode; a config that would default to full still has one
+        path = str(tmp_path / "amps.json")
+        cfg = {
+            "scenario": {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.48, 0.6, 0.64],
+                         "correspondence": {"assignment": {"0": [0], "1": [1, 2]}},
+                         "gamma": 5.0, "omega": 1.0},
+            "integrator": {"t_max": 1.0},
+            "outputs": {"dir": str(tmp_path)},
+        }
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["spectrum", "--config", path]) == 0
+        cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
+        p_all = load_run_config(path).model.rate_table().flat_probabilities()
+        assert np.array_equal(cols["stationary_component"], p_all / p_all.sum())
+        assert main(["simulate", "--config", path]) == 1
+        assert "requires a scenario with a Hamiltonian" in capsys.readouterr().err
+
     def test_stationary_matches_simulate_final_diagonals(self, tmp_path, config_path):
         assert main(["simulate", "--config", config_path]) == 0
         assert main(["spectrum", "--config", config_path]) == 0
@@ -404,6 +444,114 @@ class TestSweep:
             assert main(["sweep", "--config", config_path, "--gammas", gammas]) == 1
             assert capsys.readouterr().err.startswith(
                 "error: sweep gammas must be positive and finite")
+
+    @pytest.mark.parametrize("gamma, fragment", [("1e-20", "needs 1e+22 steps"),
+                                                 ("1e-320", "got inf")])
+    def test_row_error_names_its_gamma(self, config_path, capsys, gamma, fragment):
+        # the row's horizon, not the config's t_max = 1, is what overflows
+        assert main(["sweep", "--config", config_path, "--gammas", f"5,{gamma}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep gamma {gamma}, run to t_max = ")
+        assert "gamma * t_max stays 5" in err and fragment in err
+        assert err.count("\n") == 1
+
+
+class TestConfigFuzz:
+    """Seeded field-by-field mutations of two valid configs through all four
+    commands, in-process: every case exits 0, 1 or 2, an exit 1 prints
+    exactly one ``error:`` line, and no exception escapes ``main``."""
+
+    RECORD_POINTS_CAP = 16
+    _DROP = object()
+
+    @staticmethod
+    def _bases():
+        reference = {
+            "scenario": {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A, "gamma": 5.0, "omega": 1.0,
+                         "epsilon": 1e-4},
+            "integrator": {"t_max": 1.0, "record_points": 16},
+            "mode": "full",
+            "gammas": [5.0],
+            "alignment_tol": 0.01,
+            "outputs": {"dir": ".", "plot": True},
+        }
+        amplitudes = {
+            "scenario": {"sys_amplitudes": [0.6, [0.0, 0.8]], "app_amplitudes": [0.48, 0.6, 0.64],
+                         "correspondence": {"assignment": {"0": [0], "1": [1, 2]},
+                                            "weights": {"1": [0.25, 0.75]}},
+                         "gamma": 5.0, "omega": 1.0},
+            "integrator": {"t_max": 2.0, "record_points": 16, "record_spacing": "linear"},
+            "mode": "fast",
+            "gammas": [5.0],
+            "outputs": {"dir": ".", "plot": False},
+        }
+        return {"reference": reference, "amplitudes": amplitudes}
+
+    @classmethod
+    def _paths(cls, node, prefix=()):
+        # every value in the config, sections and list entries included
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield (*prefix, key)
+            if isinstance(value, (dict, list)):
+                yield from cls._paths(value, (*prefix, key))
+
+    @classmethod
+    def _mutations(cls, rng):
+        # a fixed set for every field, plus a drawn number and a drawn pick from the rest
+        nested = 1.0
+        for level in range(int(rng.integers(2, 64))):
+            nested = [nested] if level % 2 else {"0": nested}
+        drawn = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
+        others = [False, "", [1.0], 0, -1, 2.5, -1e308]
+        return [cls._DROP, None, True, "5", [], {}, 1e308, 5e-324, 1e200, nested, drawn,
+                others[int(rng.integers(len(others)))]]
+
+    @classmethod
+    def _mutated(cls, base, path, value):
+        cfg = json.loads(json.dumps(base))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is cls._DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        integrator = cfg.get("integrator")
+        if isinstance(integrator, dict):
+            points = integrator.get("record_points")
+            # a long automatic schedule would record a large stack; keep each case small
+            if isinstance(points, (int, float)) and not isinstance(points, bool) \
+                    and points > cls.RECORD_POINTS_CAP:
+                integrator["record_points"] = cls.RECORD_POINTS_CAP
+        return cfg
+
+    def test_every_mutation_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(17)
+        path = str(tmp_path / "fuzz.json")
+        out = str(tmp_path / "out")
+        failures = []
+        cases = 0
+        for name, base in self._bases().items():
+            for field in self._paths(base):
+                for value in self._mutations(rng):
+                    with open(path, "w") as fh:
+                        json.dump(self._mutated(base, field, value), fh)
+                    for command in ("simulate", "spectrum", "qsl", "sweep"):
+                        shown = "drop" if value is self._DROP else repr(value)[:40]
+                        case = (name, field, shown, command)
+                        cases += 1
+                        try:
+                            code = main([command, "--config", path, "--out", out])
+                        except Exception as exc:  # any escape is a failure of the contract
+                            code = f"raised {exc!r}"
+                        err = capsys.readouterr().err
+                        errors = [line for line in err.splitlines() if line.startswith("error:")]
+                        if code not in (0, 1, 2) or (code == 1 and len(errors) != 1):
+                            failures.append((*case, code, err))
+        assert cases > 2000
+        assert not failures, failures[:5]
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):

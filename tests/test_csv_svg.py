@@ -179,6 +179,12 @@ class TestSvgPlots:
         doc = render_line_plot([("flat", x, np.zeros(2))], title="", xlabel="", ylabel="")
         assert "polyline" in doc
 
+    def test_subnormal_time_span_does_not_crash(self):
+        # a span whose tick step underflows to 0 gets one tick, not a log10(0) error
+        x = np.array([0.0, 5e-324])
+        doc = render_line_plot([("tiny", x, np.array([0.0, 1.0]))], title="", xlabel="", ylabel="")
+        assert "polyline" in doc
+
     def test_polylines_match_per_point_formatting(self):
         rng = np.random.default_rng(11)
         for _ in range(60):

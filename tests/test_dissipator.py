@@ -15,7 +15,7 @@ from collapse_sim import (
 )
 from collapse_sim import dissipator, evolution
 from collapse_sim.model import RateTable
-from conftest import random_hermitian_unit_trace
+from conftest import balanced_draws, random_hermitian_unit_trace
 
 
 def mild_random_table(rng, n_rows, n_cols, floor=0.05):
@@ -208,3 +208,38 @@ class TestCommutator:
         expected = self._two_product_rhs(gen, h, stack)
         assert np.abs(out - expected).max() <= 2e-16 * np.abs(expected).max()
         assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+
+
+class TestBalancedModes:
+    def test_decomposes_diagonal_plus_rank_one(self, monkeypatch):
+        # the matrix handed to eigh is K = gamma omega (1 1^T - diag(Q/q))
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda k: seen.append(k) or eigh(k))
+        for p, gamma, omega in balanced_draws(60):
+            q = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)[0]
+            assert np.array_equal(q, np.sqrt(p))
+            expected = gamma * omega * (1.0 - np.diag(q.sum() / q))
+            k = seen.pop()
+            assert np.abs(k - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert not seen
+
+    def test_kernel_exactly_zero_and_ascending(self):
+        for p, gamma, omega in balanced_draws(60):
+            _, lam, v = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)
+            assert lam[-1] == 0.0
+            assert np.all(np.diff(lam) >= 0.0)
+            assert v.shape == (p.size, p.size)
+
+    def test_rates_interlace_scaled_outflows(self):
+        # the k-th smallest nonzero rate lies in [d_k, d_{k+1}], d = sort(gamma omega Q/q)
+        checks = 0
+        for p, gamma, omega in balanced_draws():
+            _, lam, _ = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)
+            q = np.sqrt(p)
+            d = np.sort(gamma * omega * q.sum() / q)
+            rates = -lam[-2::-1]
+            tol = 1e-13 * d[-1]
+            assert np.all(rates >= d[:-1] - tol) and np.all(rates <= d[1:] + tol)
+            checks += 2 * rates.size
+        assert checks > 10000

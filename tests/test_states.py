@@ -30,6 +30,9 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
         with pytest.raises(ValidationError, match="not normalized"):
             StateVector(np.array([np.nan, 1.0]))
+        # |1e308|^2 overflows to inf: refused as unnormalized, without an overflow warning
+        with pytest.raises(ValidationError, match="not normalized"):
+            StateVector(np.array([1e308, 0.0]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
