@@ -16,7 +16,7 @@ from .analysis import _balanced_spectrum, gamma_sweep, qsl_lower_bound
 from .analysis import generator_spectrum  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .config import RunConfig, load_run_config
 from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import _closed_form_rhs, diag_generator_matrix
+from .dissipator import _closed_form_rhs, _pack, _unpack, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -126,7 +126,8 @@ def _cmd_qsl(args) -> int:
     measured = alignment_time(traj, target, tol=cfg.alignment_tol)
     rho0 = model.initial_dm().entries
     diag_gen = diag_generator_matrix(model.rate_table().flat_probabilities(), model.gamma, model.omega)
-    initial_rhs = _closed_form_rhs(diag_gen, model.hamiltonian if cfg.mode == "full" else None, rho0)
+    h = model.hamiltonian if cfg.mode == "full" else None
+    initial_rhs = _unpack(_closed_form_rhs(diag_gen, h, _pack(rho0)))
     report = qsl_lower_bound(rho0, target, initial_rhs, measured_alignment_time=measured)
     write_qsl_csv(os.path.join(out, "qsl.csv"), report)
     return 0

@@ -11,7 +11,10 @@ The family's whole action is fixed by the diagonal generator M of
 :func:`_closed_form_rhs` applies that action, plus ``-i [H, rho]`` when
 there is an H, to any stack of matrices; it is the one right-hand side that
 full-mode assembly, the ``qsl`` command and
-:func:`apply_dissipator_closed_form` use. M has one eigendecomposition too,
+:func:`apply_dissipator_closed_form` use. With an H it acts on the real
+coordinates ``X = Re rho + Im rho`` of a Hermitian rho (:func:`_pack`), on
+which the family acts as on rho and ``-i [H, rho]``, for H = R + iJ, is
+``[X^T, R] + [J, X]``. M has one eigendecomposition too,
 :func:`_balanced_modes`, of the symmetric form that detailed balance gives
 it; fast mode and the ``spectrum`` command read it. The dense family
 (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
@@ -145,24 +148,42 @@ def apply_dissipator_closed_form(rates: RateTable, gamma: float, omega: float, r
     return _closed_form_rhs(gen, None, m)
 
 
-def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, rho: np.ndarray) -> np.ndarray:
-    """The closed-form right-hand side on every complex n x n matrix along
-    the last two axes of ``rho``: the family's action with diagonal
-    generator ``gen`` (``gen`` on the diagonal, the coherence rates of
-    :func:`_coherence_generator` on every other entry), plus
+def _pack(m: np.ndarray) -> np.ndarray:
+    """The real coordinates ``X = Re A + Im A`` of the Hermitian parts A of
+    the matrices along the last two axes of ``m``, with ``Im A = (Im m -
+    Im m^T) / 2``: the diagonal of X is ``Re diag m`` alone, so an almost
+    Hermitian m keeps its trace. Exact for an exactly Hermitian m."""
+    return m.real + 0.5 * (m.imag - np.swapaxes(m.imag, -1, -2))
+
+
+def _unpack(x: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian matrices ``(x + x^T)/2 + i (x - x^T)/2`` whose
+    real coordinates are the last two axes of ``x``; the inverse of
+    :func:`_pack` up to round-off."""
+    xt = np.swapaxes(x, -1, -2)
+    return 0.5 * (x + xt) + 0.5j * (x - xt)
+
+
+def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """The closed-form right-hand side on every n x n matrix along the last
+    two axes of ``x``: the family's action with diagonal generator ``gen``
+    (``gen`` on the diagonal, the coherence rates of
+    :func:`_coherence_generator` on every other entry), plus the term of
     ``-i [h, rho]`` when there is an ``h``.
 
-    With an ``h``, ``h`` and every ``rho`` must be Hermitian: the commutator
-    is ``iY + (iY)^H`` with ``Y = rho h`` from one flat product, formed first
-    so that one stack-sized temporary is alive at a time, and the output is
-    exactly Hermitian. Without one, any matrices will do."""
+    Without an ``h``, any matrices will do, real or complex. With one, ``h``
+    must be Hermitian and ``x`` the real coordinates of :func:`_pack`; the
+    output is then the coordinates of the rate, with the commutator term
+    ``[x^T, R] + [J, x]`` for ``h = R + iJ``, added one product at a time."""
     n = gen.shape[0]
-    if h is not None:
-        z = (rho.reshape(-1, n) @ (1j * h)).reshape(rho.shape)
-        z += np.conjugate(np.swapaxes(z, -1, -2), order="C")
-    out = _coherence_generator(gen) * rho
+    out = _coherence_generator(gen) * x
     diagonal = np.arange(n)
-    out[..., diagonal, diagonal] = np.diagonal(rho, axis1=-2, axis2=-1) @ gen.T
+    out[..., diagonal, diagonal] = np.diagonal(x, axis1=-2, axis2=-1) @ gen.T
     if h is not None:
-        out += z
+        r, j = h.real.copy(), h.imag.copy()  # contiguous, so the products run in BLAS
+        xt = np.swapaxes(x, -1, -2)
+        out += xt @ r
+        out -= r @ xt
+        out += j @ x
+        out -= x @ j
     return out

@@ -6,17 +6,17 @@ Both modes read the jump family's rates off the diagonal generator M of
 :func:`diag_generator_matrix`.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
-mode propagates the n^2 real coordinates of a Hermitian rho instead of
-vec(rho): ``Re rho[r, s]`` for r <= s on and above the diagonal of an n x n
-real array and ``Im rho[r, s]`` for r < s at its mirror position (s, r)
-below it (:func:`_pack`). Its generator is the closed-form right-hand side
-``dissipator._closed_form_rhs``, the family's action plus ``-i [H, rho]``,
-applied to the unpacked unit coordinates (:func:`_real_generator`): a real
+mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
+Hermitian rho instead of vec(rho) (``dissipator._pack``): the symmetric
+part of X is ``Re rho``, the antisymmetric part ``Im rho``. The right-hand
+side ``dissipator._closed_form_rhs`` acts on X directly, the family as on
+rho and ``-i [H, rho]`` as ``[X^T, R] + [J, X]`` for H = R + iJ; applied to
+the unit coordinates it gives the generator (:func:`_real_generator`): a real
 n^2 x n^2 matrix, so the step map and every product of the propagation are
-float64, 8 bytes per entry.
-The recorded coordinates are unpacked once into the complex snapshot stack,
-which is exactly Hermitian. The real basis holds only Hermitian matrices,
-so :func:`integrate` rejects a non-Hermitian or non-finite initial state or
+float64, 8 bytes per entry. The recorded coordinates are unpacked once into
+the complex snapshot stack, ``(X + X^T)/2 + i (X - X^T)/2``, which is
+exactly Hermitian. The coordinates hold only Hermitian matrices, so
+:func:`integrate` rejects a non-Hermitian or non-finite initial state or
 Hamiltonian before it assembles anything. :func:`integrate_fast_limit` runs
 the same initial-state check first.
 
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
-                         apply_dissipator, diag_generator_matrix)
+                         _pack, _unpack, apply_dissipator, diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -76,9 +76,9 @@ TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
-# largest (T, n, n) complex snapshot stack a run may record, and the most the
-# two complex n^2 x n^2 arrays that full-mode assembly keeps may take together;
-# temporaries of the same size come on top (a few in the analysis, one in assembly)
+# largest (T, n, n) complex snapshot stack a run may record (the analysis adds a few
+# temporaries of its size), and the most that full-mode assembly may count as four real
+# n^2 x n^2 arrays; its measured peak is three: unit coordinates, image, one product
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -385,40 +385,12 @@ def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
     return m0, diag_gen, target
 
 
-def _strictly_lower(n: int) -> np.ndarray:
-    return np.tri(n, k=-1, dtype=bool)
-
-
-def _pack(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of the Hermitian matrices along the last two axes of
-    ``m``: ``Re m`` on and above the diagonal, ``Im m[r, s]`` (r < s) at
-    (s, r) below it."""
-    return np.where(_strictly_lower(m.shape[-1]), np.swapaxes(m.imag, -1, -2), m.real)
-
-
-def _unpack(x: np.ndarray) -> np.ndarray:
-    """The exactly Hermitian complex matrices whose coordinates are the last
-    two axes of ``x``; the inverse of :func:`_pack`."""
-    n = x.shape[-1]
-    lower = _strictly_lower(n)
-    xt = np.swapaxes(x, -1, -2)
-    out = np.empty(x.shape, dtype=complex)
-    np.copyto(out.real, x, where=~lower)
-    np.copyto(out.real, xt, where=lower)
-    np.negative(x, out=out.imag, where=lower)
-    np.copyto(out.imag, xt, where=lower.T)
-    out.imag[..., range(n), range(n)] = 0.0
-    return out
-
-
 def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
     """The transpose G^T of the right-hand side as a real n^2 x n^2 matrix in
-    the coordinates of :func:`_pack`, C-contiguous: row k is the packed
-    image, under :func:`_closed_form_rhs`, of the Hermitian matrix that unit
-    coordinate k unpacks to."""
+    the coordinates of ``dissipator._pack``, C-contiguous: row k is the image,
+    under :func:`_closed_form_rhs`, of unit coordinate k."""
     n = diag_gen.shape[0]
-    basis = _unpack(np.eye(n * n).reshape(n * n, n, n))
-    return _pack(_closed_form_rhs(diag_gen, h, basis)).reshape(n * n, n * n)
+    return _closed_form_rhs(diag_gen, h, np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -445,7 +417,7 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
         h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
     max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
     dt, n_steps = _resolve_step(cfg, max_weight + h_norm, n)
-    assembly = 2 * n**4 * np.dtype(complex).itemsize  # the unit-coordinate stack and its image
+    assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
     if assembly > MAX_STACK_BYTES:
         raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
                           f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")

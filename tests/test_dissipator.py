@@ -13,7 +13,7 @@ from collapse_sim import (
     born_rate_table,
     lindblad_jump_family,
 )
-from collapse_sim import dissipator, evolution
+from collapse_sim import dissipator
 from collapse_sim.model import RateTable
 from conftest import balanced_draws, random_hermitian_unit_trace
 
@@ -178,8 +178,12 @@ class TestClosedForm:
 
 
 class TestCommutator:
-    # -i [H, rho] = iY + (iY)^H with Y = rho H, for Hermitian H and rho, against
-    # the two-product form -i (H rho) + i (rho H)
+    # in the real coordinates X = Re rho + Im rho, -i [H, rho] = [X^T, R] + [J, X]
+    # for H = R + iJ, against the two-product complex form -i (H rho) + i (rho H);
+    # the comparison also holds the rounding of _pack and _unpack, about two ulps
+    # of the largest entry (at most 3.9e-16 relative over 100 seeds, n <= 25)
+    RELATIVE = 4e-16
+
     @staticmethod
     def _two_product_rhs(gen, h, rho):
         out = dissipator._closed_form_rhs(gen, None, rho)
@@ -192,22 +196,33 @@ class TestCommutator:
         gen = dissipator.diag_generator_matrix(rng.uniform(0.05, 1.0, size=n), 5.0, 1.0)
         return gen, random_hermitian_unit_trace(rng, n)
 
+    def _check_against_two_product(self, gen, h, rho):
+        out = dissipator._unpack(dissipator._closed_form_rhs(gen, h, dissipator._pack(rho)))
+        expected = self._two_product_rhs(gen, h, rho)
+        assert np.abs(out - expected).max() <= self.RELATIVE * np.abs(expected).max()
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
     def test_bit_equal_on_hermitian_unit_stack(self, n):
+        # the family's action on the unit coordinates is bit-equal to its
+        # action on the Hermitian matrices they unpack to, either way round
         gen, h = self._setup(np.random.default_rng(70 + n), n)
-        basis = evolution._unpack(np.eye(n * n).reshape(n * n, n, n))
-        out = dissipator._closed_form_rhs(gen, h, basis)
-        assert np.array_equal(out, self._two_product_rhs(gen, h, basis))
+        units = np.eye(n * n).reshape(n * n, n, n)
+        basis = dissipator._unpack(units)
+        action = dissipator._closed_form_rhs(gen, None, units)
+        assert np.array_equal(action, dissipator._pack(dissipator._closed_form_rhs(gen, None, basis)))
+        assert np.array_equal(dissipator._unpack(action), dissipator._closed_form_rhs(gen, None, basis))
+        self._check_against_two_product(gen, h, basis)
 
     @pytest.mark.parametrize("n", [2, 4, 9, 16])
     def test_random_hermitian_stacks(self, n):
         rng = np.random.default_rng(80 + n)
         gen, h = self._setup(rng, n)
         stack = np.array([random_hermitian_unit_trace(rng, n) for _ in range(7)])
-        out = dissipator._closed_form_rhs(gen, h, stack)
-        expected = self._two_product_rhs(gen, h, stack)
-        assert np.abs(out - expected).max() <= 2e-16 * np.abs(expected).max()
-        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        self._check_against_two_product(gen, h, stack)
+        action = dissipator._closed_form_rhs(gen, None, dissipator._pack(stack))
+        expected = dissipator._pack(dissipator._closed_form_rhs(gen, None, stack))
+        assert np.abs(action - expected).max() <= self.RELATIVE * np.abs(expected).max()
 
 
 class TestBalancedModes:

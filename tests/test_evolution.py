@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from collapse_sim import (
     trace_distance,
     von_neumann_entropy,
 )
-from collapse_sim import evolution
+from collapse_sim import dissipator, evolution
 from collapse_sim.dissipator import DissipatorSpec
 from collapse_sim.model import RateTable
 from conftest import (
@@ -508,15 +509,10 @@ class TestSnapshotChecks:
 
 def _hermitian_basis_columns(n):
     """Column (c, d): vec of the Hermitian matrix that real coordinate (c, d)
-    stands for (Re rho[c, d] on and above the diagonal, Im rho[d, c] below)."""
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    for c in range(n):
-        for d in range(n):
-            k = c * n + d
-            if c <= d:
-                basis[k, c, d] = basis[k, d, c] = 1.0
-            else:
-                basis[k, d, c], basis[k, c, d] = 1j, -1j
+    stands for, (E_cd + E_dc)/2 + i (E_cd - E_dc)/2 with E_cd the matrix unit,
+    since X = Re rho + Im rho."""
+    units = np.eye(n * n).reshape(n * n, n, n)
+    basis = 0.5 * (units + units.swapaxes(1, 2)) + 0.5j * (units - units.swapaxes(1, 2))
     return basis.reshape(n * n, n * n).T
 
 
@@ -559,44 +555,38 @@ class TestGeneratorOracle:
 
 class TestRealBasis:
     def test_pack_unpack_round_trip(self):
+        # X = Re rho + Im rho rounds once and its unpacking once more: the
+        # diagonal and Hermiticity come back exactly, the rest within 2 ulps
         rng = np.random.default_rng(31)
         m = random_density_matrix(rng, 5)
         m = 0.5 * (m + m.conj().T)  # exactly Hermitian, as the round trip needs
         stack = np.array([random_density_matrix(rng, 5) for _ in range(3)])
         stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
         for hermitian in (m, stack):
-            x = evolution._pack(hermitian)
+            x = dissipator._pack(hermitian)
             assert x.dtype == np.float64
-            assert np.array_equal(evolution._unpack(x), hermitian)
-        assert np.array_equal(evolution._pack(stack), [evolution._pack(s) for s in stack])
+            back = dissipator._unpack(x)
+            diagonal = np.arange(5)
+            assert np.array_equal(back[..., diagonal, diagonal], hermitian[..., diagonal, diagonal])
+            assert np.array_equal(back, back.conj().swapaxes(-1, -2))
+            assert (np.abs(back - hermitian) <= 2 * np.spacing(np.abs(hermitian))).all()
+        assert np.array_equal(dissipator._pack(stack), [dissipator._pack(s) for s in stack])
         coords = _hermitian_basis_columns(5).T.reshape(25, 5, 5)
         for k, unit in enumerate(np.eye(25).reshape(25, 5, 5)):
-            assert np.array_equal(evolution._unpack(unit), coords[k])
+            assert np.array_equal(dissipator._unpack(unit), coords[k])
 
-    @staticmethod
-    def _unpack_with_where(x):
-        # the np.where formulation _unpack replaced
-        lower = np.tri(x.shape[-1], k=-1, dtype=bool)
-        xt = np.swapaxes(x, -1, -2)
-        out = np.empty(x.shape, dtype=complex)
-        out.real = np.where(lower, xt, x)
-        out.imag = np.where(lower, -x, np.where(lower.T, xt, 0.0))
-        return out
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 5])
-    def test_unpack_matches_where_formulation(self, n):
-        rng = np.random.default_rng(n)
-        stacks = [np.eye(n * n).reshape(n * n, n, n), np.eye(n * n).reshape(n * n, n, n)[0]]
-        for shape in ((7, n, n), (n, n)):
-            x = rng.normal(size=shape)
-            x[rng.random(shape) < 0.3] = -0.0
-            x[rng.random(shape) < 0.2] = 0.0
-            stacks.append(x)
-        stacks.append(-stacks[0])  # every zero signed negative
-        for x in stacks:
-            got = evolution._unpack(x)
-            assert got.dtype == np.complex128 and got.shape == x.shape
-            assert got.tobytes() == self._unpack_with_where(x).tobytes()
+    def test_almost_hermitian_input_keeps_its_trace(self):
+        # integrate accepts an asymmetry up to 1e-10; an imaginary diagonal
+        # must not reach the populations, where 25 entries of 4e-11 would
+        # drift the trace by 1e-9 at t = 0
+        rng = np.random.default_rng(25)
+        model = random_amplitude_model(rng, 5, 5)
+        rho0 = np.array(model.initial_dm().entries)
+        shifted = rho0 + 4e-11j * np.eye(25)
+        runs = [integrate(m, model.hamiltonian, model.rate_table().flat_probabilities(), model.gamma,
+                          model.omega, IntegratorConfig(t_max=1e-3)) for m in (rho0, shifted)]
+        assert np.array_equal(runs[1].states, runs[0].states)
+        assert np.abs(np.trace(runs[1].states, axis1=1, axis2=2) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_matches_complex_step_map(self, n):
@@ -1002,6 +992,21 @@ class TestSizeGuard:
         expected = Assembled if allowed else ConfigError
         with pytest.raises(expected, match=None if allowed else "assemble its generator"):
             integrate(np.eye(n) / n, None, p_all, 5.0, 1.0, IntegratorConfig(t_max=1e-3))
+
+
+    def test_assembly_peak_is_within_the_guard(self):
+        # the guard counts four real n^2 x n^2 arrays; assembly peaks at three
+        n = 16
+        rng = np.random.default_rng(16)
+        diag_gen = dissipator.diag_generator_matrix(rng.uniform(0.05, 1.0, size=n), 5.0, 1.0)
+        h = random_hermitian_unit_trace(rng, n)
+        tracemalloc.start()
+        try:
+            evolution._real_generator(diag_gen, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * n**4 * np.dtype(float).itemsize
 
 
 class TestSimulateModel:
