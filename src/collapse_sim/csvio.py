@@ -29,11 +29,16 @@ def _fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, give it the mode a plain
+    ``open()`` would (0o666 less the umask), and rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)  # reading the umask sets it: put it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,31 +11,27 @@ Hermitian rho instead of vec(rho) (``dissipator._pack``): the symmetric
 part of X is ``Re rho``, the antisymmetric part ``Im rho``. The right-hand
 side ``dissipator._closed_form_rhs`` acts on X directly, the family as on
 rho and ``-i [H, rho]`` as ``[X^T, R] + [J, X]`` for H = R + iJ; applied to
-the unit coordinates it gives the generator (:func:`_real_generator`): a real
-n^2 x n^2 matrix, so the step map and every product of the propagation are
-float64, 8 bytes per entry. The recorded coordinates are unpacked once into
-the complex snapshot stack, ``(X + X^T)/2 + i (X - X^T)/2``, which is
-exactly Hermitian. The coordinates hold only Hermitian matrices, so
-:func:`integrate` rejects a non-Hermitian or non-finite initial state or
-Hamiltonian before it assembles anything. :func:`integrate_fast_limit` runs
-the same initial-state check first.
+the unit coordinates it gives the generator: a real n^2 x n^2 matrix, so the
+step map and every product of the propagation are float64, 8 bytes per entry.
+The recorded coordinates are unpacked once into the complex snapshot stack,
+``(X + X^T)/2 + i (X - X^T)/2``, which is exactly Hermitian. The coordinates
+hold only Hermitian matrices, so :func:`integrate` rejects a non-Hermitian or
+non-finite initial state or Hamiltonian before it assembles anything, and
+:func:`integrate_fast_limit` runs the same initial-state check first.
 
 The full-mode generator is linear and time independent, so a fixed-step
 classical fourth-order Runge-Kutta update is precomputed once, from two
 products, as the degree-4 Taylor polynomial of the step map S (the same
-update for a linear autonomous system); G and S are kept transposed, as rows.
-Every record step k is reached through one squaring chain, :func:`_propagate`:
-each power S**(2**j) multiplies, in one batched product, the records whose k
-has bit j set, until marching the rest costs no more than one more squaring.
-Each squaring holds the current power and its square at once while
-:func:`integrate` still holds S, so the chain's peak is two step-map-sized
-matrices plus its T x n^2 output above the caller's S, and the run also
-keeps the T x n x n complex snapshot stack
-(16 bytes per entry). Fast mode has no step map: the one symmetric
-eigendecomposition of the family, ``dissipator._balanced_modes``, gives
-its populations in closed form.
-:data:`MAX_STACK_BYTES` caps the stack and the full-mode assembly, and
-:data:`MAX_STEPS` the step count, before anything is allocated.
+update for a linear autonomous system); :func:`_step_map` builds it,
+transposed, as rows. Every record step k is reached through one squaring
+chain, :func:`_propagate`: each power S**(2**j) multiplies, in one batched
+product, the records whose k has bit j set, until marching the rest costs no
+more than one more squaring. Fast mode has no step map: the one symmetric
+eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
+populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
+complex snapshot stack (16 bytes per entry) and the full-mode arrays, whose
+budget its comment sets out, and :data:`MAX_STEPS` the step count, before
+anything is allocated.
 
 The stack is checked in one ordered pass, :func:`_check_snapshots`, once the
 :class:`Trajectory` exists: finite entries, trace drift and Hermiticity
@@ -77,8 +73,9 @@ SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
 # largest (T, n, n) complex snapshot stack a run may record (the analysis adds a few
-# temporaries of its size), and the most that full-mode assembly may count as four real
-# n^2 x n^2 arrays; its measured peak is three: unit coordinates, image, one product
+# temporaries of its size), and the most full mode may hold as four real n^2 x n^2 arrays:
+# assembly holds three (unit coordinates, image, one product), _step_map four (a, a^2, the
+# tail, S), and _propagate's chain S, the current power, its square and T x n^2 output rows
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -90,12 +87,13 @@ _ALIGNMENT_BLOCK = 32
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``dt=None`` derives the step from the stiffest coupling weight as
-    ``safety / w_max``. Snapshots are recorded at a fixed stride when
-    ``record_every`` is given, otherwise on an automatic schedule of about
-    ``record_points`` samples, geometrically spaced by default so that both
-    the floor-induced fast transient and the slow alignment tail are
-    resolved ("linear" spacing is available for evenly spaced samples).
+    ``dt=None`` takes ``safety`` over the largest jump weight plus the
+    spectral norm of H in full mode, over the largest outflow in fast mode.
+    Snapshots are recorded at a fixed stride when ``record_every`` is given,
+    otherwise on an automatic schedule of about ``record_points`` samples,
+    geometrically spaced by default so that both the floor-induced fast
+    transient and the slow alignment tail are resolved ("linear" spacing is
+    available for evenly spaced samples).
     """
 
     t_max: float
@@ -209,17 +207,22 @@ def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
     return out
 
 
-def _rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    """Single-step update matrix of classical RK4 for y' = G y (full mode only),
-    I + a + a^2 (I/2 + a/6 + a^2/24) with a = dt G; transposed for G^T."""
-    n = generator.shape[0]
-    a = dt * generator
+def _step_map(diag_gen: np.ndarray, h: np.ndarray | None, dt: float) -> np.ndarray:
+    """The transposed RK4 step map S^T = I + a + a^2 (I/2 + a/6 + a^2/24), a =
+    dt G^T, real and C-contiguous: row k of G^T is the image under
+    :func:`_closed_form_rhs` of unit coordinate k. a is scaled and the tail
+    built in place, within the budget set out at :data:`MAX_STACK_BYTES`."""
+    n = diag_gen.shape[0]
+    size = n * n
+    a = _closed_form_rhs(diag_gen, h, np.eye(size).reshape(size, n, n)).reshape(size, size)
+    a *= dt
     a2 = a @ a
-    tail = a2 / 24.0 + a / 6.0
-    tail.flat[::n + 1] += 0.5
+    tail = a2 / 24.0
+    tail += a / 6.0
+    tail.flat[::size + 1] += 0.5
     step = a2 @ tail
     step += a
-    step.flat[::n + 1] += 1.0
+    step.flat[::size + 1] += 1.0
     return step
 
 
@@ -231,9 +234,7 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     whose k has bit j set, and is squared into the next power up to the
     first j at which the rows' remaining ``2 * (k >> (j + 1))`` products with
     it come to at most N, no more than one more N x N squaring costs; then
-    they march. Each squaring holds the current power and its square at
-    once, and the caller keeps ``step_t``: the peak is two step-sized
-    matrices plus the output above it.
+    they march. Its memory is counted at :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
     out = np.empty((ks.size, y0.size), dtype=np.result_type(step_t, y0))
@@ -385,14 +386,6 @@ def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
     return m0, diag_gen, target
 
 
-def _real_generator(diag_gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
-    """The transpose G^T of the right-hand side as a real n^2 x n^2 matrix in
-    the coordinates of ``dissipator._pack``, C-contiguous: row k is the image,
-    under :func:`_closed_form_rhs`, of unit coordinate k."""
-    n = diag_gen.shape[0]
-    return _closed_form_rhs(diag_gen, h, np.eye(n * n).reshape(n * n, n, n)).reshape(n * n, n * n)
-
-
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
               target=None) -> Trajectory:
     """Integrate the full master equation from ``rho0`` up to ``cfg.t_max``.
@@ -403,9 +396,10 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     propagated in real Hermitian coordinates (see the module docstring).
     ``target``, when given, must be a finite Hermitian n x n matrix; it is
     checked before any work.
-    The automatic step is ``safety / (max jump weight + spectral norm of H)``,
-    which keeps the stiffest floor-induced rate well inside the stability
-    region of the fourth-order update.
+    The automatic step (see :class:`IntegratorConfig`) is not derived from the
+    stiffest rate, the largest outflow ``-min M[a, a]``, which is up to Q / q_max
+    times the largest jump weight (q = sqrt(p), Q = sum(q)): at safety 0.5 a
+    4 x 4 uniform scenario (ratio 4.0) fails its positivity check.
     """
     m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
     n = diag_gen.shape[0]
@@ -422,9 +416,10 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
         raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
                           f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     ks = _record_steps(n_steps, cfg)
-    step_t = _rk4_step_matrix(_real_generator(diag_gen, h), dt)
-    coords = _propagate(step_t, _pack(m0).reshape(-1), ks)
-    return _build_trajectory(ks * dt, _unpack(coords.reshape(-1, n, n)), target, dt, n_steps)
+    step_t = _step_map(diag_gen, h, dt)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
+        states = _unpack(_propagate(step_t, _pack(m0).reshape(-1), ks).reshape(-1, n, n))
+    return _build_trajectory(ks * dt, states, target, dt, n_steps)
 
 
 def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: IntegratorConfig,

@@ -1,7 +1,9 @@
+import hashlib
 import importlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -78,9 +80,23 @@ class TestSimulate:
         assert main(["simulate"]) == 1
 
     def test_unstable_manual_step_exits_two(self, tmp_path, capsys):
-        path = write_config(str(tmp_path / "stiff.json"), integrator={"t_max": 0.1, "dt": 0.01})
-        assert main(["simulate", "--config", path]) == 2
-        assert "numerical failure" in capsys.readouterr().err
+        # at t_max = 100 these steps overflow the chain: no floating-point
+        # warning (an error in this suite) may come before the snapshot checks
+        for t_max, dt in ((0.1, 0.01), (100.0, 1e-3), (100.0, 0.01), (100.0, 1.0)):
+            path = write_config(str(tmp_path / "stiff.json"), integrator={"t_max": t_max, "dt": dt})
+            assert main(["simulate", "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_outputs_honour_the_umask(self, tmp_path, config_path):
+        # the mode a plain open() would give, not the temp file's 0o600
+        umask = os.umask(0o027)
+        try:
+            assert main(["simulate", "--plot", "--config", config_path]) == 0
+        finally:
+            os.umask(umask)
+        for name in ("trajectory.csv", "fig1.svg", "fig2.svg"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
 
     def test_modes_agree_at_strong_coupling(self, tmp_path):
         out_full = tmp_path / "full"
@@ -324,6 +340,41 @@ class TestSimulate:
             assert names == (["fig1.svg", "fig2.svg", "trajectory.csv"] if k == 0 else ["trajectory.csv"])
             for name in names:
                 assert (same / name).read_bytes() == (fresh / name).read_bytes()
+
+
+# sha256 of every output of the README reference config in each mode;
+# spectrum.csv does not depend on the mode
+_SPECTRUM_DIGEST = "5e96caabd89dd43c16038d32f9a73cf829a8350117fa194d94b9ffd718eac565"
+_REFERENCE_DIGESTS = {
+    "full": {
+        "fig1.svg": "57a33105c716c02cfdbc8aafd6679dcdbd8c5356236501d7b3387f705768168c",
+        "fig2.svg": "3d7a58a138074cbdacd09a714fb23fc865f8f3037ffbc87959efc768cf7c8fac",
+        "qsl.csv": "3dd0cc8b5ce50f1c730225295475b6d49d0c9638bfb3dd405345f48d0f9c7f17",
+        "spectrum.csv": _SPECTRUM_DIGEST,
+        "sweep.csv": "a043c26e775570f31fe81524affadef28c8fdf2f0c8c581bb61babf3f8320314",
+        "trajectory.csv": "8cccdf7940d217e21e0e85036957238ef482bfbc177c6b14d442ca84b683ffae",
+    },
+    "fast": {
+        "fig1.svg": "bbdbf95be190cbdfd98dfa4fc7d02cc3a1827b239c983470ea5cda335d8b6529",
+        "fig2.svg": "a14ff4c741700ef57e657317897f4db60cd3d138479ce0d2d393c70dfe7d7840",
+        "qsl.csv": "ef3c2b7ee10885bd8322cf2f58f8aab0af20a468f1b8366148c93db3b96ea7d1",
+        "spectrum.csv": _SPECTRUM_DIGEST,
+        "sweep.csv": "faff1ee5f71722ae9ad0e33a1fc1be3f1bcb4117e501a3ff2309cac4f88b6e0a",
+        "trajectory.csv": "45daddb1ce15bc8ca97b14d49459736f685ef454a94017b2c94503a4a04b825f",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["full", "fast"])
+def test_reference_outputs_keep_their_digests(tmp_path, mode):
+    # the README commands on the README config: a change that moves any
+    # output byte must update these digests and say why
+    path = write_config(str(tmp_path / "run.json"), mode=mode)
+    for argv in (["simulate", "--plot"], ["spectrum"], ["qsl"], ["sweep", "--gammas", "2.5,5,10,20"]):
+        assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(tmp_path / "out"))}
+    assert digests == _REFERENCE_DIGESTS[mode]
 
 
 class TestSpectrum:

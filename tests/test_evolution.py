@@ -214,6 +214,33 @@ class TestFullModeAtTwentyFive:
         assert np.abs(exact_states(model, traj.times) - traj.states).max() <= 1e-5
 
 
+def _taylor_step(generator, dt):
+    # the RK4 step map of y' = G y, exp(dt G) to fourth order, in nested form
+    eye = np.eye(generator.shape[0])
+    a = dt * generator
+    return eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+
+
+def _unit_generator(diag_gen, h):
+    # G^T in the coordinates of dissipator._pack: row k is the closed-form
+    # right-hand side on unit coordinate k
+    n = diag_gen.shape[0]
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return dissipator._closed_form_rhs(diag_gen, h, units).reshape(n * n, n * n)
+
+
+def _step_map_inputs(run):
+    # the (diag_gen, h, dt) that run(), one full-mode run, passes to _step_map
+    captured = []
+    step_map = evolution._step_map
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_step_map",
+                      lambda *args: captured.append(args) or step_map(*args))
+        run()
+    (args,) = captured
+    return args
+
+
 class TestPropagate:
     @staticmethod
     def _step(rng, n):
@@ -222,7 +249,7 @@ class TestPropagate:
         p_all = rng.uniform(0.05, 1.0, size=n)
         gen = evolution.diag_generator_matrix(p_all / p_all.sum(), 1.0, 1.0)
         h = random_hermitian_unit_trace(rng, n)
-        return evolution._rk4_step_matrix(gen - 1j * h, 0.02)
+        return _taylor_step(gen - 1j * h, 0.02)
 
     @pytest.mark.parametrize("n_steps", [1, 17, 64])
     @pytest.mark.parametrize("schedule", [{"record_every": 1}, {"record_every": 3},
@@ -336,19 +363,15 @@ class TestPropagate:
 
 class TestStepPolynomial:
     @pytest.mark.parametrize("d", [2, 4])
-    def test_two_products_match_nested_taylor_form(self, d, monkeypatch):
-        # N = 16 and 256: the transposed generator and step of a full-mode run
-        captured = []
-        rk4 = evolution._rk4_step_matrix
-        monkeypatch.setattr(evolution, "_rk4_step_matrix",
-                            lambda g, dt: captured.append((g, dt)) or rk4(g, dt))
+    def test_two_products_match_nested_taylor_form(self, d):
+        # N = 16 and 256: the transposed step of a full-mode run against the
+        # nested Taylor form of its generator, built here from the unit stack
         model = random_amplitude_model(np.random.default_rng(90 + d), d, d)
-        simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
-        ((g, dt),) = captured
-        eye = np.eye(g.shape[0])
-        a = dt * g
-        nested = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-        step = rk4(g, dt)
+        diag_gen, h, dt = _step_map_inputs(
+            lambda: simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full"))
+        nested = _taylor_step(_unit_generator(diag_gen, h), dt)
+        step = evolution._step_map(diag_gen, h, dt)
+        assert step.dtype == np.float64
         assert step.shape == (d**4, d**4) and step.flags.c_contiguous
         assert np.abs(step - nested).max() <= 4 * np.spacing(np.abs(nested).max())
 
@@ -524,10 +547,11 @@ def _amplitude_run(n, seed):
 
 class TestGeneratorOracle:
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_assembled_generator_equals_probed_jump_family(self, d, monkeypatch):
+    def test_assembled_generator_equals_probed_jump_family(self, d):
         # the dense jump list is off the run path; this ties the real generator
-        # integrate steps with back to master_rhs on the explicit family, mapped
-        # into the real Hermitian coordinates by an explicit change of basis
+        # of the inputs integrate passes to _step_map back to master_rhs on the
+        # explicit family, mapped into the real Hermitian coordinates by an
+        # explicit change of basis
         rng = np.random.default_rng(40 + d)
         n = d * d
         table = RateTable(rng.uniform(0.05, 1.0, size=(d, d)), 0.05)
@@ -542,14 +566,10 @@ class TestGeneratorOracle:
         expected = np.linalg.solve(basis, probed @ basis)
         scale = np.max(np.abs(probed))
         assert np.max(np.abs(expected.imag)) <= 1e-12 * scale
-        captured = []
-        rk4 = evolution._rk4_step_matrix
-        monkeypatch.setattr(evolution, "_rk4_step_matrix",
-                            lambda g, dt: captured.append(g) or rk4(g, dt))
-        integrate(np.eye(n) / n, h, table.flat_probabilities(), 5.0, 1.0,
-                  IntegratorConfig(t_max=1e-3))
-        (generator,) = captured
-        assert generator.dtype == np.float64 and generator.flags.c_contiguous
+        diag_gen, h_run, _ = _step_map_inputs(lambda: integrate(
+            np.eye(n) / n, h, table.flat_probabilities(), 5.0, 1.0, IntegratorConfig(t_max=1e-3)))
+        generator = _unit_generator(diag_gen, h_run)
+        assert generator.dtype == np.float64
         assert np.max(np.abs(generator.T - expected.real)) <= 1e-12 * scale
 
 
@@ -592,7 +612,7 @@ class TestRealBasis:
     def test_matches_complex_step_map(self, n):
         # the complex vec(rho) step map, built here only, through the same chain
         model, traj = _amplitude_run(n, 50 + n)
-        step = evolution._rk4_step_matrix(closed_form_generator(model), traj.dt)
+        step = _taylor_step(closed_form_generator(model), traj.dt)
         ks = evolution._record_steps(traj.n_steps, IntegratorConfig(t_max=1.0))
         expected = evolution._propagate(step.T, model.initial_dm().entries.reshape(-1), ks)
         assert np.abs(traj.states - expected.reshape(-1, n, n)).max() <= 1e-9
@@ -630,7 +650,7 @@ class TestInputGuards:
         def forbidden(*args):
             raise AssertionError("the generator was assembled")
 
-        monkeypatch.setattr(evolution, "_real_generator", forbidden)
+        monkeypatch.setattr(evolution, "_step_map", forbidden)
         p_all, rho0, h = self._inputs()
         bad = rho0 if which == "rho0" else h
         bad[0, 1] += defect
@@ -987,26 +1007,37 @@ class TestSizeGuard:
         def forbidden(*args):
             raise Assembled
 
-        monkeypatch.setattr(evolution, "_real_generator", forbidden)
+        monkeypatch.setattr(evolution, "_step_map", forbidden)
         p_all = np.full(n, 1.0 / n)
         expected = Assembled if allowed else ConfigError
         with pytest.raises(expected, match=None if allowed else "assemble its generator"):
             integrate(np.eye(n) / n, None, p_all, 5.0, 1.0, IntegratorConfig(t_max=1e-3))
 
 
-    def test_assembly_peak_is_within_the_guard(self):
-        # the guard counts four real n^2 x n^2 arrays; assembly peaks at three
+    @staticmethod
+    def _peak_arrays(run, n):
+        # tracemalloc peak of run(), in real n^2 x n^2 arrays
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (n**4 * np.dtype(float).itemsize)
+
+    def test_step_map_peak_is_within_the_guard(self):
+        # the guard counts four real n^2 x n^2 arrays: a, a^2, the tail and S
         n = 16
         rng = np.random.default_rng(16)
         diag_gen = dissipator.diag_generator_matrix(rng.uniform(0.05, 1.0, size=n), 5.0, 1.0)
         h = random_hermitian_unit_trace(rng, n)
-        tracemalloc.start()
-        try:
-            evolution._real_generator(diag_gen, h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.1 * n**4 * np.dtype(float).itemsize
+        assert self._peak_arrays(lambda: evolution._step_map(diag_gen, h, 1e-3), n) <= 4.1
+
+    def test_full_run_peak_is_within_the_guard(self):
+        # the whole run, assembly through snapshot checks, at n = 25
+        model = random_amplitude_model(np.random.default_rng(25), 5, 5)
+        cfg = IntegratorConfig(t_max=1.0)
+        assert self._peak_arrays(lambda: simulate_model(model, cfg, mode="full"), 25) <= 4.1
 
 
 class TestSimulateModel:
