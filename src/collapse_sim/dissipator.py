@@ -7,11 +7,11 @@ rate-table entries. The term moves population from ``s`` into ``r``; the
 stationary state of the family is the diagonal of the squared rates.
 
 The family's whole action is fixed by the diagonal generator M of
-:func:`diag_generator_matrix`, the one place its rates are computed.
-:func:`_closed_form_rhs` applies that action, plus ``-i [H, rho]`` when
-there is an H, to any stack of matrices; it is the one right-hand side that
-full-mode assembly, the ``qsl`` command and
-:func:`apply_dissipator_closed_form` use. With an H it acts on the real
+:func:`diag_generator_matrix`; its rates are checked, and bounded in O(n),
+in one place, :func:`_rate_bounds`. :func:`_closed_form_rhs` applies that
+action, plus ``-i [H, rho]`` when there is an H, to any stack of matrices;
+it is the one right-hand side that full-mode assembly, the ``qsl`` command
+and :func:`apply_dissipator_closed_form` use. With an H it acts on the real
 coordinates ``X = Re rho + Im rho`` of a Hermitian rho (:func:`_pack`), on
 which the family acts as on rho and ``-i [H, rho]``, for H = R + iJ, is
 ``[X^T, R] + [J, X]``. M has one eigendecomposition too,
@@ -92,16 +92,26 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
     weights, ``-M[a, a]`` is the outflow rate of state a. Columns sum to zero
     and ``M @ p_all = 0``. Rates that overflow raise ValidationError.
     """
+    q, scale, _, _ = _rate_bounds(p_all, gamma, omega)
+    return scale * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
+
+
+def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """``q = sqrt(p)``, ``gamma * omega``, the largest jump weight (0 for one
+    state) and the outflow rates ``-diag(M)`` of :func:`diag_generator_matrix`,
+    in O(n) and rounded exactly as its entries are; a ValidationError unless
+    every p is positive and every rate of M is finite."""
     p = np.asarray(p_all, dtype=float).reshape(-1)
     if np.any(p <= 0):
         raise ValidationError("flat probabilities must be strictly positive (floored)")
     q = np.sqrt(p)
     scale = float(gamma) * float(omega)
-    with np.errstate(over="ignore"):
-        m = scale * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
-    if not np.isfinite(m).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = float(scale * (q.max() * (1.0 / q.min()))) if q.size > 1 else 0.0
+        outflow = scale * (q.sum() / q - q * (1.0 / q))
+    if not (np.isfinite(weight) and np.isfinite(outflow).all()):
         raise ValidationError(f"jump rates are not finite at gamma * omega = {scale:g}")
-    return m
+    return q, scale, weight, outflow
 
 
 def _balanced_modes(gen: np.ndarray, p_all) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

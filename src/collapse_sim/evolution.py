@@ -3,7 +3,8 @@ reduction. A run returns a :class:`Trajectory`: the stack of density-matrix
 snapshots at the recorded times, from which every observable is read.
 
 Both modes read the jump family's rates off the diagonal generator M of
-:func:`diag_generator_matrix`.
+:func:`diag_generator_matrix`; :func:`_resolve_step` reads their bounds off
+q = sqrt(p) in O(n), sets the step and sizes the run before any n x n array.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
@@ -30,8 +31,7 @@ more than one more squaring. Fast mode has no step map: the one symmetric
 eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
 populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
 complex snapshot stack (16 bytes per entry) and the full-mode arrays, whose
-budget its comment sets out, and :data:`MAX_STEPS` the step count, before
-anything is allocated.
+budget its comment sets out, and :data:`MAX_STEPS` the step count.
 
 The stack is checked in one ordered pass, :func:`_check_snapshots`, once the
 :class:`Trajectory` exists: finite entries, trace drift and Hermiticity
@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
-                         _pack, _unpack, apply_dissipator, diag_generator_matrix)
+                         _pack, _rate_bounds, _unpack, apply_dissipator, diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -72,10 +72,12 @@ TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
-# largest (T, n, n) complex snapshot stack a run may record (the analysis adds a few
-# temporaries of its size), and the most full mode may hold as four real n^2 x n^2 arrays:
-# assembly holds three (unit coordinates, image, one product), _step_map four (a, a^2, the
-# tail, S), and _propagate's chain S, the current power, its square and T x n^2 output rows
+# largest (T, n, n) complex snapshot stack a run may record, and the most full mode may hold
+# as four real n^2 x n^2 arrays: assembly holds three (unit coordinates, image, one product),
+# _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
+# T x n^2 output rows; S is freed before the rows are unpacked. The stack's own phases hold it
+# about three times over: _check_snapshots the Hermiticity defect's conjugate and difference,
+# then the shifted copy and its Cholesky factor (3.2 stacks at n = 16), and the analysis a few
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -87,13 +89,11 @@ _ALIGNMENT_BLOCK = 32
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``dt=None`` takes ``safety`` over the largest jump weight plus the
-    spectral norm of H in full mode, over the largest outflow in fast mode.
-    Snapshots are recorded at a fixed stride when ``record_every`` is given,
-    otherwise on an automatic schedule of about ``record_points`` samples,
-    geometrically spaced by default so that both the floor-induced fast
-    transient and the slow alignment tail are resolved ("linear" spacing is
-    available for evenly spaced samples).
+    ``dt=None`` takes the automatic step of :func:`_resolve_step`. Snapshots
+    are recorded at a fixed stride when ``record_every`` is given, otherwise on
+    an automatic schedule of about ``record_points`` samples, geometrically
+    spaced by default so that both the floor-induced fast transient and the
+    slow alignment tail are resolved ("linear" spacing gives evenly spaced ones).
     """
 
     t_max: float
@@ -260,11 +260,23 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     return out
 
 
-def _resolve_step(cfg: IntegratorConfig, rate_bound: float, n: int) -> tuple[float, int]:
-    """The step and step count of a run at dimension ``n``; a ConfigError
-    when it would take more than :data:`MAX_STEPS` steps or record a stack
-    over :data:`MAX_STACK_BYTES`, before anything is allocated."""
-    dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate_bound, 1e-300)
+def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
+                  h_norm: float | None = None) -> tuple[float, int]:
+    """The step and step count of a run on the flat probabilities ``p_all``,
+    in full mode when ``h_norm``, the spectral norm of H (0 without one), is
+    given; read off q = sqrt(p) in O(n), before any n x n array exists. The
+    automatic step is ``cfg.safety`` over the largest outflow in fast mode,
+    where it only sets the sample grid, and over the largest jump weight plus
+    ``h_norm`` in full mode: not over the largest outflow, up to Q / max(q)
+    times that weight (Q = sum(q)), so at safety 0.5 a 4 x 4 uniform
+    scenario fails its positivity check. A ConfigError when the run needs
+    over :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its
+    stack or, in full mode, its four real n^2 x n^2 arrays; a ValidationError
+    from the checks of :func:`diag_generator_matrix`."""
+    _, _, weight, outflow = _rate_bounds(p_all, gamma, omega)
+    n = outflow.size
+    rate = float(outflow.max()) if h_norm is None else weight + h_norm
+    dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate, 1e-300)
     steps = cfg.t_max / dt if dt > 0 else math.inf
     if not steps <= MAX_STEPS:  # also refuses NaN
         raise ConfigError(f"t_max = {cfg.t_max:g} at dt = {dt:.3g} needs {steps:.3g} steps, over the "
@@ -277,6 +289,10 @@ def _resolve_step(cfg: IntegratorConfig, rate_bound: float, n: int) -> tuple[flo
             f"{count} records of {n} x {n} snapshots need {size / 2**20:.0f} MiB, over the "
             f"{MAX_STACK_BYTES // 2**20} MiB limit; raise record_every or lower record_points"
         )
+    assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
+    if h_norm is not None and assembly > MAX_STACK_BYTES:
+        raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
+                          f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     return cfg.t_max / n_steps, n_steps
 
 
@@ -395,30 +411,20 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     ``rho0`` and the Hamiltonian must be Hermitian, because the state is
     propagated in real Hermitian coordinates (see the module docstring).
     ``target``, when given, must be a finite Hermitian n x n matrix; it is
-    checked before any work.
-    The automatic step (see :class:`IntegratorConfig`) is not derived from the
-    stiffest rate, the largest outflow ``-min M[a, a]``, which is up to Q / q_max
-    times the largest jump weight (q = sqrt(p), Q = sum(q)): at safety 0.5 a
-    4 x 4 uniform scenario (ratio 4.0) fails its positivity check.
+    checked before any work. :func:`_resolve_step` sets the step and sizes
+    the run before anything is assembled.
     """
     m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
     n = diag_gen.shape[0]
-    h = None
-    h_norm = 0.0
-    if hamiltonian is not None:
-        h = np.asarray(hamiltonian, dtype=complex)
+    h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
+    if h is not None:
         _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
-        h_norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-    max_weight = float((diag_gen - np.diag(np.diagonal(diag_gen))).max())
-    dt, n_steps = _resolve_step(cfg, max_weight + h_norm, n)
-    assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
-    if assembly > MAX_STACK_BYTES:
-        raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
-                          f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
+    h_norm = 0.0 if h is None else float(np.abs(np.linalg.eigvalsh(h)).max())
+    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, h_norm)
     ks = _record_steps(n_steps, cfg)
-    step_t = _step_map(diag_gen, h, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
-        states = _unpack(_propagate(step_t, _pack(m0).reshape(-1), ks).reshape(-1, n, n))
+        states = _unpack(_propagate(_step_map(diag_gen, h, dt), _pack(m0).reshape(-1), ks)
+                         .reshape(-1, n, n))
     return _build_trajectory(ks * dt, states, target, dt, n_steps)
 
 
@@ -438,7 +444,7 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     """
     m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
     n = diag_gen.shape[0]
-    dt, n_steps = _resolve_step(cfg, float(-np.diagonal(diag_gen).min()), n)
+    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega)
     times = _record_steps(n_steps, cfg) * dt
     q, lam, v = _balanced_modes(diag_gen, p_all)
     with np.errstate(under="ignore"):
@@ -492,22 +498,26 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None
     dissipator-dominated reduction. The trace-distance series is measured
     against the scenario's aligned target unless ``target`` overrides it.
     ``gamma``, when given, replaces ``model.gamma`` for this run and must be
-    positive and finite. The run reads the model's rate table, initial state
-    and target, which the model derives once and which do not depend on
-    gamma, so a coupling sweep runs every value on the one model.
+    positive and finite. The mode and the Hamiltonian are checked and the run
+    sized (:func:`_resolve_step`) before the model builds its initial state
+    and target, once: like its rate table they do not depend on gamma, so a
+    coupling sweep runs every value on the one model.
     """
     if gamma is None:
         gamma = model.gamma
     elif not (math.isfinite(gamma) and gamma > 0):
         raise ValidationError(f"gamma must be positive and finite, got {gamma!r}")
+    if mode not in ("full", "fast"):
+        raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")
+    if mode == "full" and model.hamiltonian is None:
+        raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
+    h = model.hamiltonian if mode == "full" else None
+    p_all = model.rate_table().flat_probabilities()
+    _resolve_step(cfg, p_all, gamma, model.omega,  # sized before any state is built
+                  None if h is None else float(np.abs(np.linalg.eigvalsh(h)).max()))
     if target is None:
         target = model.aligned_target()
-    p_all = model.rate_table().flat_probabilities()
     rho0 = model.initial_dm()
-    if mode == "full":
-        if model.hamiltonian is None:
-            raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
-        return integrate(rho0, model.hamiltonian, p_all, gamma, model.omega, cfg, target=target)
-    if mode == "fast":
-        return integrate_fast_limit(rho0, p_all, gamma, model.omega, cfg, target=target)
-    raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")
+    if h is not None:
+        return integrate(rho0, h, p_all, gamma, model.omega, cfg, target=target)
+    return integrate_fast_limit(rho0, p_all, gamma, model.omega, cfg, target=target)

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -279,6 +280,29 @@ class TestSimulate:
         path = write_config(str(tmp_path / "huge.json"),
                             integrator={"t_max": 100.0, "record_points": 1e9}, mode="fast")
         self._assert_config_error(main(["simulate", "--config", path]), capsys, "MiB limit")
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["qsl"], ["sweep", "--gammas", "1,2"]],
+                             ids=["simulate", "qsl", "sweep"])
+    def test_oversized_amplitude_config_exits_one_before_building(self, tmp_path, capsys,
+                                                                 monkeypatch, argv):
+        # n = 2500: sized from q alone, so no eigendecomposition and no n x n generator
+        from collapse_sim import cli, dissipator, evolution
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n x n array was built")
+
+        for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                             (dissipator, "diag_generator_matrix"),
+                             (evolution, "diag_generator_matrix"), (cli, "diag_generator_matrix")):
+            monkeypatch.setattr(module, name, forbidden)
+        amplitudes = [50**-0.5] * 50
+        path = self._replace_sections(
+            str(tmp_path / "wide.json"), mode="fast",
+            scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
+        start = time.perf_counter()
+        code = main([*argv, "--config", path])
+        assert time.perf_counter() - start < 1.0
+        self._assert_config_error(code, capsys, "22888 MiB")
 
     def test_integral_numbers_load_as_integers(self, tmp_path):
         path = write_config(str(tmp_path / "run.json"),

@@ -35,6 +35,7 @@ from collapse_sim.model import RateTable
 from conftest import (
     ALPHA_A,
     ALPHA_S,
+    balanced_draws,
     closed_form_generator,
     exact_states,
     random_amplitude_model,
@@ -1013,6 +1014,82 @@ class TestSizeGuard:
         with pytest.raises(expected, match=None if allowed else "assemble its generator"):
             integrate(np.eye(n) / n, None, p_all, 5.0, 1.0, IntegratorConfig(t_max=1e-3))
 
+
+    @staticmethod
+    def _uniform_model(side):
+        amplitudes = StateVector(np.full(side, side**-0.5))
+        return MeasurementModel(sys=amplitudes, app=amplitudes,
+                                correspondence=CorrespondenceMap.one_to_one(side),
+                                gamma=5.0, omega=1.0, epsilon=1e-4)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_bounds_are_the_generator_reads(self, mode):
+        # the O(n) weight and outflow of _resolve_step, bit for bit against M,
+        # and the step counts they give; n = 1 has no jump, so weight 0
+        cfg = IntegratorConfig(t_max=1e-3)
+        uniform = self._uniform_model(3).rate_table().flat_probabilities()
+        for p, gamma, omega in [*balanced_draws(), (uniform, 5.0, 1.0), (np.ones(1), 5.0, 1.0)]:
+            m = diag_generator_matrix(p, gamma, omega)
+            _, _, weight, outflow = dissipator._rate_bounds(p, gamma, omega)
+            assert weight == (m - np.diag(np.diagonal(m))).max()
+            assert outflow.max() == -np.diagonal(m).min()
+            if mode == "full" and p.size > 53:
+                continue  # refused: four n^2 x n^2 arrays pass MAX_STACK_BYTES
+            rate = weight + 0.5 if mode == "full" else -np.diagonal(m).min()
+            steps = max(1, math.ceil(cfg.t_max / (cfg.safety / max(rate, 1e-300)) - 1e-9))
+            h_norm = 0.5 if mode == "full" else None
+            assert evolution._resolve_step(cfg, p, gamma, omega, h_norm)[1] == steps
+
+    def test_reference_step_counts(self, two_level_model, two_level_trajectory):
+        cfg = IntegratorConfig(t_max=1.0)
+        p_all = two_level_model.rate_table().flat_probabilities()
+        h_norm = float(np.abs(np.linalg.eigvalsh(two_level_model.hamiltonian)).max())
+        args = (cfg, p_all, two_level_model.gamma, two_level_model.omega)
+        assert evolution._resolve_step(*args, h_norm)[1] == two_level_trajectory.n_steps == 917775
+        assert evolution._resolve_step(*args)[1] == 1315003
+
+    def test_oversized_run_builds_no_state(self, monkeypatch):
+        # n = 2500 in fast mode: sized from q alone and refused before any n x n array
+        class Built(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Built
+
+        model = self._uniform_model(50)
+        for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                             (dissipator, "diag_generator_matrix"),
+                             (evolution, "diag_generator_matrix")):
+            monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(ConfigError, match="22888 MiB"):
+            simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
+        assert not {"_initial_dm", "_aligned_target"} & model.__dict__.keys()
+
+    def test_oversized_full_run_is_refused_before_any_state(self):
+        model = random_amplitude_model(np.random.default_rng(64), 8, 8)
+        with pytest.raises(ConfigError, match="assemble its generator"):
+            simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
+        assert not {"_initial_dm", "_aligned_target"} & model.__dict__.keys()
+
+    def test_step_map_is_released_before_the_checks(self, monkeypatch):
+        # at n = 16 the snapshot checks start with the stack and no n^2 x n^2
+        # array beyond it, and the whole run peaks at the check phase
+        n = 16
+        array = n**4 * np.dtype(float).itemsize
+        model = random_amplitude_model(np.random.default_rng(16), 4, 4)
+        cfg = IntegratorConfig(t_max=1.0)
+        simulate_model(model, cfg, mode="full")  # the model builds its states outside the trace
+        held = []
+        check = evolution._check_snapshots
+
+        def recording(traj):
+            held.append(tracemalloc.get_traced_memory()[0] - traj.states.nbytes)
+            check(traj)
+
+        monkeypatch.setattr(evolution, "_check_snapshots", recording)
+        peak = self._peak_arrays(lambda: simulate_model(model, cfg, mode="full"), n)
+        assert held[0] / array < 0.5
+        assert peak <= 5.2
 
     @staticmethod
     def _peak_arrays(run, n):
