@@ -12,7 +12,7 @@ import numpy as np
 from .dissipator import _balanced_modes
 from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
-from .evolution import IntegratorConfig, alignment_time, simulate_model
+from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
 from .states import _as_matrix, trace_distance
 
 ZERO_MODE_REL_TOL = 1e-9
@@ -61,18 +61,17 @@ class SweepRow:
     gamma_times_tau: float
 
 
-def generator_spectrum(m, rate_scale: float | None = None) -> GeneratorSpectrum:
+def generator_spectrum(m, rate_scale: float) -> GeneratorSpectrum:
     """Eigen-decomposition of the diagonal generator with the stationary mode
     identified.
 
     ``rate_scale`` (typically gamma * omega) sets the near-zero threshold
-    ``1e-9 * rate_scale``; by default the largest eigenvalue magnitude is
-    used. More than one near-zero eigenvalue triggers a degeneracy warning.
+    ``1e-9 * rate_scale``. More than one near-zero eigenvalue triggers a
+    degeneracy warning.
     """
     mat = np.asarray(m, dtype=float)
     evals, evecs = np.linalg.eig(mat)
-    scale = float(rate_scale) if rate_scale is not None else max(float(np.abs(evals).max()), 1.0)
-    near_zero = np.abs(evals) <= ZERO_MODE_REL_TOL * scale
+    near_zero = np.abs(evals) <= ZERO_MODE_REL_TOL * float(rate_scale)
     if near_zero.sum() > 1:
         warnings.warn(
             f"{int(near_zero.sum())} near-zero eigenvalues: stationary mode may be degenerate",
@@ -106,14 +105,13 @@ def _balanced_spectrum(gen: np.ndarray, p_all) -> GeneratorSpectrum:
     return GeneratorSpectrum(eigenvalues=lam, eigenvectors=vecs, zero_index=lam.size - 1)
 
 
-def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float | None = None,
-                    denominator_norm: str = "diag_rms") -> QslReport:
+def qsl_lower_bound(rho0, rho_inf, initial_rhs,
+                    measured_alignment_time: float | None = None) -> QslReport:
     """Lower bound on the alignment duration: distance over initial speed.
 
     The numerator is the trace distance between the asymptotic and initial
-    states. The default denominator is the root-mean-square of the diagonal
-    entries of the initial right-hand side; ``denominator_norm="frobenius"``
-    uses the full-matrix Frobenius norm instead.
+    states, the denominator the root-mean-square of the diagonal entries of
+    the initial right-hand side.
     """
     m0 = _as_matrix(rho0)
     rhs = np.asarray(initial_rhs, dtype=complex)
@@ -122,12 +120,7 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs, measured_alignment_time: float |
     if not np.isfinite(rhs).all():
         raise ValidationError("initial right-hand side has non-finite entries")
     numerator = trace_distance(rho_inf, rho0)
-    if denominator_norm == "diag_rms":
-        denominator = float(np.sqrt(np.mean(np.diagonal(rhs).real ** 2)))
-    elif denominator_norm == "frobenius":
-        denominator = float(np.linalg.norm(rhs))
-    else:
-        raise ValidationError(f"unknown denominator norm {denominator_norm!r}")
+    denominator = float(np.sqrt(np.mean(np.diagonal(rhs).real ** 2)))
     if denominator == 0.0:
         raise ValidationError("initial condition is static: zero evolution speed")
     return QslReport(
@@ -152,7 +145,7 @@ def _sweep_row(model, gamma_value: float, cfg: IntegratorConfig, mode: str, tol:
 
 
 def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
-                tol: float = 0.01) -> list[SweepRow]:
+                tol: float = DEFAULT_ALIGNMENT_TOL) -> list[SweepRow]:
     """Alignment time per coupling strength, with the product gamma * tau.
 
     Every row runs on ``model`` itself through ``simulate_model``'s

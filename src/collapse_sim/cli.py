@@ -20,7 +20,7 @@ from .dissipator import _closed_form_rhs, _pack, _unpack, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .evolution import Trajectory, alignment_time, simulate_model
+from .evolution import Trajectory, _size_spectrum, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
 
@@ -109,8 +109,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = load_run_config(args.config, out_dir=args.out)
-    out = _ensure_outdir(cfg)
     model = cfg.model
+    _size_spectrum(model.dim)
+    out = _ensure_outdir(cfg)
     p_all = model.rate_table().flat_probabilities()
     generator = diag_generator_matrix(p_all, model.gamma, model.omega)
     write_spectrum_csv(os.path.join(out, "spectrum.csv"), _balanced_spectrum(generator, p_all))

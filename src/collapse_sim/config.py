@@ -24,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import IntegratorConfig
-from .model import CorrespondenceMap, MeasurementModel, StateVector, spin_half_scenario
+from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig
+from .model import DEFAULT_EPSILON, CorrespondenceMap, MeasurementModel, StateVector, spin_half_scenario
 
-DEFAULT_EPSILON = 1e-4
-DEFAULT_ALIGNMENT_TOL = 0.01
 _FLOAT_MAX = sys.float_info.max  # a Python float, so a huge int compares exactly
 
 

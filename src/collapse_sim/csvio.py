@@ -2,15 +2,14 @@
 
 Numbers are written with 17 significant digits (``%.17g``) so a written
 double parses back bit-exactly; files are written atomically (temp file plus
-rename). The trajectory table is formatted in bulk, a block of rows per
-application of one row template, with the same bytes as formatting each value
-on its own through ``csv.writer``: a number never needs quoting.
+rename). No field ever needs quoting, so rows are joined with commas. The
+trajectory table is formatted in bulk, a block of rows per application of one
+row template, with the same bytes as formatting each value on its own.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 import tempfile
 
@@ -99,9 +98,7 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
 
 
 def _write_rows(path: str, rows) -> None:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, "".join(",".join(row) + "\n" for row in rows))
 
 
 def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:

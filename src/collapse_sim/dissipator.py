@@ -39,11 +39,6 @@ class DissipatorSpec:
     dim: int
     terms: tuple[tuple[float, np.ndarray], ...]
 
-    @property
-    def max_weight(self) -> float:
-        """Largest coupling weight; bounds the time step of explicit steppers."""
-        return max(w for w, _ in self.terms) if self.terms else 0.0
-
 
 def lindblad_jump_family(rates: RateTable, gamma: float, omega: float) -> DissipatorSpec:
     """Build the full family of ``n^2 - n`` off-diagonal jump terms.
@@ -169,9 +164,15 @@ def _pack(m: np.ndarray) -> np.ndarray:
 def _unpack(x: np.ndarray) -> np.ndarray:
     """The exactly Hermitian matrices ``(x + x^T)/2 + i (x - x^T)/2`` whose
     real coordinates are the last two axes of ``x``; the inverse of
-    :func:`_pack` up to round-off."""
+    :func:`_pack` up to round-off. Both parts are written straight into the
+    one complex output, so the output is the only stack-sized allocation."""
     xt = np.swapaxes(x, -1, -2)
-    return 0.5 * (x + xt) + 0.5j * (x - xt)
+    out = np.empty(x.shape, dtype=complex)
+    np.add(x, xt, out=out.real)
+    np.subtract(x, xt, out=out.imag)
+    out.real *= 0.5
+    out.imag *= 0.5
+    return out
 
 
 def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, x: np.ndarray) -> np.ndarray:

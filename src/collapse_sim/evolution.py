@@ -30,8 +30,9 @@ product, the records whose k has bit j set, until marching the rest costs no
 more than one more squaring. Fast mode has no step map: the one symmetric
 eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
 populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
-complex snapshot stack (16 bytes per entry) and the full-mode arrays, whose
-budget its comment sets out, and :data:`MAX_STEPS` the step count.
+complex snapshot stack (16 bytes per entry), the full-mode arrays, whose
+budget its comment sets out, and, through :func:`_size_spectrum`, the
+``spectrum`` command's arrays; :data:`MAX_STEPS` caps the step count.
 
 The stack is checked in one ordered pass, :func:`_check_snapshots`, once the
 :class:`Trajectory` exists: finite entries, trace drift and Hermiticity
@@ -81,8 +82,13 @@ POSITIVITY_FAILURE_TOL = 1e-6
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
+# n x n float arrays the spectrum command holds at its peak, inside eigh: M, the balanced K,
+# LAPACK's copy of K, its 2 n^2 workspace and the eigenvectors (6.1 by max RSS at n = 2025)
+SPECTRUM_ARRAYS = 6
 # snapshots per batched trace-distance call in alignment_time's backward search
 _ALIGNMENT_BLOCK = 32
+# the trace distance at which a run counts as aligned, unless the caller or the config sets one
+DEFAULT_ALIGNMENT_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def final(self) -> DensityMatrix:
-        return _snapshot(self.states[-1])
-
 
 def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
     """Full right-hand side: -i[H, rho] plus the jump-family action (hbar = 1).
@@ -294,6 +297,16 @@ def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
         raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
                           f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     return cfg.t_max / n_steps, n_steps
+
+
+def _size_spectrum(n: int) -> None:
+    """A ConfigError, before any n x n array exists, when the ``spectrum``
+    command's :data:`SPECTRUM_ARRAYS` n x n float arrays would pass
+    :data:`MAX_STACK_BYTES`."""
+    size = SPECTRUM_ARRAYS * n * n * np.dtype(float).itemsize
+    if size > MAX_STACK_BYTES:
+        raise ConfigError(f"the spectrum at dimension {n} needs {size / 2**20:.0f} MiB for its "
+                          f"eigendecomposition, over the {MAX_STACK_BYTES // 2**20} MiB limit")
 
 
 def _record_count(n_steps: int, cfg: IntegratorConfig) -> int:
@@ -458,7 +471,7 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     return _build_trajectory(times, states, target, dt, n_steps)
 
 
-def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
+def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL) -> float:
     """Earliest recorded time from which the trace distance to ``target``
     stays at or below ``tol`` through the end of the trajectory.
 
@@ -489,14 +502,14 @@ def alignment_time(traj: Trajectory, target, tol: float = 0.01) -> float:
     return float(traj.times[first_ok])
 
 
-def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None,
+def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
                    gamma: float | None = None) -> Trajectory:
     """Run a measurement scenario end to end and return its trajectory.
 
     ``mode="full"`` integrates the complete master equation and requires the
     model to carry a Hamiltonian; ``mode="fast"`` runs the
     dissipator-dominated reduction. The trace-distance series is measured
-    against the scenario's aligned target unless ``target`` overrides it.
+    against the scenario's aligned target.
     ``gamma``, when given, replaces ``model.gamma`` for this run and must be
     positive and finite. The mode and the Hamiltonian are checked and the run
     sized (:func:`_resolve_step`) before the model builds its initial state
@@ -515,8 +528,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full", target=None
     p_all = model.rate_table().flat_probabilities()
     _resolve_step(cfg, p_all, gamma, model.omega,  # sized before any state is built
                   None if h is None else float(np.abs(np.linalg.eigvalsh(h)).max()))
-    if target is None:
-        target = model.aligned_target()
+    target = model.aligned_target()
     rho0 = model.initial_dm()
     if h is not None:
         return integrate(rho0, h, p_all, gamma, model.omega, cfg, target=target)

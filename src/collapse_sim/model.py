@@ -22,6 +22,9 @@ from .states import (
     product_state_dm,
 )
 
+# the rate floor of a scenario that names none: spin_half_scenario and a config without epsilon
+DEFAULT_EPSILON = 1e-4
+
 
 @dataclass(frozen=True)
 class CorrespondenceMap:
@@ -78,12 +81,6 @@ class CorrespondenceMap:
         else:
             weights = tuple(tuple(float(x) for x in w) for w in weights)
         return cls(outcomes, readings, groups, weights)
-
-    @property
-    def is_one_to_one(self) -> bool:
-        return self.outcomes == self.readings and all(
-            g == (i,) for i, g in enumerate(self.assignment)
-        )
 
     def _pairings(self):
         """``(i, i * J + j, w_ij)`` for every pairing, in assignment order."""
@@ -259,7 +256,7 @@ def spin_half_scenario(
     alpha_a: float,
     gamma: float,
     omega: float,
-    epsilon: float = 1e-4,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> MeasurementModel:
     """Two-level system and two-level pointer, both prepared in eigenstates
     of fields tilted by ``2 * alpha``; one-to-one correspondence. An angle

@@ -9,7 +9,6 @@ the Born weights of the aligned state and of the rate table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -141,23 +140,16 @@ def trace_distance(a, b) -> float:
     return float(_trace_distances(_as_matrix(a)[None], _as_matrix(b))[0])
 
 
-def von_neumann_entropy(dm, log_base: float | None = None, positivity_tol: float = POSITIVITY_TOL) -> float:
-    """Spectral entropy -sum(P log P) over the eigenvalues of ``dm``.
-
-    Natural logarithm by default; pass a finite ``log_base`` (> 1) for
-    another base. Eigenvalues in ``[-positivity_tol, 0]`` count as exact
-    zeros; anything lower raises PositivityError.
+def von_neumann_entropy(dm, positivity_tol: float = POSITIVITY_TOL) -> float:
+    """Spectral entropy -sum(P log P), natural logarithm, over the eigenvalues
+    of ``dm``. Eigenvalues in ``[-positivity_tol, 0]`` count as exact zeros;
+    anything lower raises PositivityError.
     """
     evals = np.linalg.eigvalsh(_as_matrix(dm))
     smallest = float(evals[0])
     if smallest < -positivity_tol:
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
-    s = float(_spectral_entropy(evals))
-    if log_base is not None:
-        if not 1.0 < log_base < math.inf:
-            raise ValidationError(f"log base must be finite and exceed 1, got {log_base!r}")
-        s /= math.log(log_base)
-    return s
+    return float(_spectral_entropy(evals))
 
 
 def _spectral_entropy(evals: np.ndarray) -> np.ndarray:

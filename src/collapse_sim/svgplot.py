@@ -10,6 +10,8 @@ from .csvio import atomic_write_text
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
+WIDTH = 760
+HEIGHT = 440
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 34
@@ -40,9 +42,9 @@ def _fmt_tick(x: float) -> str:
     return f"{x:.6g}"
 
 
-def render_line_plot(series, title: str, xlabel: str, ylabel: str,
-                     width: int = 760, height: int = 440) -> str:
-    """Render labelled (x, y) series as an SVG document string."""
+def render_line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
+    """Render labelled (x, y) series as a :data:`WIDTH` x :data:`HEIGHT` SVG
+    document string."""
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -52,8 +54,8 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str,
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo -= pad
     y_hi += pad
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + plot_w * (x - x_lo) / (x_hi - x_lo)
@@ -62,10 +64,10 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str,
         return _MARGIN_TOP + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     axis = (
@@ -89,7 +91,7 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str,
             f'font-family="sans-serif" font-size="11">{_fmt_tick(t)}</text>'
         )
     parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
     parts.append(
@@ -114,6 +116,5 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str,
     return "\n".join(parts) + "\n"
 
 
-def write_line_plot(path: str, series, title: str, xlabel: str, ylabel: str,
-                    width: int = 760, height: int = 440) -> None:
-    atomic_write_text(path, render_line_plot(series, title, xlabel, ylabel, width, height))
+def write_line_plot(path: str, series, title: str, xlabel: str, ylabel: str) -> None:
+    atomic_write_text(path, render_line_plot(series, title, xlabel, ylabel))

@@ -165,15 +165,15 @@ class TestQslLowerBound:
         assert report.bound < tau
         assert report.ratio == pytest.approx(tau / report.bound)
 
-    def test_frobenius_norm_option(self, two_level_model):
+    def test_denominator_reads_only_the_diagonal_rates(self, two_level_model):
         rho0 = two_level_model.initial_dm()
         target = two_level_model.aligned_target()
         spec = lindblad_jump_family(two_level_model.rate_table(), 5.0, 1.0)
         rhs = master_rhs(two_level_model.hamiltonian, spec, rho0)
-        diag_report = qsl_lower_bound(rho0, target, rhs)
-        frob_report = qsl_lower_bound(rho0, target, rhs, denominator_norm="frobenius")
-        assert frob_report.denominator == pytest.approx(float(np.linalg.norm(rhs)))
-        assert frob_report.bound < diag_report.bound
+        report = qsl_lower_bound(rho0, target, rhs)
+        assert report.denominator == float(np.sqrt(np.mean(np.diagonal(rhs).real ** 2)))
+        diagonal_only = qsl_lower_bound(rho0, target, np.diag(np.diagonal(rhs)))
+        assert diagonal_only.denominator == report.denominator
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_rhs(self, two_level_model, bad):
@@ -182,11 +182,6 @@ class TestQslLowerBound:
         rhs = np.full((4, 4), bad, dtype=complex)
         with pytest.raises(ValidationError, match="non-finite"):
             qsl_lower_bound(rho0, target, rhs)
-
-    def test_rejects_unknown_norm(self, two_level_model):
-        rho0 = two_level_model.initial_dm()
-        with pytest.raises(ValidationError, match="norm"):
-            qsl_lower_bound(rho0, rho0, np.eye(4), denominator_norm="spectral")
 
 
 class TestGammaSweep:

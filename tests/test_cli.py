@@ -402,6 +402,27 @@ def test_reference_outputs_keep_their_digests(tmp_path, mode):
 
 
 class TestSpectrum:
+    def test_oversized_amplitude_config_exits_one_before_building(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # n = 3600: sized from n alone, before the generator or its eigh
+        from collapse_sim import cli, dissipator
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an n x n array was built")
+
+        for module, name in ((np.linalg, "eigh"), (dissipator, "diag_generator_matrix"),
+                             (cli, "diag_generator_matrix")):
+            monkeypatch.setattr(module, name, forbidden)
+        amplitudes = [60**-0.5] * 60
+        path = TestSimulate._replace_sections(
+            str(tmp_path / "wide.json"),
+            scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
+        start = time.perf_counter()
+        code = main(["spectrum", "--config", path])
+        assert time.perf_counter() - start < 1.0
+        TestSimulate._assert_config_error(code, capsys, "593 MiB")
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_report_one_zero_three_negative(self, tmp_path, config_path):
         assert main(["spectrum", "--config", config_path]) == 0
         cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
@@ -637,3 +658,34 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     for owner, attr, *_ in tracer._TARGETS:
         resolved = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
         assert resolved, f"{owner!r} has no attribute {attr!r}"
+
+
+def test_defaults_have_one_home(tmp_path, monkeypatch):
+    # the alignment tolerance and the rate floor are each defined once, and
+    # every default reads that one constant
+    import inspect
+
+    from collapse_sim import analysis, config, evolution, model
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert default(evolution.alignment_time, "tol") is evolution.DEFAULT_ALIGNMENT_TOL
+    assert default(analysis.gamma_sweep, "tol") is evolution.DEFAULT_ALIGNMENT_TOL
+    assert config.DEFAULT_ALIGNMENT_TOL is evolution.DEFAULT_ALIGNMENT_TOL
+    assert default(model.spin_half_scenario, "epsilon") is model.DEFAULT_EPSILON
+    assert config.DEFAULT_EPSILON is model.DEFAULT_EPSILON
+    path = write_config(str(tmp_path / "run.json"))
+    with open(path) as fh:
+        raw = json.load(fh)
+    del raw["scenario"]["epsilon"]
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    assert "alignment_tol" not in raw
+    loaded = load_run_config(path)
+    assert (loaded.alignment_tol, loaded.model.epsilon) == (0.01, 1e-4)
+    # the loader reads the imported names when it runs, not a copy of the values
+    monkeypatch.setattr(config, "DEFAULT_ALIGNMENT_TOL", 0.25)
+    monkeypatch.setattr(config, "DEFAULT_EPSILON", 1e-5)
+    loaded = load_run_config(path)
+    assert (loaded.alignment_tol, loaded.model.epsilon) == (0.25, 1e-5)

@@ -20,7 +20,7 @@ from collapse_sim.csvio import (
 )
 from collapse_sim.evolution import Trajectory
 from collapse_sim.svgplot import _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP
-from collapse_sim.svgplot import render_line_plot, write_line_plot
+from collapse_sim.svgplot import HEIGHT, WIDTH, render_line_plot, write_line_plot
 from conftest import random_amplitude_model
 
 
@@ -203,7 +203,7 @@ class TestSvgPlots:
             assert points == per_point_polylines(series)
 
 
-def per_point_polylines(series, width=760, height=440):
+def per_point_polylines(series):
     """Polyline point lists as the renderer wrote them before numpy: scalar
     ``px``/``py`` per point, each formatted by its own f-string."""
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
@@ -215,8 +215,8 @@ def per_point_polylines(series, width=760, height=440):
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_lo -= pad
     y_hi += pad
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x):
         return _MARGIN_LEFT + plot_w * (x - x_lo) / (x_hi - x_lo)

@@ -21,13 +21,11 @@ from conftest import ALPHA_A, ALPHA_S, random_state
 class TestCorrespondenceMap:
     def test_one_to_one(self):
         corr = CorrespondenceMap.one_to_one(3)
-        assert corr.is_one_to_one
         assert corr.aligned_flat_indices() == [0, 4, 8]
 
     def test_uniform_weights_by_default(self):
         corr = CorrespondenceMap.from_assignment(2, 3, [[0], [1, 2]])
         assert corr.weights == ((1.0,), (0.5, 0.5))
-        assert not corr.is_one_to_one
 
     def test_rejects_shared_reading(self):
         with pytest.raises(ValidationError, match="more than one outcome"):
@@ -172,7 +170,7 @@ class TestSpinHalfScenario:
     def test_reference_scenario(self, two_level_model):
         assert two_level_model.gamma == 5.0
         assert two_level_model.dim == 4
-        assert two_level_model.correspondence.is_one_to_one
+        assert two_level_model.correspondence == CorrespondenceMap.one_to_one(2)
         p = two_level_model.probabilities()
         assert p[0] == pytest.approx(math.cos(ALPHA_S) ** 2)
 

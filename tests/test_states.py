@@ -210,18 +210,6 @@ class TestVonNeumannEntropy:
         expected = -(p1 * math.log(p1) + p4 * math.log(p4))
         assert von_neumann_entropy(dm) == pytest.approx(expected, abs=1e-12)
 
-    def test_log_base_two(self):
-        dm = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-        assert von_neumann_entropy(dm, log_base=2.0) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValidationError):
-            von_neumann_entropy(dm, log_base=1.0)
-
-    @pytest.mark.parametrize("log_base", [math.nan, math.inf])
-    def test_log_base_must_be_finite(self, log_base):
-        dm = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-        with pytest.raises(ValidationError, match="finite"):
-            von_neumann_entropy(dm, log_base=log_base)
-
     def test_clamps_tiny_negative_eigenvalues(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         assert von_neumann_entropy(m) == pytest.approx(0.0, abs=1e-9)
