@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipator import _balanced_modes
 from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
@@ -24,8 +23,10 @@ class GeneratorSpectrum:
 
     ``zero_index`` marks the stationary mode; its eigenvector is rescaled to
     unit sum, all others to unit Euclidean norm. :func:`generator_spectrum`
-    decomposes any matrix (complex eigenpairs in LAPACK's order); the
-    ``spectrum`` command's jump-family spectrum is real and ascending.
+    decomposes any matrix (complex eigenpairs in LAPACK's order). The
+    ``spectrum`` command does not build one: it writes the real, ascending
+    eigenvalues of ``dissipator._balanced_modes`` and the closed-form
+    stationary column p / sum(p).
     """
 
     eigenvalues: np.ndarray
@@ -86,23 +87,6 @@ def generator_spectrum(m, rate_scale: float) -> GeneratorSpectrum:
         raise ValidationError("stationary eigenvector has zero sum; cannot normalize")
     vecs[:, zero_index] = stationary / total
     return GeneratorSpectrum(eigenvalues=evals, eigenvectors=vecs, zero_index=zero_index)
-
-
-def _balanced_spectrum(gen: np.ndarray, p_all) -> GeneratorSpectrum:
-    """The spectrum of the jump family's diagonal generator ``gen`` at the
-    flat probabilities ``p_all``, read off ``dissipator._balanced_modes``.
-
-    The eigenvalues are real and ascending, the last, the stationary one,
-    exactly 0. Its column is ``p / sum(p)``, the family's stationary state by
-    detailed balance; every other column is ``q * V`` scaled to unit norm.
-    The kernel is simple, so there is no near-zero threshold to pick.
-    """
-    q, lam, v = _balanced_modes(gen, p_all)
-    vecs = q[:, None] * v
-    vecs /= np.linalg.norm(vecs, axis=0)
-    p = np.ravel(p_all)
-    vecs[:, -1] = p / p.sum()
-    return GeneratorSpectrum(eigenvalues=lam, eigenvectors=vecs, zero_index=lam.size - 1)
 
 
 def qsl_lower_bound(rho0, rho_inf, initial_rhs,

@@ -12,11 +12,11 @@ import sys
 
 import numpy as np
 
-from .analysis import _balanced_spectrum, gamma_sweep, qsl_lower_bound
+from .analysis import gamma_sweep, qsl_lower_bound
 from .analysis import generator_spectrum  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .config import RunConfig, load_run_config
 from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import _closed_form_rhs, _pack, _unpack, diag_generator_matrix
+from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _unpack, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
@@ -113,8 +113,8 @@ def _cmd_spectrum(args) -> int:
     _size_spectrum(model.dim)
     out = _ensure_outdir(cfg)
     p_all = model.rate_table().flat_probabilities()
-    generator = diag_generator_matrix(p_all, model.gamma, model.omega)
-    write_spectrum_csv(os.path.join(out, "spectrum.csv"), _balanced_spectrum(generator, p_all))
+    _, eigenvalues, _ = _balanced_modes(p_all, model.gamma, model.omega)
+    write_spectrum_csv(os.path.join(out, "spectrum.csv"), eigenvalues, p_all / p_all.sum())
     return 0
 
 

@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .analysis import GeneratorSpectrum, QslReport, SweepRow
+from .analysis import QslReport, SweepRow
 from .evolution import Trajectory
 
 # rows formatted per application of the row template; bounds the block's
@@ -117,10 +117,9 @@ def write_qsl_csv(path: str, report: QslReport) -> None:
     ])
 
 
-def write_spectrum_csv(path: str, spectrum: GeneratorSpectrum) -> None:
-    stationary = spectrum.stationary_distribution
+def write_spectrum_csv(path: str, eigenvalues: np.ndarray, stationary: np.ndarray) -> None:
     _write_rows(path, [
         ["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"],
         *([str(k), _fmt(ev.real), _fmt(ev.imag), _fmt(stationary[k])]
-          for k, ev in enumerate(spectrum.eigenvalues)),
+          for k, ev in enumerate(eigenvalues)),
     ])

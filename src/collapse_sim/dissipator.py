@@ -6,17 +6,17 @@ flat basis, weighted by ``gamma * omega * q_r / q_s`` with ``q`` the flat
 rate-table entries. The term moves population from ``s`` into ``r``; the
 stationary state of the family is the diagonal of the squared rates.
 
-The family's whole action is fixed by the diagonal generator M of
-:func:`diag_generator_matrix`; its rates are checked, and bounded in O(n),
-in one place, :func:`_rate_bounds`. :func:`_closed_form_rhs` applies that
-action, plus ``-i [H, rho]`` when there is an H, to any stack of matrices;
-it is the one right-hand side that full-mode assembly, the ``qsl`` command
-and :func:`apply_dissipator_closed_form` use. With an H it acts on the real
-coordinates ``X = Re rho + Im rho`` of a Hermitian rho (:func:`_pack`), on
-which the family acts as on rho and ``-i [H, rho]``, for H = R + iJ, is
-``[X^T, R] + [J, X]``. M has one eigendecomposition too,
-:func:`_balanced_modes`, of the symmetric form that detailed balance gives
-it; fast mode and the ``spectrum`` command read it. The dense family
+Every rate of the family has one home, :func:`_rate_bounds`, which checks
+them and gives the jump weights' bound and the outflows in O(n); the diagonal
+generator M of :func:`diag_generator_matrix` is built from it, in place.
+:func:`_closed_form_rhs` applies the family's action, plus ``-i [H, rho]``
+when there is an H, to any stack of matrices; full-mode assembly, the ``qsl``
+command and :func:`apply_dissipator_closed_form` use it. With an H it acts on
+the real coordinates ``X = Re rho + Im rho`` of a Hermitian rho
+(:func:`_pack`), on which ``-i [H, rho]``, for H = R + iJ, is ``[X^T, R] +
+[J, X]``. :func:`_balanced_modes` builds M and balances it in place into the
+symmetric form that detailed balance gives it, and decomposes that; fast
+mode and the ``spectrum`` command read it. The dense family
 (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
 reference that tests check M-based code against.
 """
@@ -84,18 +84,23 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
 
     ``M[r, m] = gamma * omega * (q_r/q_m - delta_rm * Q/q_r)`` with
     ``q = sqrt(p)`` and ``Q = sum_k q_k``. Off-diagonal entries are the jump
-    weights, ``-M[a, a]`` is the outflow rate of state a. Columns sum to zero
-    and ``M @ p_all = 0``. Rates that overflow raise ValidationError.
+    weights, ``-M[a, a]`` the outflow of state a from :func:`_rate_bounds`.
+    Columns sum to zero and ``M @ p_all = 0``. Rates that overflow raise
+    ValidationError.
     """
-    q, scale, _, _ = _rate_bounds(p_all, gamma, omega)
-    return scale * (np.outer(q, 1.0 / q) - np.diag(q.sum() / q))
+    q, scale, _, outflow = _rate_bounds(p_all, gamma, omega)
+    gen = np.outer(q, 1.0 / q)
+    gen *= scale
+    np.fill_diagonal(gen, 0.0 - outflow)  # 0.0 - x: a zero outflow gives +0.0, not -0.0
+    return gen
 
 
 def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, float, np.ndarray]:
     """``q = sqrt(p)``, ``gamma * omega``, the largest jump weight (0 for one
-    state) and the outflow rates ``-diag(M)`` of :func:`diag_generator_matrix`,
-    in O(n) and rounded exactly as its entries are; a ValidationError unless
-    every p is positive and every rate of M is finite."""
+    state) and the outflow rates ``-diag(M)``, in O(n): the one home of the
+    family's rates, off which :func:`diag_generator_matrix` and fast mode
+    read them. A ValidationError unless every p is positive and every rate
+    of M is finite."""
     p = np.asarray(p_all, dtype=float).reshape(-1)
     if np.any(p <= 0):
         raise ValidationError("flat probabilities must be strictly positive (floored)")
@@ -109,10 +114,10 @@ def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, 
     return q, scale, weight, outflow
 
 
-def _balanced_modes(gen: np.ndarray, p_all) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _balanced_modes(p_all, gamma: float, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``q = sqrt(p)`` and the ascending eigenpairs ``(lam, V)`` of the
-    balanced generator ``K = diag(1/q) M diag(q)``, for M = ``gen`` of
-    :func:`diag_generator_matrix` at the flat probabilities ``p_all``.
+    balanced generator ``K = diag(1/q) M diag(q)``, formed in place from M
+    of :func:`diag_generator_matrix` at the flat probabilities ``p_all``.
 
     The jump weights satisfy detailed balance with respect to p, so K =
     gamma * omega * (1 1^T - diag(Q/q)) with Q = sum(q) is real symmetric
@@ -124,8 +129,11 @@ def _balanced_modes(gen: np.ndarray, p_all) -> tuple[np.ndarray, np.ndarray, np.
     ``lam[-1]``, the kernel's, is set to exactly 0: its round-off would
     otherwise grow into a trace drift at long times.
     """
+    balanced = diag_generator_matrix(p_all, gamma, omega)
     q = np.sqrt(np.ravel(p_all))
-    lam, v = np.linalg.eigh(gen * q[None, :] / q[:, None])  # one triangle: asymmetry is harmless
+    balanced *= q[None, :]
+    balanced /= q[:, None]
+    lam, v = np.linalg.eigh(balanced)  # one triangle: asymmetry is harmless
     lam[-1] = 0.0
     return q, lam, v
 

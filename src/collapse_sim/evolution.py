@@ -2,9 +2,11 @@
 reduction. A run returns a :class:`Trajectory`: the stack of density-matrix
 snapshots at the recorded times, from which every observable is read.
 
-Both modes read the jump family's rates off the diagonal generator M of
-:func:`diag_generator_matrix`; :func:`_resolve_step` reads their bounds off
-q = sqrt(p) in O(n), sets the step and sizes the run before any n x n array.
+Both modes read the jump family's rates off ``dissipator._rate_bounds``,
+in O(n): :func:`_resolve_step` reads their bounds there, sets the step and
+sizes the run before any n x n array; full mode then builds the diagonal
+generator M of :func:`diag_generator_matrix`, and fast mode reads its
+coherence rates off the outflows.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
@@ -62,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
-                         _pack, _rate_bounds, _unpack, apply_dissipator, diag_generator_matrix)
+from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _pack, _rate_bounds,
+                         _unpack, apply_dissipator, diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -78,13 +80,14 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
 # T x n^2 output rows; S is freed before the rows are unpacked. The stack's own phases hold it
 # about three times over: _check_snapshots the Hermiticity defect's conjugate and difference,
-# then the shifted copy and its Cholesky factor (3.2 stacks at n = 16), and the analysis a few
+# then the shifted copy and its Cholesky factor (3.2 stacks at n = 16), and the batched
+# eigenvalue calls of the analysis up to two more (the difference from the target, LAPACK's copy)
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
-# n x n float arrays the spectrum command holds at its peak, inside eigh: M, the balanced K,
-# LAPACK's copy of K, its 2 n^2 workspace and the eigenvectors (6.1 by max RSS at n = 2025)
-SPECTRUM_ARRAYS = 6
+# n x n float arrays the spectrum command holds at its peak, inside eigh: K, balanced from M in
+# place, LAPACK's copy of K, its 2 n^2 workspace and the eigenvectors (5.1 by max RSS at n = 2025)
+SPECTRUM_ARRAYS = 5
 # snapshots per batched trace-distance call in alignment_time's backward search
 _ALIGNMENT_BLOCK = 32
 # the trace distance at which a run counts as aligned, unless the caller or the config sets one
@@ -275,7 +278,7 @@ def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
     scenario fails its positivity check. A ConfigError when the run needs
     over :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its
     stack or, in full mode, its four real n^2 x n^2 arrays; a ValidationError
-    from the checks of :func:`diag_generator_matrix`."""
+    from the checks of ``dissipator._rate_bounds``."""
     _, _, weight, outflow = _rate_bounds(p_all, gamma, omega)
     n = outflow.size
     rate = float(outflow.max()) if h_norm is None else weight + h_norm
@@ -404,15 +407,15 @@ def _checked_target(target, n: int) -> np.ndarray:
 
 
 def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
-    """The initial state as a checked n x n matrix, the diagonal generator M
-    and the checked ``target`` (None stays None), in the order both solvers
-    check them."""
+    """The initial state as a checked n x n matrix and the checked ``target``
+    (None stays None), after the rates of ``dissipator._rate_bounds``, in
+    the order both solvers check them; no n x n array is built here."""
     m0 = _as_matrix(rho0)
-    diag_gen = diag_generator_matrix(p_all, gamma, omega)
-    _check_hermitian(m0, diag_gen.shape[0], "initial state", SNAPSHOT_HERMITICITY_TOL)
+    n = _rate_bounds(p_all, gamma, omega)[0].size
+    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
     if target is not None:
-        target = _checked_target(target, diag_gen.shape[0])
-    return m0, diag_gen, target
+        target = _checked_target(target, n)
+    return m0, target
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -427,14 +430,15 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     checked before any work. :func:`_resolve_step` sets the step and sizes
     the run before anything is assembled.
     """
-    m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
-    n = diag_gen.shape[0]
+    m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
+    n = m0.shape[0]
     h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     if h is not None:
         _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
     h_norm = 0.0 if h is None else float(np.abs(np.linalg.eigvalsh(h)).max())
     dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, h_norm)
     ks = _record_steps(n_steps, cfg)
+    diag_gen = diag_generator_matrix(p_all, gamma, omega)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
         states = _unpack(_propagate(_step_map(diag_gen, h, dt), _pack(m0).reshape(-1), ks)
                          .reshape(-1, n, n))
@@ -451,19 +455,21 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     ``dissipator._balanced_modes``, kernel eigenvalue exactly 0, give
     ``exp(M t) d0 = diag(q) V exp(lam t) V^T diag(1/q) d0`` at every t. Each
     off-diagonal decays as ``rho_rs(0) * exp(-rate * t)``, which keeps
-    initially real elements real. ``dt`` and ``n_steps`` only set the sample
-    grid. ``rho0`` and ``target`` are checked as in :func:`integrate` (shape,
-    finite entries, Hermiticity) before any work.
+    initially real elements real, at ``rate = (o_r + o_s) / 2`` for the
+    outflows o of ``dissipator._rate_bounds``. ``dt`` and ``n_steps`` only
+    set the sample grid. ``rho0`` and ``target`` are checked as in
+    :func:`integrate` (shape, finite entries, Hermiticity) before any work.
     """
-    m0, diag_gen, target = _checked_inputs(rho0, p_all, gamma, omega, target)
-    n = diag_gen.shape[0]
+    m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
+    n = m0.shape[0]
     dt, n_steps = _resolve_step(cfg, p_all, gamma, omega)
     times = _record_steps(n_steps, cfg) * dt
-    q, lam, v = _balanced_modes(diag_gen, p_all)
+    q, lam, v = _balanced_modes(p_all, gamma, omega)
     with np.errstate(under="ignore"):
         modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
         populations = modes @ (q[:, None] * v).T
-    rate = -_coherence_generator(diag_gen)
+    outflow = _rate_bounds(p_all, gamma, omega)[3]
+    rate = 0.5 * (outflow[:, None] + outflow[None, :])
     coherences = m0.copy()
     np.fill_diagonal(coherences, 0.0)
     states = coherences * np.exp(-rate * times[:, None, None])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from collapse_sim import (
     simulate_model,
     spin_half_scenario,
 )
-from collapse_sim.analysis import _balanced_spectrum
+from collapse_sim.config import load_run_config
+from collapse_sim.csvio import read_csv_columns
+from collapse_sim.dissipator import _balanced_modes
 from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, balanced_draws
 
@@ -64,31 +67,59 @@ class TestDiagGeneratorMatrix:
 
 
 
-class TestBalancedSpectrum:
-    # the spectrum command's route against the general eig route of generator_spectrum
+class TestSpectrumReadsBalancedModes:
+    # what the spectrum command writes, the eigenvalues of _balanced_modes and
+    # p / sum(p), against the general eig route of generator_spectrum
     def test_agrees_with_generator_spectrum(self):
         for p, gamma, omega in balanced_draws():
-            gen = diag_generator_matrix(p, gamma, omega)
-            balanced = _balanced_spectrum(gen, p)
-            general = generator_spectrum(gen, rate_scale=gamma * omega)
+            _, lam, _ = _balanced_modes(p, gamma, omega)
+            general = generator_spectrum(diag_generator_matrix(p, gamma, omega), rate_scale=gamma * omega)
             expected = np.sort(general.eigenvalues.real)
             scale = max(np.abs(expected).max(), gamma * omega)
-            assert np.abs(balanced.eigenvalues - expected).max() <= 1e-12 * scale
-            stationary_gap = balanced.stationary_distribution - general.stationary_distribution
-            assert np.abs(stationary_gap).max() <= 1e-12
+            assert lam[-1] == 0.0
+            assert np.abs(lam - expected).max() <= 1e-12 * scale
+            assert np.abs(p / p.sum() - general.stationary_distribution).max() <= 1e-12
 
     def test_columns_are_generator_eigenvectors(self, two_level_model):
+        # q * V holds the eigenvectors of M, the kernel's along p
         p_all = two_level_model.rate_table().flat_probabilities()
-        draws = [(p_all, 5.0, 1.0), *balanced_draws(40)]
-        for p, gamma, omega in draws:
+        for p, gamma, omega in [(p_all, 5.0, 1.0), *balanced_draws(40)]:
             gen = diag_generator_matrix(p, gamma, omega)
-            spectrum = _balanced_spectrum(gen, p)
-            vecs, lam = spectrum.eigenvectors, spectrum.eigenvalues
-            assert spectrum.zero_index == p.size - 1 and lam[-1] == 0.0
-            assert np.array_equal(spectrum.stationary_distribution, p / p.sum())
-            assert np.allclose(np.linalg.norm(vecs[:, :-1], axis=0), 1.0, rtol=0, atol=1e-14)
+            q, lam, v = _balanced_modes(p, gamma, omega)
+            vecs = q[:, None] * v
+            vecs /= np.linalg.norm(vecs, axis=0)
             residual = gen @ vecs - vecs * lam
             assert np.abs(residual).max() <= 1e-11 * max(np.abs(gen).max(), 1.0)
+            assert np.abs(vecs[:, -1] / vecs[:, -1].sum() - p / p.sum()).max() <= 1e-12
+
+    def test_written_columns_are_the_modes(self, tmp_path, monkeypatch):
+        # spectrum.csv holds lam and p / sum(p) bit for bit, at n = 1 too
+        from collapse_sim import cli, csvio
+
+        written = []
+
+        def recording(path, *columns):
+            written.append(columns)
+            csvio.write_spectrum_csv(path, *columns)
+
+        monkeypatch.setattr(cli, "write_spectrum_csv", recording)
+        for side in (1, 2, 5):
+            amplitudes = [side**-0.5] * side
+            path = str(tmp_path / f"uniform{side}.json")
+            with open(path, "w") as fh:
+                json.dump({"scenario": {"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes,
+                                        "gamma": 2.0, "omega": 1.5},
+                           "integrator": {"t_max": 1.0}, "outputs": {"dir": str(tmp_path)}}, fh)
+            assert cli.main(["spectrum", "--config", path]) == 0
+            p = load_run_config(path).model.rate_table().flat_probabilities()
+            eigenvalues, stationary = written.pop()
+            assert np.array_equal(eigenvalues, _balanced_modes(p, 2.0, 1.5)[1])
+            assert np.array_equal(stationary, p / p.sum())
+            cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
+            assert np.array_equal(cols["eigenvalue_re"], eigenvalues)
+            assert not cols["eigenvalue_im"].any()
+            assert np.array_equal(cols["stationary_component"], stationary)
+
 
 class TestGeneratorSpectrum:
     def test_reference_scenario_spectrum(self, two_level_model):

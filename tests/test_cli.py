@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -420,8 +421,24 @@ class TestSpectrum:
         start = time.perf_counter()
         code = main(["spectrum", "--config", path])
         assert time.perf_counter() - start < 1.0
-        TestSimulate._assert_config_error(code, capsys, "593 MiB")
+        TestSimulate._assert_config_error(code, capsys, "494 MiB")
         assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_peak_holds_the_balanced_generator_and_eigenvectors(self, tmp_path):
+        # n = 1225: K, balanced in place from M, and eigh's eigenvectors; LAPACK's
+        # own copy and workspace are allocated outside tracemalloc's view
+        n = 35 * 35
+        amplitudes = [35**-0.5] * 35
+        path = TestSimulate._replace_sections(
+            str(tmp_path / "wide.json"),
+            scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--config", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * np.dtype(float).itemsize) <= 2.2
 
     def test_report_one_zero_three_negative(self, tmp_path, config_path):
         assert main(["spectrum", "--config", config_path]) == 0

@@ -227,21 +227,24 @@ class TestCommutator:
 
 class TestBalancedModes:
     def test_decomposes_diagonal_plus_rank_one(self, monkeypatch):
-        # the matrix handed to eigh is K = gamma omega (1 1^T - diag(Q/q))
+        # the matrix handed to eigh is M balanced bit for bit as M * q[None, :] / q[:, None],
+        # K = gamma omega (1 1^T - diag(Q/q)) up to round-off
         seen = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda k: seen.append(k) or eigh(k))
+        monkeypatch.setattr(np.linalg, "eigh", lambda k: seen.append(k.copy()) or eigh(k))
         for p, gamma, omega in balanced_draws(60):
-            q = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)[0]
+            q = dissipator._balanced_modes(p, gamma, omega)[0]
             assert np.array_equal(q, np.sqrt(p))
-            expected = gamma * omega * (1.0 - np.diag(q.sum() / q))
             k = seen.pop()
+            balanced = dissipator.diag_generator_matrix(p, gamma, omega) * q[None, :] / q[:, None]
+            assert np.array_equal(k, balanced)
+            expected = gamma * omega * (1.0 - np.diag(q.sum() / q))
             assert np.abs(k - expected).max() <= 1e-15 * np.abs(expected).max()
         assert not seen
 
     def test_kernel_exactly_zero_and_ascending(self):
         for p, gamma, omega in balanced_draws(60):
-            _, lam, v = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)
+            _, lam, v = dissipator._balanced_modes(p, gamma, omega)
             assert lam[-1] == 0.0
             assert np.all(np.diff(lam) >= 0.0)
             assert v.shape == (p.size, p.size)
@@ -250,7 +253,7 @@ class TestBalancedModes:
         # the k-th smallest nonzero rate lies in [d_k, d_{k+1}], d = sort(gamma omega Q/q)
         checks = 0
         for p, gamma, omega in balanced_draws():
-            _, lam, _ = dissipator._balanced_modes(dissipator.diag_generator_matrix(p, gamma, omega), p)
+            _, lam, _ = dissipator._balanced_modes(p, gamma, omega)
             q = np.sqrt(p)
             d = np.sort(gamma * omega * q.sum() / q)
             rates = -lam[-2::-1]

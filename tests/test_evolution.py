@@ -1037,7 +1037,8 @@ class TestSizeGuard:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_bounds_are_the_generator_reads(self, mode):
         # the O(n) weight and outflow of _resolve_step, bit for bit against M,
-        # and the step counts they give; n = 1 has no jump, so weight 0
+        # and the step counts they give; n = 1 has no jump, so weight 0 and a
+        # diagonal of +0.0
         cfg = IntegratorConfig(t_max=1e-3)
         uniform = self._uniform_model(3).rate_table().flat_probabilities()
         for p, gamma, omega in [*balanced_draws(), (uniform, 5.0, 1.0), (np.ones(1), 5.0, 1.0)]:
@@ -1045,6 +1046,9 @@ class TestSizeGuard:
             _, _, weight, outflow = dissipator._rate_bounds(p, gamma, omega)
             assert weight == (m - np.diag(np.diagonal(m))).max()
             assert outflow.max() == -np.diagonal(m).min()
+            assert np.array_equal(np.diagonal(m), 0.0 - outflow)
+            if p.size == 1:
+                assert not np.signbit(np.diagonal(m)).any()
             if mode == "full" and p.size > 53:
                 continue  # refused: four n^2 x n^2 arrays pass MAX_STACK_BYTES
             rate = weight + 0.5 if mode == "full" else -np.diagonal(m).min()
@@ -1076,6 +1080,29 @@ class TestSizeGuard:
         with pytest.raises(ConfigError, match="22888 MiB"):
             simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
         assert not {"_initial_dm", "_aligned_target"} & model.__dict__.keys()
+
+    def test_oversized_fast_limit_builds_no_generator(self, monkeypatch):
+        # n = 400, whose 240-record stack passes MAX_STACK_BYTES: a direct call
+        # checks the rates and sizes the run from q alone, before M or its eigh
+        class Built(Exception):
+            pass
+
+        def forbidden(*args, **kwargs):
+            raise Built
+
+        model = self._uniform_model(20)
+        rho0, p_all = model.initial_dm(), model.rate_table().flat_probabilities()
+        for module, name in ((np.linalg, "eigh"), (dissipator, "diag_generator_matrix"),
+                             (evolution, "diag_generator_matrix")):
+            monkeypatch.setattr(module, name, forbidden)
+        with pytest.raises(ConfigError, match="586 MiB"):
+            evolution.integrate_fast_limit(rho0, p_all, 5.0, 1.0, IntegratorConfig(t_max=1.0))
+
+    def test_spectrum_guard_boundary(self):
+        # SPECTRUM_ARRAYS = 5 arrays of n^2 doubles fit 256 MiB up to n = 2590
+        evolution._size_spectrum(2590)
+        with pytest.raises(ConfigError, match="256 MiB limit"):
+            evolution._size_spectrum(2591)
 
     def test_oversized_full_run_is_refused_before_any_state(self):
         model = random_amplitude_model(np.random.default_rng(64), 8, 8)
