@@ -10,6 +10,7 @@ row template, with the same bytes as formatting each value on its own.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 
@@ -88,11 +89,12 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 
 def read_csv_columns(path: str) -> dict[str, np.ndarray]:
-    """Read any CSV written by this module back into named float columns."""
+    """Read any CSV written by this module back into named float columns; a
+    blank field (a ``qsl.csv`` without a measured time) reads as NaN."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
+        rows = [[float(x) if x else math.nan for x in row] for row in reader]
     data = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
     return {name: data[:, k].copy() for k, name in enumerate(header)}
 

@@ -29,34 +29,36 @@ update for a linear autonomous system); :func:`_step_map` builds it,
 transposed, as rows. Every record step k is reached through one squaring
 chain, :func:`_propagate`: each power S**(2**j) multiplies, in one batched
 product, the records whose k has bit j set, until marching the rest costs no
-more than one more squaring. Fast mode has no step map: the one symmetric
+more than one more squaring. On its low levels, where the records outnumber
+their distinct partial states, the chain builds those states once, as a
+table of the rows y0 S**r made by doubling, and each record starts from row
+k mod 2**m of it. Fast mode has no step map: the one symmetric
 eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
 populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
 complex snapshot stack (16 bytes per entry), the full-mode arrays, whose
 budget its comment sets out, and, through :func:`_size_spectrum`, the
 ``spectrum`` command's arrays; :data:`MAX_STEPS` caps the step count.
 
-The stack is checked in one ordered pass, :func:`_check_snapshots`, once the
-:class:`Trajectory` exists: finite entries, trace drift and Hermiticity
-elementwise, computed once, and, when they pass, positivity by one batched
-Cholesky factorisation of ``rho + SNAPSHOT_POSITIVITY_TOL * I``, which
-exists, up to round-off, exactly when every eigenvalue lies above
-``-SNAPSHOT_POSITIVITY_TOL``. Only a stack that fails one of these is
-eigendecomposed, to name the first failing snapshot; should the spectra find
-none (a round-off tie at the tolerance), the run goes on and the trajectory
-keeps them. The spectra and the entropy are computed on first read of
-:attr:`Trajectory.eigenvalues` or :attr:`Trajectory.entropy`, from one
-batched eigenvalue call that both share.
+The stack is checked by :func:`_check_snapshots` once the :class:`Trajectory`
+exists, in blocks of about :data:`_STACK_BLOCK_BYTES`: finite entries, trace
+drift and Hermiticity elementwise, and, when they pass, positivity by one
+batched Cholesky factorisation of the block's ``rho + SNAPSHOT_POSITIVITY_TOL
+* I``, which exists, up to round-off, exactly when every eigenvalue lies
+above ``-SNAPSHOT_POSITIVITY_TOL``. Only a stack with a failing block is
+checked again, whole, in one ordered pass and eigendecomposed, to name the
+first failing snapshot; should the spectra find none (a round-off tie at the
+tolerance), the run goes on and the trajectory keeps them. The spectra and
+the entropy are computed on first read of :attr:`Trajectory.eigenvalues` or
+:attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
-:attr:`Trajectory.trace_dist`, and :func:`alignment_time` computes them only
-for the tail it reads, in blocks from the last snapshot back. Every failed
-check is an :class:`IntegrationError` that names the snapshot's time and
-value.
+:attr:`Trajectory.trace_dist`, in the same blocks, and :func:`alignment_time`
+computes them only for the tail it reads, in blocks from the last snapshot
+back. Every failed check is an :class:`IntegrationError` that names the
+snapshot's time and value.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -78,10 +80,11 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # largest (T, n, n) complex snapshot stack a run may record, and the most full mode may hold
 # as four real n^2 x n^2 arrays: assembly holds three (unit coordinates, image, one product),
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
-# T x n^2 output rows; S is freed before the rows are unpacked. The stack's own phases hold it
-# about three times over: _check_snapshots the Hermiticity defect's conjugate and difference,
-# then the shifted copy and its Cholesky factor (3.2 stacks at n = 16), and the batched
-# eigenvalue calls of the analysis up to two more (the difference from the target, LAPACK's copy)
+# up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
+# it); S is freed before the rows are unpacked. The stack's own phases hold little beyond it:
+# _check_snapshots and Trajectory.trace_dist read it in blocks of _STACK_BLOCK_BYTES (0.09 and
+# 0.06 stacks by tracemalloc at n = 16, T = 1152), and the spectra's batched eigenvalue call
+# keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -90,6 +93,9 @@ MAX_STEPS = 2**53
 SPECTRUM_ARRAYS = 5
 # snapshots per batched trace-distance call in alignment_time's backward search
 _ALIGNMENT_BLOCK = 32
+# bytes of the stack per block of the snapshot checks and of Trajectory.trace_dist, small
+# enough that a block's temporaries stay in cache
+_STACK_BLOCK_BYTES = 2**17
 # the trace distance at which a run counts as aligned, unless the caller or the config sets one
 DEFAULT_ALIGNMENT_TOL = 0.01
 
@@ -168,8 +174,11 @@ class Trajectory:
     @functools.cached_property
     def trace_dist(self) -> np.ndarray:
         """Read-only trace distance of each snapshot to ``target``, computed
-        for the whole stack on first read and kept."""
-        return _readonly(_trace_distances(self.states, self.target))
+        for the whole stack on first read, block by block, and kept."""
+        dist = np.empty(len(self.states))
+        for block in _stack_blocks(self.states):
+            dist[block] = _trace_distances(self.states[block], self.target)
+        return _readonly(dist)
 
     @functools.cached_property
     def _spectra(self) -> np.ndarray:
@@ -240,11 +249,16 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     whose k has bit j set, and is squared into the next power up to the
     first j at which the rows' remaining ``2 * (k >> (j + 1))`` products with
     it come to at most N, no more than one more N x N squaring costs; then
-    they march. Its memory is counted at :data:`MAX_STACK_BYTES`.
+    they march. Records whose k agree mod 2**m pass through the same rows on
+    levels below m, so those levels are one table of the rows ``y0 @
+    step_t**r``, r < 2**m, built by doubling (rows r + 2**j are rows r times
+    ``step_t**(2**j)``), and each record starts from row k mod 2**m. The
+    table doubles while it has fewer rows than the records its level would
+    multiply and at most T after doubling; every row still takes the
+    level-by-level products, in the same order. Its memory is counted at
+    :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty((ks.size, y0.size), dtype=np.result_type(step_t, y0))
-    out[:] = y0
     k_max = int(ks.max())
     shifted = ks[:, None] >> np.arange(max(1, k_max.bit_length()))  # (T, bits): k >> j
     bits = shifted & 1
@@ -253,11 +267,24 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     stop, high = len(counts) - 1, 0
     while stop and 4 * high + 2 * counts[stop] <= step_t.shape[0]:
         stop, high = stop - 1, 2 * high + counts[stop]
+    m = 0
+    while m <= stop and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
+        m += 1
+    table = np.empty((2 ** m, y0.size), dtype=np.result_type(step_t, y0))
+    table[:2] = y0
     power = step_t
-    for j, column in enumerate(bits.T[:stop + 1]):
+    for j in range(m):
         if j:
             power = power @ power
-        rows = column.nonzero()[0]
+        # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
+        # rounds unlike the batched gemm rows
+        table[2 ** j:2 ** (j + 1)] = (table[:max(2, 2 ** j)] @ power)[:2 ** j]
+    out = table[ks & (2 ** m - 1)]
+    del table
+    for j in range(m, stop + 1):
+        if j:
+            power = power @ power
+        rows = bits[:, j].nonzero()[0]
         out[rows] = out[rows] @ power
     marches = 2 * (shifted[:, stop] >> 1)
     for count in range(2 * (k_max >> (stop + 1))):
@@ -344,13 +371,37 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     return _distinct(np.concatenate(([0], interior)))
 
 
-def _check_snapshots(traj: Trajectory) -> None:
-    """Check every snapshot of ``traj`` in one ordered pass.
+def _stack_blocks(states: np.ndarray):
+    """Consecutive slices of ``states`` of about :data:`_STACK_BLOCK_BYTES` each."""
+    step = max(1, _STACK_BLOCK_BYTES // states[0].nbytes)
+    return (slice(start, start + step) for start in range(0, len(states), step))
 
-    Finite entries, trace drift and Hermiticity are computed once for the
-    finite prefix of the stack. When they pass, one batched Cholesky
-    factorisation of the shifted stack settles positivity with no
-    eigenvalue call. Otherwise the spectra (``traj._spectra``, or those of
+
+def _block_passes(block: np.ndarray, shift: np.ndarray) -> bool:
+    """Whether every snapshot of ``block`` is finite, keeps its trace and is
+    Hermitian within tolerance, and ``block + shift`` has a Cholesky factor."""
+    if not np.isfinite(block).all():
+        return False
+    drift = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0)
+    asym = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if not ((drift <= TRACE_DRIFT_TOL).all() and (asym <= SNAPSHOT_HERMITICITY_TOL).all()):
+        return False
+    try:
+        np.linalg.cholesky(block + shift)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _check_snapshots(traj: Trajectory) -> None:
+    """Check every snapshot of ``traj``, in blocks of :func:`_stack_blocks`.
+
+    Each block is checked for finite entries, trace drift and Hermiticity
+    and then, by one batched Cholesky factorisation of the shifted block,
+    for positivity, with no eigenvalue call; so a passing stack is never
+    copied whole. The first block that fails hands the whole stack to one
+    ordered pass: finite entries, trace drift and Hermiticity are computed
+    for its finite prefix, and the spectra (``traj._spectra``, or those of
     the finite prefix) name the first failing snapshot in time order; within
     one snapshot the checks run in a fixed order: finite entries, gross
     positivity, trace drift, Hermiticity, snapshot positivity. Spectra that
@@ -358,16 +409,15 @@ def _check_snapshots(traj: Trajectory) -> None:
     cached on ``traj``.
     """
     times, states = traj.times, traj.states
+    shift = SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1])
+    if all(_block_passes(states[block], shift) for block in _stack_blocks(states)):
+        return
     finite = np.isfinite(states).all(axis=(1, 2))
     whole = bool(finite.all())
     count = len(states) if whole else int(finite.argmin())
     head = states[:count]
     drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
     asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    if whole and (drift <= TRACE_DRIFT_TOL).all() and (asym <= SNAPSHOT_HERMITICITY_TOL).all():
-        with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(states + SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1]))
-            return
     smallest = (traj._spectra if whole else np.linalg.eigvalsh(head))[:, 0]
     checks = (
         (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(

@@ -147,6 +147,16 @@ class TestCsvFormat:
         cols = read_csv_columns(qsl_path)
         assert cols["ratio"][0] == pytest.approx(0.4 / 0.006)
 
+    def test_qsl_without_measured_time_reads_back(self, tmp_path):
+        # the two optional fields are written blank and read back as NaN
+        path = str(tmp_path / "qsl.csv")
+        write_qsl_csv(path, QslReport(0.6, 100.0, 0.006))
+        cols = read_csv_columns(path)
+        assert [cols[name].tolist() for name in ("numerator", "denominator", "bound")] == [
+            [0.6], [100.0], [0.006]]
+        assert np.isnan(cols["measured_tau"]).all() and cols["measured_tau"].shape == (1,)
+        assert np.isnan(cols["ratio"]).all() and cols["ratio"].shape == (1,)
+
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "payload\n")

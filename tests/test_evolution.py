@@ -32,6 +32,7 @@ from collapse_sim import (
 from collapse_sim import dissipator, evolution
 from collapse_sim.dissipator import DissipatorSpec
 from collapse_sim.model import RateTable
+from collapse_sim.states import _trace_distances
 from conftest import (
     ALPHA_A,
     ALPHA_S,
@@ -322,6 +323,33 @@ class TestPropagate:
                 assert evolution._propagate(step_t, y0, ks).tobytes() == expected.tobytes()
         assert stops == {True, False}
 
+    def test_low_levels_make_each_shared_row_once(self):
+        # on the geometric grid of a 917775-step run at N = 64 (207 records), records that
+        # share their low bits share those levels' rows: one table of them, 128 rows, takes
+        # the place of 700 chain rows
+        step_t, y0 = self._model_step()
+        ks = evolution._record_steps(917775, IntegratorConfig(t_max=1.0))
+        tally = {"rows": 0, "squarings": 0}
+
+        class Power(np.ndarray):
+            # a power of the step map: tallies the rows multiplied by it and its squarings
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, Power) else x for x in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if ufunc is not np.matmul:
+                    return result
+                a = inputs[0]
+                if isinstance(a, Power):
+                    tally["squarings"] += 1
+                    return result.view(Power)
+                tally["rows"] += a.shape[0]
+                return result
+
+        got = evolution._propagate(step_t.view(Power), y0, ks)
+        assert got.tobytes() == evolution._propagate(step_t, y0, ks).tobytes()
+        assert tally["squarings"] == 18
+        assert tally["rows"] <= 800  # 737 here, 1309 when every level multiplies its records
+
     def test_early_stop_matches_matrix_power(self):
         step_t, y0 = self._model_step()
         ks = np.array([0, 1, 3, 2**20 - 1])
@@ -501,6 +529,77 @@ class TestSnapshotChecks:
         monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further call would fail
         assert np.array_equal(traj.eigenvalues, spectra[:, ::-1])
         assert traj.entropy.shape == (10,)
+
+    @staticmethod
+    def _blocked_stack(blocks):
+        # random full-rank 16 x 16 density matrices filling ``blocks`` check blocks, and their times
+        n = 16
+        per_block = evolution._STACK_BLOCK_BYTES // (n * n * np.dtype(complex).itemsize)
+        rng = np.random.default_rng(blocks)
+        g = rng.normal(size=(blocks * per_block, n, n)) + 1j * rng.normal(size=(blocks * per_block, n, n))
+        stack = g @ g.conj().transpose(0, 2, 1)
+        stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+        return np.arange(len(stack)) / 100.0, stack, per_block
+
+    def test_later_block_names_the_earliest_failure(self):
+        # two passing blocks, then a trace drift masked neither by a later non-finite snapshot
+        # in its block nor by a gross positivity failure in the block after
+        times, stack, per_block = self._blocked_stack(4)
+        first = 2 * per_block + 5
+        stack[first] *= 1.0 + 1e-6
+        stack[first + 2, 0, 0] = np.inf
+        stack[3 * per_block + 1] = np.diag(np.r_[1.0 + 1e-3, np.zeros(14), -1e-3])
+        with pytest.raises(IntegrationError,
+                           match=rf"trace drifted by 1\.000e-06 at t = {times[first]:g};"):
+            evolution._build_trajectory(times, stack, None, 0.1, 9)
+
+    def test_cholesky_failure_in_a_later_block_keeps_the_whole_spectra(self, monkeypatch):
+        # the third block's factorisation fails, the spectra find no failure: the run passes
+        # and keeps the whole stack's spectra, with no further eigenvalue call
+        times, stack, _ = self._blocked_stack(4)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def failing_third(a):
+            calls.append(len(a))
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_third)
+        traj = evolution._build_trajectory(times, stack, None, 0.1, 9)
+        assert len(calls) == 3
+        spectra = traj.__dict__["_spectra"]
+        assert np.array_equal(spectra, np.linalg.eigvalsh(stack))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further call would fail
+        assert np.array_equal(traj.eigenvalues, spectra[:, ::-1])
+        assert traj.entropy.shape == (len(stack),)
+
+    @staticmethod
+    def _held_stacks(read, stack):
+        # tracemalloc peak of read() beyond what was in use before it, in stacks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / stack.nbytes
+
+    def test_passing_check_holds_the_stack_once(self):
+        # 1152 snapshots at n = 16: the blocks' temporaries, not copies of the stack
+        times, stack, _ = self._blocked_stack(36)
+        assert len(stack) >= 1000
+        traj = Trajectory(times=times, states=stack, target=stack[-1], dt=0.1, n_steps=9)
+        assert self._held_stacks(lambda: evolution._check_snapshots(traj), stack) <= 0.5
+        assert "_spectra" not in traj.__dict__
+
+    def test_trace_dist_reads_the_stack_in_blocks(self):
+        times, stack, _ = self._blocked_stack(36)
+        traj = Trajectory(times=times, states=stack, target=stack[0], dt=0.1, n_steps=9)
+        assert self._held_stacks(lambda: traj.trace_dist, stack) < 0.5
+        assert np.array_equal(traj.trace_dist, _trace_distances(stack, stack[0]))
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_no_stack_eigendecomposition_until_spectra_are_read(self, two_level_model,
