@@ -138,9 +138,9 @@ def _balanced_modes(p_all, gamma: float, omega: float) -> tuple[np.ndarray, np.n
     return q, lam, v
 
 
-def _coherence_generator(m: np.ndarray) -> np.ndarray:
-    """Rates ``(M[a, a] + M[b, b]) / 2`` at which entry (a, b) moves under the family."""
-    d = np.diagonal(m)
+def _coherence_generator(d: np.ndarray) -> np.ndarray:
+    """Rates ``(d[a] + d[b]) / 2`` at which entry (a, b) moves under the family, for the
+    diagonal ``d`` of M: the one home of the coherence rates."""
     return 0.5 * (d[:, None] + d[None, :])
 
 
@@ -195,7 +195,7 @@ def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, x: np.ndarray) -> np
     output is then the coordinates of the rate, with the commutator term
     ``[x^T, R] + [J, x]`` for ``h = R + iJ``, added one product at a time."""
     n = gen.shape[0]
-    out = _coherence_generator(gen) * x
+    out = _coherence_generator(np.diagonal(gen)) * x
     diagonal = np.arange(n)
     out[..., diagonal, diagonal] = np.diagonal(x, axis1=-2, axis2=-1) @ gen.T
     if h is not None:

@@ -40,16 +40,16 @@ budget its comment sets out, and, through :func:`_size_spectrum`, the
 ``spectrum`` command's arrays; :data:`MAX_STEPS` caps the step count.
 
 The stack is checked by :func:`_check_snapshots` once the :class:`Trajectory`
-exists, in blocks of about :data:`_STACK_BLOCK_BYTES`: finite entries, trace
-drift and Hermiticity elementwise, and, when they pass, positivity by one
-batched Cholesky factorisation of the block's ``rho + SNAPSHOT_POSITIVITY_TOL
-* I``, which exists, up to round-off, exactly when every eigenvalue lies
-above ``-SNAPSHOT_POSITIVITY_TOL``. Only a stack with a failing block is
-checked again, whole, in one ordered pass and eigendecomposed, to name the
-first failing snapshot; should the spectra find none (a round-off tie at the
-tolerance), the run goes on and the trajectory keeps them. The spectra and
-the entropy are computed on first read of :attr:`Trajectory.eigenvalues` or
-:attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
+exists, in one pass over blocks of about :data:`_STACK_BLOCK_BYTES`, in time
+order: finite entries, trace drift and Hermiticity elementwise, and, when
+they pass, positivity by one batched Cholesky factorisation of the block's
+``rho + SNAPSHOT_POSITIVITY_TOL * I``, which exists, up to round-off, exactly
+when every eigenvalue lies above ``-SNAPSHOT_POSITIVITY_TOL``. A block that
+fails is eigendecomposed alone, to name its first failing snapshot; should
+its spectra find none (a round-off tie at the tolerance), the pass goes on
+to the next block. The spectra and the entropy are computed on first read
+of :attr:`Trajectory.eigenvalues` or :attr:`Trajectory.entropy`, from one
+batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
 :attr:`Trajectory.trace_dist`, in the same blocks, and :func:`alignment_time`
 computes them only for the tail it reads, in blocks from the last snapshot
@@ -66,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _pack, _rate_bounds,
-                         _unpack, apply_dissipator, diag_generator_matrix)
+from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
+                         _pack, _rate_bounds, _unpack, apply_dissipator, diag_generator_matrix)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -82,9 +82,9 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
 # up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
 # it); S is freed before the rows are unpacked. The stack's own phases hold little beyond it:
-# _check_snapshots and Trajectory.trace_dist read it in blocks of _STACK_BLOCK_BYTES (0.09 and
-# 0.06 stacks by tracemalloc at n = 16, T = 1152), and the spectra's batched eigenvalue call
-# keeps only its (T, n) output
+# _check_snapshots, passing or failing, and Trajectory.trace_dist read it in blocks of
+# _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16, T = 1152), and the
+# spectra's batched eigenvalue call keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -377,63 +377,51 @@ def _stack_blocks(states: np.ndarray):
     return (slice(start, start + step) for start in range(0, len(states), step))
 
 
-def _block_passes(block: np.ndarray, shift: np.ndarray) -> bool:
-    """Whether every snapshot of ``block`` is finite, keeps its trace and is
-    Hermitian within tolerance, and ``block + shift`` has a Cholesky factor."""
-    if not np.isfinite(block).all():
-        return False
-    drift = np.abs(np.trace(block, axis1=1, axis2=2) - 1.0)
-    asym = np.abs(block - block.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if not ((drift <= TRACE_DRIFT_TOL).all() and (asym <= SNAPSHOT_HERMITICITY_TOL).all()):
-        return False
-    try:
-        np.linalg.cholesky(block + shift)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _check_snapshots(traj: Trajectory) -> None:
-    """Check every snapshot of ``traj``, in blocks of :func:`_stack_blocks`.
+    """Check every snapshot of ``traj``, block by block of :func:`_stack_blocks`,
+    in time order; no temporary is larger than a block.
 
-    Each block is checked for finite entries, trace drift and Hermiticity
-    and then, by one batched Cholesky factorisation of the shifted block,
-    for positivity, with no eigenvalue call; so a passing stack is never
-    copied whole. The first block that fails hands the whole stack to one
-    ordered pass: finite entries, trace drift and Hermiticity are computed
-    for its finite prefix, and the spectra (``traj._spectra``, or those of
-    the finite prefix) name the first failing snapshot in time order; within
-    one snapshot the checks run in a fixed order: finite entries, gross
-    positivity, trace drift, Hermiticity, snapshot positivity. Spectra that
-    find no failure (a round-off tie at the positivity tolerance) stay
-    cached on ``traj``.
+    Trace drift and Hermiticity are computed for the block's finite head.
+    When the whole block is finite and within both tolerances, one batched
+    Cholesky factorisation of the shifted block checks its positivity, with
+    no eigenvalue call. Otherwise, or when that fails, the head's spectra
+    name the block's first failing snapshot; within one snapshot the checks
+    run in a fixed order: finite entries, gross positivity, trace drift,
+    Hermiticity, snapshot positivity. A block whose spectra find no failure
+    (a round-off tie at the positivity tolerance) passes, and so does a
+    block that factorises, even if a later block fails.
     """
-    times, states = traj.times, traj.states
-    shift = SNAPSHOT_POSITIVITY_TOL * np.eye(states.shape[1])
-    if all(_block_passes(states[block], shift) for block in _stack_blocks(states)):
-        return
-    finite = np.isfinite(states).all(axis=(1, 2))
-    whole = bool(finite.all())
-    count = len(states) if whole else int(finite.argmin())
-    head = states[:count]
-    drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
-    asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    smallest = (traj._spectra if whole else np.linalg.eigvalsh(head))[:, 0]
-    checks = (
-        (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
-            f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
-        (drift > TRACE_DRIFT_TOL, lambda k: IntegrationError(
-            f"trace drifted by {drift[k]:.3e} at t = {times[k]:g}; reduce dt")),
-        (asym > SNAPSHOT_HERMITICITY_TOL, lambda k: IntegrationError(
-            f"snapshot at t = {times[k]:g} is not Hermitian: max asymmetry {asym[k]:.3e}")),
-        (smallest < -SNAPSHOT_POSITIVITY_TOL, lambda k: IntegrationError(
-            f"snapshot at t = {times[k]:g} has eigenvalue {smallest[k]:.3e} below 0")),
-    )
-    first = min((int(failed.argmax()) for failed, _ in checks if failed.any()), default=count)
-    if first < count:
-        raise next(error(first) for failed, error in checks if failed[first])
-    if not whole:
-        raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
+    shift = SNAPSHOT_POSITIVITY_TOL * np.eye(traj.states.shape[1])
+    for block in _stack_blocks(traj.states):
+        times, states = traj.times[block], traj.states[block]
+        finite = np.isfinite(states).all(axis=(1, 2))
+        count = len(states) if finite.all() else int(finite.argmin())
+        head = states[:count]
+        drift = np.abs(np.trace(head, axis1=1, axis2=2) - 1.0)
+        asym = np.abs(head - head.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+        if (count == len(states) and (drift <= TRACE_DRIFT_TOL).all()
+                and (asym <= SNAPSHOT_HERMITICITY_TOL).all()):
+            try:
+                np.linalg.cholesky(states + shift)
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        smallest = np.linalg.eigvalsh(head)[:, 0]
+        checks = (
+            (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
+                f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
+            (drift > TRACE_DRIFT_TOL, lambda k: IntegrationError(
+                f"trace drifted by {drift[k]:.3e} at t = {times[k]:g}; reduce dt")),
+            (asym > SNAPSHOT_HERMITICITY_TOL, lambda k: IntegrationError(
+                f"snapshot at t = {times[k]:g} is not Hermitian: max asymmetry {asym[k]:.3e}")),
+            (smallest < -SNAPSHOT_POSITIVITY_TOL, lambda k: IntegrationError(
+                f"snapshot at t = {times[k]:g} has eigenvalue {smallest[k]:.3e} below 0")),
+        )
+        first = min((int(failed.argmax()) for failed, _ in checks if failed.any()), default=count)
+        if first < count:
+            raise next(error(first) for failed, error in checks if failed[first])
+        if count < len(states):
+            raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
 
 
 def _build_trajectory(times, states, target, dt, n_steps) -> Trajectory:
@@ -506,7 +494,8 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     ``exp(M t) d0 = diag(q) V exp(lam t) V^T diag(1/q) d0`` at every t. Each
     off-diagonal decays as ``rho_rs(0) * exp(-rate * t)``, which keeps
     initially real elements real, at ``rate = (o_r + o_s) / 2`` for the
-    outflows o of ``dissipator._rate_bounds``. ``dt`` and ``n_steps`` only
+    outflows o of ``dissipator._rate_bounds``, from
+    ``dissipator._coherence_generator``. ``dt`` and ``n_steps`` only
     set the sample grid. ``rho0`` and ``target`` are checked as in
     :func:`integrate` (shape, finite entries, Hermiticity) before any work.
     """
@@ -519,10 +508,9 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
         modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
         populations = modes @ (q[:, None] * v).T
     outflow = _rate_bounds(p_all, gamma, omega)[3]
-    rate = 0.5 * (outflow[:, None] + outflow[None, :])
     coherences = m0.copy()
     np.fill_diagonal(coherences, 0.0)
-    states = coherences * np.exp(-rate * times[:, None, None])
+    states = coherences * np.exp(_coherence_generator(-outflow) * times[:, None, None])
     states += populations[:, :, None] * np.eye(n)
     return _build_trajectory(times, states, target, dt, n_steps)
 

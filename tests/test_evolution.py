@@ -515,19 +515,16 @@ class TestSnapshotChecks:
         assert traj.eigenvalues[5] == pytest.approx(spectrum, rel=0, abs=1e-14)
         assert np.array_equal(traj.eigenvalues, np.linalg.eigvalsh(stack)[:, ::-1])
 
-    def test_round_off_tie_keeps_the_fallback_spectra(self, monkeypatch):
+    def test_round_off_tie_passes(self, monkeypatch):
         # a factorisation that fails where eigvalsh finds no eigenvalue below
-        # the tolerance: the run passes, and the spectra it computed are kept
+        # the tolerance: the run passes, and its spectra are those of the stack
         def failing(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         stack = _bad_stack("none")
         traj = evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
-        spectra = traj.__dict__["_spectra"]
-        assert np.array_equal(spectra, np.linalg.eigvalsh(stack))
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further call would fail
-        assert np.array_equal(traj.eigenvalues, spectra[:, ::-1])
+        assert np.array_equal(traj.eigenvalues, np.linalg.eigvalsh(stack)[:, ::-1])
         assert traj.entropy.shape == (10,)
 
     @staticmethod
@@ -553,12 +550,20 @@ class TestSnapshotChecks:
                            match=rf"trace drifted by 1\.000e-06 at t = {times[first]:g};"):
             evolution._build_trajectory(times, stack, None, 0.1, 9)
 
-    def test_cholesky_failure_in_a_later_block_keeps_the_whole_spectra(self, monkeypatch):
-        # the third block's factorisation fails, the spectra find no failure: the run passes
-        # and keeps the whole stack's spectra, with no further eigenvalue call
-        times, stack, _ = self._blocked_stack(4)
-        calls = []
-        cholesky = np.linalg.cholesky
+    def test_non_finite_first_snapshot_of_a_later_block(self):
+        # the block's finite head is empty: the NaN itself is named
+        times, stack, per_block = self._blocked_stack(4)
+        stack[2 * per_block, 3, 4] = np.nan
+        with pytest.raises(IntegrationError,
+                           match=rf"non-finite state at t = {times[2 * per_block]:g}:"):
+            evolution._build_trajectory(times, stack, None, 0.1, 9)
+
+    def test_cholesky_failure_in_a_later_block_is_checked_alone(self, monkeypatch):
+        # the third block's factorisation fails and its spectra find no failure: only that
+        # block is eigendecomposed, the fourth is still factorised, and no spectra are kept
+        times, stack, per_block = self._blocked_stack(4)
+        calls, shapes = [], []
+        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
 
         def failing_third(a):
             calls.append(len(a))
@@ -566,14 +571,16 @@ class TestSnapshotChecks:
                 raise np.linalg.LinAlgError("not positive definite")
             return cholesky(a)
 
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "cholesky", failing_third)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         traj = evolution._build_trajectory(times, stack, None, 0.1, 9)
-        assert len(calls) == 3
-        spectra = traj.__dict__["_spectra"]
-        assert np.array_equal(spectra, np.linalg.eigvalsh(stack))
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any further call would fail
-        assert np.array_equal(traj.eigenvalues, spectra[:, ::-1])
-        assert traj.entropy.shape == (len(stack),)
+        assert len(calls) == 4
+        assert shapes == [(per_block, 16, 16)]
+        assert "_spectra" not in traj.__dict__
 
     @staticmethod
     def _held_stacks(read, stack):
@@ -594,6 +601,19 @@ class TestSnapshotChecks:
         traj = Trajectory(times=times, states=stack, target=stack[-1], dt=0.1, n_steps=9)
         assert self._held_stacks(lambda: evolution._check_snapshots(traj), stack) <= 0.5
         assert "_spectra" not in traj.__dict__
+
+    def test_failing_check_holds_the_stack_once(self):
+        # a trace drift in the last of 36 blocks is named from that block's temporaries alone
+        times, stack, per_block = self._blocked_stack(36)
+        bad = len(stack) - per_block + 7
+        stack[bad] *= 1.0 + 1e-6
+        traj = Trajectory(times=times, states=stack, target=stack[-1], dt=0.1, n_steps=9)
+
+        def check():
+            with pytest.raises(IntegrationError, match=rf"trace drifted by .* at t = {times[bad]:g};"):
+                evolution._check_snapshots(traj)
+
+        assert self._held_stacks(check, stack) <= 0.5
 
     def test_trace_dist_reads_the_stack_in_blocks(self):
         times, stack, _ = self._blocked_stack(36)
@@ -1210,24 +1230,30 @@ class TestSizeGuard:
         assert not {"_initial_dm", "_aligned_target"} & model.__dict__.keys()
 
     def test_step_map_is_released_before_the_checks(self, monkeypatch):
-        # at n = 16 the snapshot checks start with the stack and no n^2 x n^2
-        # array beyond it, and the whole run peaks at the check phase
+        # at n = 16 the snapshot checks start with the stack and no n^2 x n^2 array beyond it
+        # and hold under a stack of their own (0.47 at T = 207, in blocks); the whole run peaks
+        # in _step_map, at its four arrays
         n = 16
         array = n**4 * np.dtype(float).itemsize
         model = random_amplitude_model(np.random.default_rng(16), 4, 4)
         cfg = IntegratorConfig(t_max=1.0)
         simulate_model(model, cfg, mode="full")  # the model builds its states outside the trace
-        held = []
+        held, before, checks = [], [], []
         check = evolution._check_snapshots
 
         def recording(traj):
-            held.append(tracemalloc.get_traced_memory()[0] - traj.states.nbytes)
+            current, peak = tracemalloc.get_traced_memory()
+            held.append(current - traj.states.nbytes)
+            before.append(peak)
+            tracemalloc.reset_peak()
             check(traj)
+            checks.append((tracemalloc.get_traced_memory()[1] - current) / traj.states.nbytes)
 
         monkeypatch.setattr(evolution, "_check_snapshots", recording)
-        peak = self._peak_arrays(lambda: simulate_model(model, cfg, mode="full"), n)
+        after = self._peak_arrays(lambda: simulate_model(model, cfg, mode="full"), n)
         assert held[0] / array < 0.5
-        assert peak <= 5.2
+        assert checks[0] <= 0.75
+        assert max(before[0] / array, after) <= 4.2
 
     @staticmethod
     def _peak_arrays(run, n):
