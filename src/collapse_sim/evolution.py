@@ -32,7 +32,14 @@ product, the records whose k has bit j set, until marching the rest costs no
 more than one more squaring. On its low levels, where the records outnumber
 their distinct partial states, the chain builds those states once, as a
 table of the rows y0 S**r made by doubling, and each record starts from row
-k mod 2**m of it. Fast mode has no step map: the one symmetric
+k mod 2**m of it. Once the floor transient has died, only the slow subspace,
+the coordinates of the aligned block, still moves, and the powers have
+collapsed onto it: from N = :data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed`
+tests squared powers against a sketch of their row space (a randomized
+range finder), and the first one that passes finishes every record in N/8
+dimensions (:func:`_collapsed_tail`), with no further squaring or march. A
+power that fails, or holds a non-finite entry, goes on through the
+unchanged chain. Fast mode has no step map: the one symmetric
 eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
 populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
 complex snapshot stack (16 bytes per entry), the full-mode arrays, whose
@@ -81,10 +88,12 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # as four real n^2 x n^2 arrays: assembly holds three (unit coordinates, image, one product),
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
 # up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
-# it); S is freed before the rows are unpacked. The stack's own phases hold little beyond it:
-# _check_snapshots, passing or failing, and Trajectory.trace_dist read it in blocks of
-# _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16, T = 1152), and the
-# spectra's batched eigenvalue call keeps only its (T, n) output
+# it); from n^2 = 128 on it also holds the n^2/8 x n^2 sketch of its collapse tests, and a test
+# holds, beside S and the power, one n^2 x n^2 temporary and Q and C, n^2 x n^2/8 each, which its
+# tail keeps beside the rows; S is freed before the rows are unpacked. The stack's own phases
+# hold little beyond it: _check_snapshots, passing or failing, and Trajectory.trace_dist read it
+# in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16, T = 1152),
+# and the spectra's batched eigenvalue call keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -98,6 +107,14 @@ _ALIGNMENT_BLOCK = 32
 _STACK_BLOCK_BYTES = 2**17
 # the trace distance at which a run counts as aligned, unless the caller or the config sets one
 DEFAULT_ALIGNMENT_TOL = 0.01
+# _propagate tests its powers from this matrix size N on for a collapse onto at most
+# N / _COLLAPSE_SHARE dimensions, with a residual of at most _COLLAPSE_TOL times the power's
+# largest entry (4e-16 to 2e-14 where the full_dense runs accept); _SKETCH_SEED fixes the
+# sketch, so every run takes the same levels and gives the same bits
+_COLLAPSE_MIN_SIZE = 128
+_COLLAPSE_SHARE = 8
+_COLLAPSE_TOL = 1e-13
+_SKETCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -241,6 +258,67 @@ def _step_map(diag_gen: np.ndarray, h: np.ndarray | None, dt: float) -> np.ndarr
     return step
 
 
+def _collapsed(power: np.ndarray,
+               sketch: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """Test whether the N x N ``power`` has collapsed onto at most w
+    dimensions: the w x N Gaussian ``sketch`` sketches its row space, a
+    randomized range finder; the w sketched rows, orthonormalised, are the
+    columns of Q, and ``power`` is compared with ``C Q^H``, C = ``power @
+    Q``, in blocks of w rows. Returns ``(ratio, (C, Q))`` when no entry of
+    the residual passes :data:`_COLLAPSE_TOL` times the largest entry of
+    ``power``, else ``(ratio, None)`` with the ratio of the first block
+    that fails, or inf for a power or sketch with a non-finite entry, which
+    reaches no QR.
+    """
+    size, width = power.shape[0], sketch.shape[0]
+    scale = np.abs(power).max()
+    if not np.isfinite(scale):
+        return math.inf, None
+    sketched = sketch @ power
+    if not np.isfinite(sketched).all():
+        return math.inf, None
+    q = np.linalg.qr(sketched.conj().T)[0]
+    qh = q.conj().T
+    c = np.empty((size, width), dtype=q.dtype)
+    for start in range(0, size, width):
+        rows = slice(start, start + width)
+        c[rows] = power[rows] @ q
+        resid = c[rows] @ qh
+        resid -= power[rows]
+        err = np.abs(resid).max()
+        if err > _COLLAPSE_TOL * scale:
+            return err / scale, None
+    return 0.0, (c, q)
+
+
+def _next_attempt(level: int, ratio: float) -> int:
+    """The next level to test after ``level`` failed with ``ratio``: a fast
+    mode's share of a power squares with each squaring, so the first level
+    at which ``ratio**(2**i)`` reaches :data:`_COLLAPSE_TOL`."""
+    if not ratio < 1.0:
+        return level + 1
+    return level + max(1, math.ceil(math.log2(math.log(_COLLAPSE_TOL) / math.log(ratio))))
+
+
+def _collapsed_tail(out: np.ndarray, high: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Finish every row of ``out`` whose remaining step count ``high``, in
+    powers P = ``C Q^H`` of the level that collapsed, is positive: P**h = C
+    (Q^H C)**(h - 1) Q^H, so the row becomes ``((y C) (Q^H C)**(h - 1)) Q^H``,
+    the w x w power going through a binary chain of its own."""
+    rows = high.nonzero()[0]
+    qh = q.conj().T
+    y = out[rows] @ c
+    steps = high[rows] - 1
+    small = qh @ c
+    for j in range(int(steps.max()).bit_length()):
+        if j:
+            small = small @ small
+        picked = ((steps >> j) & 1).nonzero()[0]
+        y[picked] = y[picked] @ small
+    out[rows] = y @ qh
+    return out
+
+
 def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Rows ``y0 @ step_t**k``, the states ``step**k @ y0`` for ``step_t =
     step^T``, for every k in ``ks``, from one squaring chain (full mode only).
@@ -255,27 +333,48 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     ``step_t**(2**j)``), and each record starts from row k mod 2**m. The
     table doubles while it has fewer rows than the records its level would
     multiply and at most T after doubling; every row still takes the
-    level-by-level products, in the same order. Its memory is counted at
+    level-by-level products, in the same order.
+
+    From N = :data:`_COLLAPSE_MIN_SIZE` on, a squared power is tested by
+    :func:`_collapsed`, against one N/8 x N Gaussian sketch drawn per call
+    from :data:`_SKETCH_SEED`: once the fast modes have died, it has
+    collapsed onto the slow subspace, and :func:`_collapsed_tail` finishes
+    every row in w = N/8 dimensions, with no further squaring or march. A
+    failed test names its next level by :func:`_next_attempt`; a power that
+    fails, or holds a non-finite entry, goes on through the unchanged chain,
+    so a run that never collapses keeps its bits. Its memory is counted at
     :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
     k_max = int(ks.max())
-    shifted = ks[:, None] >> np.arange(max(1, k_max.bit_length()))  # (T, bits): k >> j
-    bits = shifted & 1
-    # from the top bit down, high = sum(k >> (stop + 1)) by Horner's rule; it stays under N
-    counts = bits.sum(axis=0).tolist()
+    size = step_t.shape[0]
+    # the records whose k has bit j set, for every j; from the top bit down, high =
+    # sum(k >> (stop + 1)) by Horner's rule; it stays under N
+    counts = ((ks[:, None] >> np.arange(max(1, k_max.bit_length()))) & 1).sum(axis=0).tolist()
     stop, high = len(counts) - 1, 0
-    while stop and 4 * high + 2 * counts[stop] <= step_t.shape[0]:
+    while stop and 4 * high + 2 * counts[stop] <= size:
         stop, high = stop - 1, 2 * high + counts[stop]
     m = 0
     while m <= stop and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
         m += 1
+    # the next level to test for a collapse, and the fixed Gaussian sketch of the tests, drawn by a
+    # generator of its own: numpy's global one is neither read nor moved
+    attempt, sketch = stop + 1, None
+    if size >= _COLLAPSE_MIN_SIZE and stop:
+        attempt = 1
+        sketch = np.random.default_rng(_SKETCH_SEED).standard_normal(
+            (size // _COLLAPSE_SHARE, size))
     table = np.empty((2 ** m, y0.size), dtype=np.result_type(step_t, y0))
     table[:2] = y0
     power = step_t
     for j in range(m):
         if j:
             power = power @ power
+            if j == attempt:
+                ratio, basis = _collapsed(power, sketch)
+                if basis is not None:
+                    return _collapsed_tail(table[ks & (2 ** j - 1)], ks >> j, *basis)
+                attempt = _next_attempt(j, ratio)
         # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
         # rounds unlike the batched gemm rows
         table[2 ** j:2 ** (j + 1)] = (table[:max(2, 2 ** j)] @ power)[:2 ** j]
@@ -284,9 +383,14 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     for j in range(m, stop + 1):
         if j:
             power = power @ power
-        rows = bits[:, j].nonzero()[0]
+            if j == attempt:
+                ratio, basis = _collapsed(power, sketch)
+                if basis is not None:
+                    return _collapsed_tail(out, ks >> j, *basis)
+                attempt = _next_attempt(j, ratio)
+        rows = ((ks >> j) & 1).nonzero()[0]
         out[rows] = out[rows] @ power
-    marches = 2 * (shifted[:, stop] >> 1)
+    marches = 2 * (ks >> (stop + 1))
     for count in range(2 * (k_max >> (stop + 1))):
         rows = (marches > count).nonzero()[0]
         out[rows] = out[rows] @ power

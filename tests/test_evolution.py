@@ -194,23 +194,52 @@ class TestIntegrate:
             integrate(two_level_model.initial_dm(), two_level_model.hamiltonian, p_all,
                       two_level_model.gamma, two_level_model.omega, cfg)
 
+    def test_unstable_step_at_sixteen_skips_non_finite_powers(self, monkeypatch):
+        # n = 16 at dt = 1e-3, far past RK4's stability limit: the powers overflow from level 9
+        # on; the collapse tests skip them before any QR, and one IntegrationError names the
+        # divergence, with no floating-point warning on the way
+        qr_finite, attempts = [], []
+        qr, collapsed = np.linalg.qr, evolution._collapsed
+
+        def checked_qr(a, *args, **kwargs):
+            qr_finite.append(np.isfinite(a).all())
+            return qr(a, *args, **kwargs)
+
+        def attempt(power, sketch):
+            attempts.append((np.isfinite(power).all(), collapsed(power, sketch)))
+            return attempts[-1][1]
+
+        monkeypatch.setattr(np.linalg, "qr", checked_qr)
+        monkeypatch.setattr(evolution, "_collapsed", attempt)
+        cfg = IntegratorConfig(t_max=100.0, dt=1e-3, record_every=10000)
+        with pytest.raises(IntegrationError, match="^non-finite state at t = 10: integration"):
+            simulate_model(_floor_model(16, 4), cfg, mode="full")
+        assert qr_finite and all(qr_finite)
+        skipped = [result for finite, result in attempts if not finite]
+        assert skipped and all(result == (math.inf, None) for result in skipped)
+
+
+def _floor_model(seed, d):
+    """A seeded random d x d amplitude scenario, one-to-one, gamma = 5, omega = 1, floor 1e-4,
+    with a random Hermitian H of spectral norm omega: built like the full_dense benchmark's."""
+    rng = np.random.default_rng(seed)
+    h = random_hamiltonian(rng, d * d, 1.0)
+    return MeasurementModel(
+        sys=StateVector(random_state(rng, d)),
+        app=StateVector(random_state(rng, d)),
+        correspondence=CorrespondenceMap.one_to_one(d),
+        gamma=5.0,
+        omega=1.0,
+        epsilon=1e-4,
+        hamiltonian=h,
+    )
+
 
 class TestFullModeAtTwentyFive:
     def test_snapshots_match_eigendecomposition_reference(self):
-        # n = 25: a seeded random 5 x 5 amplitude scenario with a random
-        # Hermitian H of spectral norm omega, against exp(G t) rho0
-        rng = np.random.default_rng(25)
-        d, n, omega = 5, 25, 1.0
-        h = random_hamiltonian(rng, n, omega)
-        model = MeasurementModel(
-            sys=StateVector(random_state(rng, d)),
-            app=StateVector(random_state(rng, d)),
-            correspondence=CorrespondenceMap.one_to_one(d),
-            gamma=5.0,
-            omega=omega,
-            epsilon=1e-4,
-            hamiltonian=h,
-        )
+        # n = 25: a seeded random 5 x 5 floor scenario against exp(G t) rho0
+        n = 25
+        model = _floor_model(25, 5)
         traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="full")
         assert traj.states.shape == (traj.times.size, n, n)
         assert np.abs(exact_states(model, traj.times) - traj.states).max() <= 1e-5
@@ -273,19 +302,34 @@ class TestPropagate:
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     @staticmethod
-    def _model_step(seed=64):
-        # the transposed step map and initial coordinates of a full-mode run
-        # at n = 8, N = 64: trace preserving, so every power stays bounded
-        model = random_amplitude_model(np.random.default_rng(seed), 2, 4)
+    def _run_inputs(model, t_max):
+        # the transposed step map, initial coordinates and record steps that
+        # one full-mode run passes to _propagate
         captured = []
         propagate = evolution._propagate
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_propagate",
-                          lambda step_t, y0, ks: captured.append((step_t, y0)) or propagate(step_t, y0, ks))
-            simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
-        ((step_t, y0),) = captured
+                          lambda *args: captured.append(args) or propagate(*args))
+            simulate_model(model, IntegratorConfig(t_max=t_max), mode="full")
+        (args,) = captured
+        return args
+
+    @classmethod
+    def _model_step(cls, seed=64):
+        # the transposed step map and initial coordinates of a full-mode run
+        # at n = 8, N = 64: trace preserving, so every power stays bounded
+        model = random_amplitude_model(np.random.default_rng(seed), 2, 4)
+        step_t, y0, _ = cls._run_inputs(model, 1e-3)
         assert step_t.shape == (64, 64)
         return step_t, y0
+
+    @classmethod
+    def _floor_run(cls, t_max):
+        # _propagate's inputs for a seeded 4 x 4 floor model at n = 16, N = 256: from t = 8.6e-4
+        # (level 9 of the chain) on, its powers have rank 16, the aligned block's
+        step_t, y0, ks = cls._run_inputs(_floor_model(16, 4), t_max)
+        assert step_t.shape == (256, 256)
+        return step_t, y0, ks
 
     @staticmethod
     def _plain_schedule(step_t, y0, ks):
@@ -349,6 +393,93 @@ class TestPropagate:
         assert got.tobytes() == evolution._propagate(step_t, y0, ks).tobytes()
         assert tally["squarings"] == 18
         assert tally["rows"] <= 800  # 737 here, 1309 when every level multiplies its records
+
+    @staticmethod
+    def _squarings(step_t, y0, ks):
+        # _propagate's rows and the number of its products of two N x N powers (not the
+        # sketch, the residual or any row products)
+        tally = [0]
+
+        class Power(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                plain = [x.view(np.ndarray) if isinstance(x, Power) else x for x in inputs]
+                result = getattr(ufunc, method)(*plain, **kwargs)
+                if ufunc is np.matmul and all(isinstance(x, Power) and x.shape == step_t.shape
+                                              for x in inputs):
+                    tally[0] += 1
+                    return result.view(Power)
+                return result
+
+        got = evolution._propagate(step_t.view(Power), y0, ks)
+        return got.view(np.ndarray), tally[0]
+
+    def test_collapsed_power_finishes_in_the_slow_subspace(self):
+        step_t, y0, ks = self._floor_run(1.0)
+        stop, expected = self._plain_schedule(step_t, y0, ks)
+        assert stop >= 15  # the plain schedule squares 15 or 16 times
+        got, squarings = self._squarings(step_t, y0, ks)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+        assert squarings <= 11  # 9 here: level 9 collapses
+
+    def test_complex_power_collapses_on_the_conjugate_basis(self):
+        # the complex vec(rho) step map of the same run: its powers are projected with Q Q^H
+        model, cfg = _floor_model(16, 4), IntegratorConfig(t_max=1.0)
+        traj = simulate_model(model, cfg, mode="full")
+        step_t = _taylor_step(closed_form_generator(model), traj.dt).T
+        y0 = model.initial_dm().entries.reshape(-1)
+        ks = evolution._record_steps(traj.n_steps, cfg)
+        expected = self._plain_schedule(step_t, y0, ks)[1]
+        got, squarings = self._squarings(step_t, y0, ks)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+        assert squarings <= 11
+
+    def test_collapse_inside_the_table_levels(self):
+        # 2048 consecutive records: the table doubles up to level 9, where the power collapses
+        step_t, y0, _ = self._floor_run(1.0)
+        ks = np.arange(2048)
+        tails = []
+        tail = evolution._collapsed_tail
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_collapsed_tail",
+                          lambda out, high, *basis: tails.append(high) or tail(out, high, *basis))
+            got = evolution._propagate(step_t, y0, ks)
+        (high,) = tails
+        assert np.array_equal(high, ks >> 9)
+        expected = self._plain_schedule(step_t, y0, ks)[1]
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    def test_uncollapsed_run_keeps_its_bits(self, monkeypatch):
+        # t_max = 1e-4 takes 72 steps, far short of level 9: the attempt fails and the
+        # chain goes on unchanged
+        step_t, y0, ks = self._floor_run(1e-4)
+        attempts = []
+        collapsed = evolution._collapsed
+        monkeypatch.setattr(evolution, "_collapsed",
+                            lambda *args: attempts.append(collapsed(*args)) or attempts[-1])
+        got = evolution._propagate(step_t, y0, ks)
+        assert attempts and all(basis is None for _, basis in attempts)
+        assert got.tobytes() == self._plain_schedule(step_t, y0, ks)[1].tobytes()
+
+    def test_runs_are_deterministic(self):
+        # the sketch comes from a fixed seed of its own: reseeding and drawing from numpy's
+        # global generator between two runs changes no bit, and a run leaves it untouched
+        model, cfg = _floor_model(16, 4), IntegratorConfig(t_max=1.0)
+        np.random.seed(1)
+        first = simulate_model(model, cfg, mode="full").states
+        drawn = np.random.random(3)
+        np.random.seed(1)
+        assert np.array_equal(np.random.random(3), drawn)
+        second = simulate_model(model, cfg, mode="full").states
+        assert np.array_equal(first, second)
+
+    def test_collapse_keeps_the_chains_peak_memory(self):
+        # tracemalloc peak beyond S, in N x N arrays: 2.934 for the chain without collapse tests
+        # (a power and its square beside the 206 rows and two (T, bits) tables), 2.935 with
+        # them: the sketch, N/8 x N, takes the tables' place, and a test holds one N x N
+        # temporary beside the power, as a squaring holds the new power
+        step_t, y0, ks = self._floor_run(1.0)
+        peak = TestSizeGuard._peak_arrays(lambda: evolution._propagate(step_t, y0, ks), 16)
+        assert peak <= 2.95
 
     def test_early_stop_matches_matrix_power(self):
         step_t, y0 = self._model_step()
