@@ -32,16 +32,16 @@ product, the records whose k has bit j set, until marching the rest costs no
 more than one more squaring. On its low levels, where the records outnumber
 their distinct partial states, the chain builds those states once, as a
 table of the rows y0 S**r made by doubling, and each record starts from row
-k mod 2**m of it. Once the floor transient has died, only the slow subspace,
-the coordinates of the aligned block, still moves, and the powers have
-collapsed onto it: from N = :data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed`
-tests squared powers against a sketch of their row space (a randomized
-range finder), and the first one that passes finishes every record in N/8
-dimensions (:func:`_collapsed_tail`), with no further squaring or march. A
-power that fails, or holds a non-finite entry, goes on through the
-unchanged chain. Fast mode has no step map: the one symmetric
-eigendecomposition of the family, ``dissipator._balanced_modes``, gives its
-populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
+k mod 2**m of it. Once the floor transient has died, only the slow block of
+the aligned states still moves, and the powers have collapsed onto it: from N
+= :data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed` tests the power at the
+level that the floor rates predict (:func:`_slow_block`), and at most one
+more, on its own rows at the block's coordinates, and one that passes
+finishes every record in the block (:func:`_collapsed_tail`), with no
+further squaring or march. A power that fails, or holds a non-finite entry,
+goes on through the unchanged chain. Fast mode has no step map: the one
+symmetric eigendecomposition of the family, ``dissipator._balanced_modes``,
+gives its populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
 complex snapshot stack (16 bytes per entry), the full-mode arrays, whose
 budget its comment sets out, and, through :func:`_size_spectrum`, the
 ``spectrum`` command's arrays; :data:`MAX_STEPS` caps the step count.
@@ -88,12 +88,12 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # as four real n^2 x n^2 arrays: assembly holds three (unit coordinates, image, one product),
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
 # up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
-# it); from n^2 = 128 on it also holds the n^2/8 x n^2 sketch of its collapse tests, and a test
-# holds, beside S and the power, one n^2 x n^2 temporary and Q and C, n^2 x n^2/8 each, which its
-# tail keeps beside the rows; S is freed before the rows are unpacked. The stack's own phases
-# hold little beyond it: _check_snapshots, passing or failing, and Trajectory.trace_dist read it
-# in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16, T = 1152),
-# and the spectra's batched eigenvalue call keeps only its (T, n) output
+# it); from n^2 = 128 on a collapse test holds, beside S and the power, its s^2 x n^2 rows at the
+# slow block (s^2 <= n^2/4), Q and C, n^2 x s^2 each, which its tail keeps beside the rows, and a
+# residual block of _STACK_BLOCK_BYTES; S is freed before the rows are unpacked. The stack's own
+# phases hold little beyond it: _check_snapshots, passing or failing, and Trajectory.trace_dist
+# read it in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16,
+# T = 1152), and the spectra's batched eigenvalue call keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -102,19 +102,16 @@ MAX_STEPS = 2**53
 SPECTRUM_ARRAYS = 5
 # snapshots per batched trace-distance call in alignment_time's backward search
 _ALIGNMENT_BLOCK = 32
-# bytes of the stack per block of the snapshot checks and of Trajectory.trace_dist, small
-# enough that a block's temporaries stay in cache
+# bytes per block of the stack in the snapshot checks and Trajectory.trace_dist, and of a power
+# in a collapse test's residual, small enough that a block's temporaries stay in cache
 _STACK_BLOCK_BYTES = 2**17
 # the trace distance at which a run counts as aligned, unless the caller or the config sets one
 DEFAULT_ALIGNMENT_TOL = 0.01
-# _propagate tests its powers from this matrix size N on for a collapse onto at most
-# N / _COLLAPSE_SHARE dimensions, with a residual of at most _COLLAPSE_TOL times the power's
-# largest entry (4e-16 to 2e-14 where the full_dense runs accept); _SKETCH_SEED fixes the
-# sketch, so every run takes the same levels and gives the same bits
+# from this matrix size N on, _propagate tests a power for a collapse onto the slow block of
+# _slow_block, with a residual of at most _COLLAPSE_TOL times the power's largest entry (4.5e-16
+# to 2.3e-14 where the full_dense runs of seeds 0-2 accept, each on its first test)
 _COLLAPSE_MIN_SIZE = 128
-_COLLAPSE_SHARE = 8
 _COLLAPSE_TOL = 1e-13
-_SKETCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -258,46 +255,28 @@ def _step_map(diag_gen: np.ndarray, h: np.ndarray | None, dt: float) -> np.ndarr
     return step
 
 
-def _collapsed(power: np.ndarray,
-               sketch: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
-    """Test whether the N x N ``power`` has collapsed onto at most w
-    dimensions: the w x N Gaussian ``sketch`` sketches its row space, a
-    randomized range finder; the w sketched rows, orthonormalised, are the
+def _collapsed(power: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Test whether the N x N ``power`` has collapsed onto the slow block:
+    its own rows at the w support ``coords``, orthonormalised, are the
     columns of Q, and ``power`` is compared with ``C Q^H``, C = ``power @
-    Q``, in blocks of w rows. Returns ``(ratio, (C, Q))`` when no entry of
-    the residual passes :data:`_COLLAPSE_TOL` times the largest entry of
-    ``power``, else ``(ratio, None)`` with the ratio of the first block
-    that fails, or inf for a power or sketch with a non-finite entry, which
-    reaches no QR.
+    Q``, in row blocks of :func:`_stack_blocks`. Returns ``(C, Q)`` when no
+    entry of the residual passes :data:`_COLLAPSE_TOL` times the largest
+    entry of ``power``, else None, at the first block that fails or, before
+    any QR, for a power with a non-finite entry.
     """
-    size, width = power.shape[0], sketch.shape[0]
     scale = np.abs(power).max()
     if not np.isfinite(scale):
-        return math.inf, None
-    sketched = sketch @ power
-    if not np.isfinite(sketched).all():
-        return math.inf, None
-    q = np.linalg.qr(sketched.conj().T)[0]
+        return None
+    q = np.linalg.qr(power[coords].conj().T)[0]
     qh = q.conj().T
-    c = np.empty((size, width), dtype=q.dtype)
-    for start in range(0, size, width):
-        rows = slice(start, start + width)
+    c = np.empty((power.shape[0], coords.size), dtype=q.dtype)
+    for rows in _stack_blocks(power):
         c[rows] = power[rows] @ q
         resid = c[rows] @ qh
         resid -= power[rows]
-        err = np.abs(resid).max()
-        if err > _COLLAPSE_TOL * scale:
-            return err / scale, None
-    return 0.0, (c, q)
-
-
-def _next_attempt(level: int, ratio: float) -> int:
-    """The next level to test after ``level`` failed with ``ratio``: a fast
-    mode's share of a power squares with each squaring, so the first level
-    at which ``ratio**(2**i)`` reaches :data:`_COLLAPSE_TOL`."""
-    if not ratio < 1.0:
-        return level + 1
-    return level + max(1, math.ceil(math.log2(math.log(_COLLAPSE_TOL) / math.log(ratio))))
+        if np.abs(resid).max() > _COLLAPSE_TOL * scale:
+            return None
+    return c, q
 
 
 def _collapsed_tail(out: np.ndarray, high: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -319,7 +298,8 @@ def _collapsed_tail(out: np.ndarray, high: np.ndarray, c: np.ndarray, q: np.ndar
     return out
 
 
-def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray,
+               coords: np.ndarray | None = None, level: int | None = None) -> np.ndarray:
     """Rows ``y0 @ step_t**k``, the states ``step**k @ y0`` for ``step_t =
     step^T``, for every k in ``ks``, from one squaring chain (full mode only).
 
@@ -335,14 +315,13 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     multiply and at most T after doubling; every row still takes the
     level-by-level products, in the same order.
 
-    From N = :data:`_COLLAPSE_MIN_SIZE` on, a squared power is tested by
-    :func:`_collapsed`, against one N/8 x N Gaussian sketch drawn per call
-    from :data:`_SKETCH_SEED`: once the fast modes have died, it has
-    collapsed onto the slow subspace, and :func:`_collapsed_tail` finishes
-    every row in w = N/8 dimensions, with no further squaring or march. A
-    failed test names its next level by :func:`_next_attempt`; a power that
-    fails, or holds a non-finite entry, goes on through the unchanged chain,
-    so a run that never collapses keeps its bits. Its memory is counted at
+    Given the slow block's ``coords`` and ``level`` from :func:`_slow_block`,
+    :func:`_collapsed` tests the power of that level and, should it fail, of
+    the next, up to the stop; a power that passes has collapsed onto the
+    block, and :func:`_collapsed_tail` finishes every row in its dimensions,
+    with no further squaring or march. A power that fails, or holds a
+    non-finite entry, goes on through the unchanged chain, so a run that
+    never collapses keeps its bits. Its memory is counted at
     :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
@@ -357,24 +336,15 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     m = 0
     while m <= stop and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
         m += 1
-    # the next level to test for a collapse, and the fixed Gaussian sketch of the tests, drawn by a
-    # generator of its own: numpy's global one is neither read nor moved
-    attempt, sketch = stop + 1, None
-    if size >= _COLLAPSE_MIN_SIZE and stop:
-        attempt = 1
-        sketch = np.random.default_rng(_SKETCH_SEED).standard_normal(
-            (size // _COLLAPSE_SHARE, size))
+    tested = () if level is None else (level, level + 1)
     table = np.empty((2 ** m, y0.size), dtype=np.result_type(step_t, y0))
     table[:2] = y0
     power = step_t
     for j in range(m):
         if j:
             power = power @ power
-            if j == attempt:
-                ratio, basis = _collapsed(power, sketch)
-                if basis is not None:
-                    return _collapsed_tail(table[ks & (2 ** j - 1)], ks >> j, *basis)
-                attempt = _next_attempt(j, ratio)
+            if j in tested and (basis := _collapsed(power, coords)) is not None:
+                return _collapsed_tail(table[ks & (2 ** j - 1)], ks >> j, *basis)
         # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
         # rounds unlike the batched gemm rows
         table[2 ** j:2 ** (j + 1)] = (table[:max(2, 2 ** j)] @ power)[:2 ** j]
@@ -383,11 +353,8 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
     for j in range(m, stop + 1):
         if j:
             power = power @ power
-            if j == attempt:
-                ratio, basis = _collapsed(power, sketch)
-                if basis is not None:
-                    return _collapsed_tail(out, ks >> j, *basis)
-                attempt = _next_attempt(j, ratio)
+            if j in tested and (basis := _collapsed(power, coords)) is not None:
+                return _collapsed_tail(out, ks >> j, *basis)
         rows = ((ks >> j) & 1).nonzero()[0]
         out[rows] = out[rows] @ power
     marches = 2 * (ks >> (stop + 1))
@@ -395,6 +362,32 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray) -> np.ndarray
         rows = (marches > count).nonzero()[0]
         out[rows] = out[rows] @ power
     return out
+
+
+def _slow_block(p_all, gamma: float, omega: float, dt: float) -> tuple[np.ndarray, int] | tuple[()]:
+    """The slow block's coordinates a n + b, a and b in the support, and the
+    level at which :func:`_propagate` first tests for a collapse onto it,
+    read off ``p_all`` in O(n); () when N = n^2 < :data:`_COLLAPSE_MIN_SIZE`,
+    no p lies above the smallest (epsilon^2 when a floor exists), the s^2
+    support coordinates pass N/4, or kappa dt is not a positive normal
+    number. The support's coherences with the floor decay at kappa, half the
+    sum of the smallest floor and support outflows of
+    ``dissipator._rate_bounds``: the level is the first j at which
+    exp(-kappa 2**j dt) <= :data:`_COLLAPSE_TOL`."""
+    p = np.ravel(p_all)
+    n = p.size
+    if n * n < _COLLAPSE_MIN_SIZE:
+        return ()
+    floor = p == p.min()
+    support = (~floor).nonzero()[0]
+    if not 0 < 4 * support.size ** 2 <= n * n:
+        return ()
+    outflow = _rate_bounds(p, gamma, omega)[3]
+    kappa_dt = (float(outflow[floor].min()) + float(outflow[support].min())) / 2 * dt
+    if not np.finfo(float).tiny <= kappa_dt < math.inf:
+        return ()
+    level = math.ceil(math.log2(-math.log(_COLLAPSE_TOL)) - math.log2(kappa_dt))
+    return (support[:, None] * n + support).reshape(-1), max(1, level)
 
 
 def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
@@ -493,9 +486,11 @@ def _check_snapshots(traj: Trajectory) -> None:
     run in a fixed order: finite entries, gross positivity, trace drift,
     Hermiticity, snapshot positivity. A block whose spectra find no failure
     (a round-off tie at the positivity tolerance) passes, and so does a
-    block that factorises, even if a later block fails.
+    block that factorises, even if a later block fails. The trace-drift and
+    positivity messages name the run's step count and ``dt``.
     """
     shift = SNAPSHOT_POSITIVITY_TOL * np.eye(traj.states.shape[1])
+    steps = f"the run took {traj.n_steps} steps of dt = {traj.dt:.3g}"
     for block in _stack_blocks(traj.states):
         times, states = traj.times[block], traj.states[block]
         finite = np.isfinite(states).all(axis=(1, 2))
@@ -513,9 +508,9 @@ def _check_snapshots(traj: Trajectory) -> None:
         smallest = np.linalg.eigvalsh(head)[:, 0]
         checks = (
             (smallest < -POSITIVITY_FAILURE_TOL, lambda k: IntegrationError(
-                f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); reduce dt")),
+                f"positivity violated at t = {times[k]:g} (eigenvalue {smallest[k]:.3e}); {steps}")),
             (drift > TRACE_DRIFT_TOL, lambda k: IntegrationError(
-                f"trace drifted by {drift[k]:.3e} at t = {times[k]:g}; reduce dt")),
+                f"trace drifted by {drift[k]:.3e} at t = {times[k]:g}; {steps}")),
             (asym > SNAPSHOT_HERMITICITY_TOL, lambda k: IntegrationError(
                 f"snapshot at t = {times[k]:g} is not Hermitian: max asymmetry {asym[k]:.3e}")),
             (smallest < -SNAPSHOT_POSITIVITY_TOL, lambda k: IntegrationError(
@@ -581,8 +576,9 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, h_norm)
     ks = _record_steps(n_steps, cfg)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
+    block = _slow_block(p_all, gamma, omega, dt)
     with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
-        states = _unpack(_propagate(_step_map(diag_gen, h, dt), _pack(m0).reshape(-1), ks)
+        states = _unpack(_propagate(_step_map(diag_gen, h, dt), _pack(m0).reshape(-1), ks, *block)
                          .reshape(-1, n, n))
     return _build_trajectory(ks * dt, states, target, dt, n_steps)
 

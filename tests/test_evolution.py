@@ -195,28 +195,30 @@ class TestIntegrate:
                       two_level_model.gamma, two_level_model.omega, cfg)
 
     def test_unstable_step_at_sixteen_skips_non_finite_powers(self, monkeypatch):
-        # n = 16 at dt = 1e-3, far past RK4's stability limit: the powers overflow from level 9
-        # on; the collapse tests skip them before any QR, and one IntegrationError names the
+        # n = 16 at dt = 1e-3, far past RK4's stability limit: the powers overflow from level 6
+        # on; with the predicted level moved to 5, the test there runs its QR on a finite power,
+        # the test at 6 skips its power before any QR, and one IntegrationError names the
         # divergence, with no floating-point warning on the way
         qr_finite, attempts = [], []
-        qr, collapsed = np.linalg.qr, evolution._collapsed
+        qr, collapsed, slow_block = np.linalg.qr, evolution._collapsed, evolution._slow_block
 
         def checked_qr(a, *args, **kwargs):
             qr_finite.append(np.isfinite(a).all())
             return qr(a, *args, **kwargs)
 
-        def attempt(power, sketch):
-            attempts.append((np.isfinite(power).all(), collapsed(power, sketch)))
+        def attempt(power, coords):
+            attempts.append((np.isfinite(power).all(), collapsed(power, coords)))
             return attempts[-1][1]
 
         monkeypatch.setattr(np.linalg, "qr", checked_qr)
         monkeypatch.setattr(evolution, "_collapsed", attempt)
+        monkeypatch.setattr(evolution, "_slow_block", lambda *args: (slow_block(*args)[0], 5))
         cfg = IntegratorConfig(t_max=100.0, dt=1e-3, record_every=10000)
         with pytest.raises(IntegrationError, match="^non-finite state at t = 10: integration"):
             simulate_model(_floor_model(16, 4), cfg, mode="full")
         assert qr_finite and all(qr_finite)
         skipped = [result for finite, result in attempts if not finite]
-        assert skipped and all(result == (math.inf, None) for result in skipped)
+        assert skipped and all(result is None for result in skipped)
 
 
 def _floor_model(seed, d):
@@ -325,11 +327,12 @@ class TestPropagate:
 
     @classmethod
     def _floor_run(cls, t_max):
-        # _propagate's inputs for a seeded 4 x 4 floor model at n = 16, N = 256: from t = 8.6e-4
-        # (level 9 of the chain) on, its powers have rank 16, the aligned block's
-        step_t, y0, ks = cls._run_inputs(_floor_model(16, 4), t_max)
-        assert step_t.shape == (256, 256)
-        return step_t, y0, ks
+        # _propagate's inputs for a seeded 4 x 4 floor model at n = 16, N = 256, the slow block's
+        # coordinates and predicted level last: from t = 8.6e-4 (level 9 of the chain) on, its
+        # powers have rank 16, the aligned block's
+        args = cls._run_inputs(_floor_model(16, 4), t_max)
+        assert args[0].shape == (256, 256) and args[3].size == 16
+        return args
 
     @staticmethod
     def _plain_schedule(step_t, y0, ks):
@@ -395,9 +398,9 @@ class TestPropagate:
         assert tally["rows"] <= 800  # 737 here, 1309 when every level multiplies its records
 
     @staticmethod
-    def _squarings(step_t, y0, ks):
+    def _squarings(step_t, y0, ks, *block):
         # _propagate's rows and the number of its products of two N x N powers (not the
-        # sketch, the residual or any row products)
+        # collapse test's or any row products)
         tally = [0]
 
         class Power(np.ndarray):
@@ -410,14 +413,14 @@ class TestPropagate:
                     return result.view(Power)
                 return result
 
-        got = evolution._propagate(step_t.view(Power), y0, ks)
+        got = evolution._propagate(step_t.view(Power), y0, ks, *block)
         return got.view(np.ndarray), tally[0]
 
     def test_collapsed_power_finishes_in_the_slow_subspace(self):
-        step_t, y0, ks = self._floor_run(1.0)
+        step_t, y0, ks, *block = self._floor_run(1.0)
         stop, expected = self._plain_schedule(step_t, y0, ks)
         assert stop >= 15  # the plain schedule squares 15 or 16 times
-        got, squarings = self._squarings(step_t, y0, ks)
+        got, squarings = self._squarings(step_t, y0, ks, *block)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
         assert squarings <= 11  # 9 here: level 9 collapses
 
@@ -428,41 +431,101 @@ class TestPropagate:
         step_t = _taylor_step(closed_form_generator(model), traj.dt).T
         y0 = model.initial_dm().entries.reshape(-1)
         ks = evolution._record_steps(traj.n_steps, cfg)
+        block = evolution._slow_block(model.rate_table().flat_probabilities(), model.gamma,
+                                      model.omega, traj.dt)
         expected = self._plain_schedule(step_t, y0, ks)[1]
-        got, squarings = self._squarings(step_t, y0, ks)
+        got, squarings = self._squarings(step_t, y0, ks, *block)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
         assert squarings <= 11
 
     def test_collapse_inside_the_table_levels(self):
         # 2048 consecutive records: the table doubles up to level 9, where the power collapses
-        step_t, y0, _ = self._floor_run(1.0)
+        step_t, y0, _, *block = self._floor_run(1.0)
         ks = np.arange(2048)
         tails = []
         tail = evolution._collapsed_tail
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_collapsed_tail",
                           lambda out, high, *basis: tails.append(high) or tail(out, high, *basis))
-            got = evolution._propagate(step_t, y0, ks)
+            got = evolution._propagate(step_t, y0, ks, *block)
         (high,) = tails
         assert np.array_equal(high, ks >> 9)
         expected = self._plain_schedule(step_t, y0, ks)[1]
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
 
     def test_uncollapsed_run_keeps_its_bits(self, monkeypatch):
-        # t_max = 1e-4 takes 72 steps, far short of level 9: the attempt fails and the
-        # chain goes on unchanged
-        step_t, y0, ks = self._floor_run(1e-4)
-        attempts = []
-        collapsed = evolution._collapsed
-        monkeypatch.setattr(evolution, "_collapsed",
-                            lambda *args: attempts.append(collapsed(*args)) or attempts[-1])
-        got = evolution._propagate(step_t, y0, ks)
-        assert attempts and all(basis is None for _, basis in attempts)
+        # t_max = 1e-4 takes 72 steps, far short of the predicted level 9, past the chain's stop:
+        # no power is tested and the chain goes on unchanged
+        step_t, y0, ks, coords, level = self._floor_run(1e-4)
+        assert level == 9 and int(ks.max()).bit_length() == 7
+        calls = []
+        monkeypatch.setattr(evolution, "_collapsed", lambda *args: calls.append(args))
+        got = evolution._propagate(step_t, y0, ks, coords, level)
+        assert not calls
         assert got.tobytes() == self._plain_schedule(step_t, y0, ks)[1].tobytes()
 
+    @classmethod
+    def _collapse_calls(cls, model):
+        # _propagate's inputs in one full-mode run of ``model`` to t = 1, and whether each
+        # _collapsed call of that run passed
+        passed = []
+        collapsed = evolution._collapsed
+
+        def tally(*args):
+            basis = collapsed(*args)
+            passed.append(basis is not None)
+            return basis
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evolution, "_collapsed", tally)
+            args = cls._run_inputs(model, 1.0)
+        return args, passed
+
+    def test_quarter_wide_slow_block_collapses_on_one_test(self):
+        # the 2 x 8 amplitude model at n = 16: eight flat states above the floor, so its slow
+        # block has 64 = N/4 coordinates
+        args, passed = self._collapse_calls(random_amplitude_model(np.random.default_rng(7), 2, 8))
+        assert args[3].size == 64
+        assert passed == [True]
+        expected = self._plain_schedule(*args[:3])[1]
+        got = evolution._propagate(*args)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_floor_models_collapse_on_the_predicted_level(self, seed):
+        args, passed = self._collapse_calls(_floor_model(seed, 4))
+        assert args[3].size == 16
+        assert passed == [True]
+
+    def test_model_without_floor_is_never_tested(self):
+        # one outcome read on 16 readings: every flat state carries a Born weight, so the support
+        # above the smallest p has 15 states and its block, 225 coordinates, is too wide to test
+        rng = np.random.default_rng(11)
+        weights = rng.uniform(0.5, 1.5, size=16)
+        model = MeasurementModel(
+            sys=StateVector(np.ones(1)),
+            app=StateVector(random_state(rng, 16)),
+            correspondence=CorrespondenceMap.from_assignment(1, 16, [range(16)],
+                                                             [weights / weights.sum()]),
+            gamma=5.0,
+            omega=1.0,
+            epsilon=1e-4,
+            hamiltonian=random_hamiltonian(rng, 16, 1.0),
+        )
+        args, passed = self._collapse_calls(model)
+        assert len(args) == 3 and not passed
+        assert evolution._propagate(*args).tobytes() == self._plain_schedule(*args)[1].tobytes()
+
+    @pytest.mark.parametrize("gamma, dt", [(5e-324, 1.0), (5.0, 5e-324), (1e300, 1e300)])
+    def test_slow_block_without_a_normal_kappa_dt_makes_no_test(self, gamma, dt):
+        # a zero, subnormal or infinite kappa dt names no level, and no warning is raised
+        p = _floor_model(16, 4).rate_table().flat_probabilities()
+        assert evolution._slow_block(p, 5.0, 1.0, 1e-5)[1] >= 1
+        assert evolution._slow_block(p, gamma, 1.0, dt) == ()
+
     def test_runs_are_deterministic(self):
-        # the sketch comes from a fixed seed of its own: reseeding and drawing from numpy's
-        # global generator between two runs changes no bit, and a run leaves it untouched
+        # reseeding and drawing from numpy's global generator between two runs changes no bit,
+        # and a run leaves it untouched
         model, cfg = _floor_model(16, 4), IntegratorConfig(t_max=1.0)
         np.random.seed(1)
         first = simulate_model(model, cfg, mode="full").states
@@ -473,12 +536,11 @@ class TestPropagate:
         assert np.array_equal(first, second)
 
     def test_collapse_keeps_the_chains_peak_memory(self):
-        # tracemalloc peak beyond S, in N x N arrays: 2.934 for the chain without collapse tests
-        # (a power and its square beside the 206 rows and two (T, bits) tables), 2.935 with
-        # them: the sketch, N/8 x N, takes the tables' place, and a test holds one N x N
-        # temporary beside the power, as a squaring holds the new power
-        step_t, y0, ks = self._floor_run(1.0)
-        peak = TestSizeGuard._peak_arrays(lambda: evolution._propagate(step_t, y0, ks), 16)
+        # tracemalloc peak beyond S, in N x N arrays: 2.808 for the chain without collapse tests
+        # (a power and its square beside the 206 rows), 2.809 with them: a test holds the power's
+        # 16 rows at the slow block, one residual block of that size and Q and C, N x 16 each
+        step_t, y0, ks, *block = self._floor_run(1.0)
+        peak = TestSizeGuard._peak_arrays(lambda: evolution._propagate(step_t, y0, ks, *block), 16)
         assert peak <= 2.95
 
     def test_early_stop_matches_matrix_power(self):
@@ -580,6 +642,13 @@ class TestSnapshotChecks:
             evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
         assert fragment in str(err.value)
         assert type(err.value) is error
+
+    @pytest.mark.parametrize("kind", ["negative", "trace"])
+    def test_drift_and_positivity_name_the_steps(self, kind):
+        # a smaller dt cannot mend these failures: the message names the run's steps
+        with pytest.raises(IntegrationError) as err:
+            evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
+        assert str(err.value).endswith("; the run took 9 steps of dt = 0.1")
 
     def test_earliest_failing_snapshot_wins(self):
         # a later non-finite snapshot and a later gross positivity failure do
