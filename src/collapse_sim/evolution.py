@@ -28,23 +28,24 @@ products, as the degree-4 Taylor polynomial of the step map S (the same
 update for a linear autonomous system); :func:`_step_map` builds it,
 transposed, as rows. Every record step k is reached through one squaring
 chain, :func:`_propagate`: each power S**(2**j) multiplies, in one batched
-product, the records whose k has bit j set, until marching the rest costs no
-more than one more squaring. On its low levels, where the records outnumber
-their distinct partial states, the chain builds those states once, as a
-table of the rows y0 S**r made by doubling, and each record starts from row
-k mod 2**m of it. Once the floor transient has died, only the slow block of
-the aligned states still moves, and the powers have collapsed onto it: from N
-= :data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed` tests the power at the
+product, the records whose k has bit j set, up to the top bit of the largest
+k. On its low levels, where the records outnumber their distinct partial
+states, the chain builds those states once, as a table of the rows y0 S**r
+made by doubling, and each record starts from row k mod 2**m of it. Once the
+floor transient has died, only the slow block of the aligned states still
+moves, and the powers have collapsed onto it: from N =
+:data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed` tests the power at the
 level that the floor rates predict (:func:`_slow_block`), and at most one
 more, on its own rows at the block's coordinates, and one that passes
 finishes every record in the block (:func:`_collapsed_tail`), with no
-further squaring or march. A power that fails, or holds a non-finite entry,
-goes on through the unchanged chain. Fast mode has no step map: the one
-symmetric eigendecomposition of the family, ``dissipator._balanced_modes``,
-gives its populations in closed form. :data:`MAX_STACK_BYTES` caps the (T, n, n)
-complex snapshot stack (16 bytes per entry), the full-mode arrays, whose
-budget its comment sets out, and, through :func:`_size_spectrum`, the
-``spectrum`` command's arrays; :data:`MAX_STEPS` caps the step count.
+further squaring: the chain's only early stop. A power that fails, or holds
+a non-finite entry, goes on through the unchanged chain. Fast mode has no
+step map: the one symmetric eigendecomposition of the family,
+``dissipator._balanced_modes``, gives its populations in closed form.
+:data:`MAX_STACK_BYTES` caps the (T, n, n) complex snapshot stack (16 bytes
+per entry), the full-mode arrays, whose budget its comment sets out, and,
+through :func:`_size_spectrum`, the eigendecomposition of the ``spectrum``
+command and of fast mode; :data:`MAX_STEPS` caps the step count.
 
 The stack is checked by :func:`_check_snapshots` once the :class:`Trajectory`
 exists, in one pass over blocks of about :data:`_STACK_BLOCK_BYTES`, in time
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -97,8 +99,9 @@ POSITIVITY_FAILURE_TOL = 1e-6
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
-# n x n float arrays the spectrum command holds at its peak, inside eigh: K, balanced from M in
-# place, LAPACK's copy of K, its 2 n^2 workspace and the eigenvectors (5.1 by max RSS at n = 2025)
+# n x n float arrays the family's eigendecomposition (dissipator._balanced_modes, in the spectrum
+# command and in fast mode) holds at its peak, inside eigh: K, balanced from M in place, LAPACK's
+# copy of K, its 2 n^2 workspace and the eigenvectors (5.1 by max RSS at n = 2025)
 SPECTRUM_ARRAYS = 5
 # snapshots per batched trace-distance call in alignment_time's backward search
 _ALIGNMENT_BLOCK = 32
@@ -109,7 +112,9 @@ _STACK_BLOCK_BYTES = 2**17
 DEFAULT_ALIGNMENT_TOL = 0.01
 # from this matrix size N on, _propagate tests a power for a collapse onto the slow block of
 # _slow_block, with a residual of at most _COLLAPSE_TOL times the power's largest entry (4.5e-16
-# to 2.3e-14 where the full_dense runs of seeds 0-2 accept, each on its first test)
+# to 2.3e-14 where the full_dense runs of seeds 0-2 accept, each on its first test). Below it, a
+# test costs more than the squarings it saves: the N = 16 reference run's _propagate takes 0.17 ms
+# untested and 0.21 ms with the test, which passes at level 10 of 19 (medians of 41, 2 cores)
 _COLLAPSE_MIN_SIZE = 128
 _COLLAPSE_TOL = 1e-13
 
@@ -133,6 +138,11 @@ class IntegratorConfig:
     record_spacing: str = "log"
 
     def __post_init__(self):
+        for name in ("t_max", "dt", "safety"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               or name == "dt" and value is None):
+                raise ValidationError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValidationError(f"t_max must be positive and finite, got {self.t_max!r}")
         if not 0 < self.safety <= 0.5:
@@ -142,10 +152,9 @@ class IntegratorConfig:
         for name in ("record_every", "record_points"):
             value = getattr(self, name)
             if value is not None:
-                try:
-                    object.__setattr__(self, name, operator.index(value))
-                except TypeError:
-                    raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValidationError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.record_points < 2:
@@ -304,64 +313,50 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray,
     step^T``, for every k in ``ks``, from one squaring chain (full mode only).
 
     Power ``step_t**(2**j)`` multiplies, in one batched product, the rows
-    whose k has bit j set, and is squared into the next power up to the
-    first j at which the rows' remaining ``2 * (k >> (j + 1))`` products with
-    it come to at most N, no more than one more N x N squaring costs; then
-    they march. Records whose k agree mod 2**m pass through the same rows on
-    levels below m, so those levels are one table of the rows ``y0 @
-    step_t**r``, r < 2**m, built by doubling (rows r + 2**j are rows r times
-    ``step_t**(2**j)``), and each record starts from row k mod 2**m. The
-    table doubles while it has fewer rows than the records its level would
-    multiply and at most T after doubling; every row still takes the
-    level-by-level products, in the same order.
+    whose k has bit j set, and is squared into the next power, up to the top
+    bit of the largest k. Records whose k agree mod 2**m pass through the
+    same rows on levels below m, so those levels are one table of the rows
+    ``y0 @ step_t**r``, r < 2**m, built by doubling (rows r + 2**j are rows r
+    times ``step_t**(2**j)``); from level m on, each record carries its own
+    row, starting from row k mod 2**m. The table doubles while it has fewer
+    rows than the records its level would multiply and at most T after
+    doubling, so repeated k can make it span every level; every row still
+    takes the level-by-level products, in the same order.
 
     Given the slow block's ``coords`` and ``level`` from :func:`_slow_block`,
     :func:`_collapsed` tests the power of that level and, should it fail, of
-    the next, up to the stop; a power that passes has collapsed onto the
+    the next, below the top bit; a power that passes has collapsed onto the
     block, and :func:`_collapsed_tail` finishes every row in its dimensions,
-    with no further squaring or march. A power that fails, or holds a
-    non-finite entry, goes on through the unchanged chain, so a run that
-    never collapses keeps its bits. Its memory is counted at
+    with no further squaring: the chain's only early stop. A power that
+    fails, or holds a non-finite entry, goes on through the unchanged chain,
+    so a run that never collapses keeps its bits. Its memory is counted at
     :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    k_max = int(ks.max())
-    size = step_t.shape[0]
-    # the records whose k has bit j set, for every j; from the top bit down, high =
-    # sum(k >> (stop + 1)) by Horner's rule; it stays under N
-    counts = ((ks[:, None] >> np.arange(max(1, k_max.bit_length()))) & 1).sum(axis=0).tolist()
-    stop, high = len(counts) - 1, 0
-    while stop and 4 * high + 2 * counts[stop] <= size:
-        stop, high = stop - 1, 2 * high + counts[stop]
+    top = max(1, int(ks.max()).bit_length())
+    counts = ((ks[:, None] >> np.arange(top)) & 1).sum(axis=0).tolist()  # records with bit j set
     m = 0
-    while m <= stop and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
+    while m < top and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
         m += 1
     tested = () if level is None else (level, level + 1)
     table = np.empty((2 ** m, y0.size), dtype=np.result_type(step_t, y0))
     table[:2] = y0
     power = step_t
-    for j in range(m):
+    for j in range(top):
+        if j == m:
+            out, table = table[ks & (2 ** m - 1)], None
         if j:
             power = power @ power
             if j in tested and (basis := _collapsed(power, coords)) is not None:
-                return _collapsed_tail(table[ks & (2 ** j - 1)], ks >> j, *basis)
-        # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
-        # rounds unlike the batched gemm rows
-        table[2 ** j:2 ** (j + 1)] = (table[:max(2, 2 ** j)] @ power)[:2 ** j]
-    out = table[ks & (2 ** m - 1)]
-    del table
-    for j in range(m, stop + 1):
-        if j:
-            power = power @ power
-            if j in tested and (basis := _collapsed(power, coords)) is not None:
-                return _collapsed_tail(out, ks >> j, *basis)
-        rows = ((ks >> j) & 1).nonzero()[0]
-        out[rows] = out[rows] @ power
-    marches = 2 * (ks >> (stop + 1))
-    for count in range(2 * (k_max >> (stop + 1))):
-        rows = (marches > count).nonzero()[0]
-        out[rows] = out[rows] @ power
-    return out
+                return _collapsed_tail(out if j >= m else table[ks & (2 ** j - 1)], ks >> j, *basis)
+        if j < m:
+            # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
+            # rounds unlike the batched gemm rows
+            table[2 ** j:2 ** (j + 1)] = (table[:max(2, 2 ** j)] @ power)[:2 ** j]
+        else:
+            rows = ((ks >> j) & 1).nonzero()[0]
+            out[rows] = out[rows] @ power
+    return out if m < top else table[ks]
 
 
 def _slow_block(p_all, gamma: float, omega: float, dt: float) -> tuple[np.ndarray, int] | tuple[()]:
@@ -390,22 +385,31 @@ def _slow_block(p_all, gamma: float, omega: float, dt: float) -> tuple[np.ndarra
     return (support[:, None] * n + support).reshape(-1), max(1, level)
 
 
-def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
-                  h_norm: float | None = None) -> tuple[float, int]:
+def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float, full: bool = False,
+                  hamiltonian=None) -> tuple[float, int]:
     """The step and step count of a run on the flat probabilities ``p_all``,
-    in full mode when ``h_norm``, the spectral norm of H (0 without one), is
-    given; read off q = sqrt(p) in O(n), before any n x n array exists. The
-    automatic step is ``cfg.safety`` over the largest outflow in fast mode,
-    where it only sets the sample grid, and over the largest jump weight plus
-    ``h_norm`` in full mode: not over the largest outflow, up to Q / max(q)
-    times that weight (Q = sum(q)), so at safety 0.5 a 4 x 4 uniform
-    scenario fails its positivity check. A ConfigError when the run needs
-    over :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its
-    stack or, in full mode, its four real n^2 x n^2 arrays; a ValidationError
-    from the checks of ``dissipator._rate_bounds``."""
+    in full mode, with the Hamiltonian ``hamiltonian`` (None without one),
+    when ``full``; read off q = sqrt(p) in O(n), before any n x n array
+    exists. The automatic step is ``cfg.safety`` over the largest outflow in
+    fast mode, where it only sets the sample grid, and over the largest jump
+    weight plus the spectral norm of H in full mode: not over the largest
+    outflow, up to Q / max(q) times that weight (Q = sum(q)), so at safety
+    0.5 a 4 x 4 uniform scenario fails its positivity check. A ConfigError,
+    from n alone and before H's O(n^3) norm, when full mode's four real n^2 x
+    n^2 arrays or fast mode's eigendecomposition (:func:`_size_spectrum`)
+    would pass :data:`MAX_STACK_BYTES`; then when the run needs over
+    :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its stack; a
+    ValidationError from the checks of ``dissipator._rate_bounds``."""
     _, _, weight, outflow = _rate_bounds(p_all, gamma, omega)
     n = outflow.size
-    rate = float(outflow.max()) if h_norm is None else weight + h_norm
+    assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
+    if not full:
+        _size_spectrum(n)
+    elif assembly > MAX_STACK_BYTES:
+        raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
+                          f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
+    h_norm = 0.0 if hamiltonian is None else float(np.abs(np.linalg.eigvalsh(hamiltonian)).max())
+    rate = weight + h_norm if full else float(outflow.max())
     dt = cfg.dt if cfg.dt is not None else cfg.safety / max(rate, 1e-300)
     steps = cfg.t_max / dt if dt > 0 else math.inf
     if not steps <= MAX_STEPS:  # also refuses NaN
@@ -419,21 +423,18 @@ def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float,
             f"{count} records of {n} x {n} snapshots need {size / 2**20:.0f} MiB, over the "
             f"{MAX_STACK_BYTES // 2**20} MiB limit; raise record_every or lower record_points"
         )
-    assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
-    if h_norm is not None and assembly > MAX_STACK_BYTES:
-        raise ConfigError(f"full mode at dimension {n} needs {assembly / 2**20:.0f} MiB to assemble "
-                          f"its generator, over the {MAX_STACK_BYTES // 2**20} MiB limit; use mode 'fast'")
     return cfg.t_max / n_steps, n_steps
 
 
 def _size_spectrum(n: int) -> None:
-    """A ConfigError, before any n x n array exists, when the ``spectrum``
-    command's :data:`SPECTRUM_ARRAYS` n x n float arrays would pass
-    :data:`MAX_STACK_BYTES`."""
+    """A ConfigError, before any n x n array exists, when the
+    :data:`SPECTRUM_ARRAYS` n x n float arrays of the family's
+    eigendecomposition, in the ``spectrum`` command or a fast-mode run, would
+    pass :data:`MAX_STACK_BYTES`."""
     size = SPECTRUM_ARRAYS * n * n * np.dtype(float).itemsize
     if size > MAX_STACK_BYTES:
-        raise ConfigError(f"the spectrum at dimension {n} needs {size / 2**20:.0f} MiB for its "
-                          f"eigendecomposition, over the {MAX_STACK_BYTES // 2**20} MiB limit")
+        raise ConfigError(f"the family's spectrum at dimension {n} needs {size / 2**20:.0f} MiB for "
+                          f"its eigendecomposition, over the {MAX_STACK_BYTES // 2**20} MiB limit")
 
 
 def _record_count(n_steps: int, cfg: IntegratorConfig) -> int:
@@ -572,8 +573,7 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     if h is not None:
         _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
-    h_norm = 0.0 if h is None else float(np.abs(np.linalg.eigvalsh(h)).max())
-    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, h_norm)
+    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, full=True, hamiltonian=h)
     ks = _record_steps(n_steps, cfg)
     diag_gen = diag_generator_matrix(p_all, gamma, omega)
     block = _slow_block(p_all, gamma, omega, dt)
@@ -670,8 +670,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     h = model.hamiltonian if mode == "full" else None
     p_all = model.rate_table().flat_probabilities()
-    _resolve_step(cfg, p_all, gamma, model.omega,  # sized before any state is built
-                  None if h is None else float(np.abs(np.linalg.eigvalsh(h)).max()))
+    _resolve_step(cfg, p_all, gamma, model.omega, h is not None, h)  # sized before the states
     target = model.aligned_target()
     rho0 = model.initial_dm()
     if h is not None:

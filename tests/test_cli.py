@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -304,6 +305,22 @@ class TestSimulate:
         code = main([*argv, "--config", path])
         assert time.perf_counter() - start < 1.0
         self._assert_config_error(code, capsys, "22888 MiB")
+
+    def test_fast_run_past_the_spectrum_limit_exits_one_before_building(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        # n = 2601: two records fit the stack (206 MiB), but the family's eigh would need the
+        # 258 MiB that the spectrum command refuses
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        amplitudes = [51**-0.5] * 51
+        path = self._replace_sections(
+            str(tmp_path / "wide.json"), integrator={"t_max": 1.0, "record_points": 2},
+            scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
+        code = main(["simulate", "--config", path, "--mode", "fast"])
+        self._assert_config_error(code, capsys, "258 MiB")
 
     def test_integral_numbers_load_as_integers(self, tmp_path):
         path = write_config(str(tmp_path / "run.json"),
@@ -675,6 +692,26 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     for owner, attr, *_ in tracer._TARGETS:
         resolved = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
         assert resolved, f"{owner!r} has no attribute {attr!r}"
+
+
+def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):
+    # an import that the package keeps only for the benchmark's tracer to wrap is marked; once
+    # the tracer stops naming it, the import has no user left and goes
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    traced = {(owner.__name__, attr) for owner, attr, *_ in tracer._TARGETS
+              if not isinstance(owner, type)}
+    marker = "# noqa: F401  (perfbench/tracer.py wraps this name)"
+    kept = []
+    for path in sorted((root / "src").rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and marker in lines[node.end_lineno - 1]:
+                kept += [(module, alias.asname or alias.name) for alias in node.names]
+    assert kept
+    assert set(kept) <= traced, sorted(set(kept) - traced)
 
 
 def test_defaults_have_one_home(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -336,39 +337,30 @@ class TestPropagate:
 
     @staticmethod
     def _plain_schedule(step_t, y0, ks):
-        # the chain's schedule, written out: square while marching the rows'
-        # remaining high parts would take more row products than N, then march
-        n = step_t.shape[0]
-        top = max(1, int(ks.max()).bit_length())
-        stop = next(j for j in range(top) if 2 * sum(int(k) >> (j + 1) for k in ks) <= n)
+        # the chain's schedule, written out: every level up to the top bit of the largest k
+        # multiplies the rows whose k has its bit set
         expected = np.empty((ks.size, y0.size), dtype=np.result_type(step_t, y0))
         expected[:] = y0
         power = step_t
-        for j in range(stop + 1):
+        for j in range(max(1, int(ks.max()).bit_length())):
             if j:
                 power = power @ power
             rows = (ks >> j) & 1 == 1
             expected[rows] = expected[rows] @ power
-        marches = 2 * (ks >> (stop + 1))
-        for count in range(int(marches.max())):
-            rows = marches > count
-            expected[rows] = expected[rows] @ power
-        return stop, expected
+        return expected
 
     def test_matches_plain_schedule(self):
-        # bit for bit, on schedules that stop squaring early and on ones that do not
+        # bit for bit, on sparse and dense schedules and on repeated k whose table of shared
+        # rows covers every level
         rng = np.random.default_rng(5)
         cases = [(self._step(rng, 5).T, rng.normal(size=5) + 1j * rng.normal(size=5)),
                  self._model_step()]
         log_ks = evolution._record_steps(917775, IntegratorConfig(t_max=1.0))
-        stops = set()
         for step_t, y0 in cases:
             for ks in (np.array([0, 1]), log_ks, np.arange(0, 65, 3), np.array([0, 1, 3, 2**20 - 1]),
-                       np.array([5, 2, 2**12 + 1, 7])):
-                stop, expected = self._plain_schedule(step_t, y0, ks)
-                stops.add(stop < int(ks.max()).bit_length() - 1)
+                       np.array([5, 2, 2**12 + 1, 7]), np.array([3, 3, 3, 3]), np.full(8, 7)):
+                expected = self._plain_schedule(step_t, y0, ks)
                 assert evolution._propagate(step_t, y0, ks).tobytes() == expected.tobytes()
-        assert stops == {True, False}
 
     def test_low_levels_make_each_shared_row_once(self):
         # on the geometric grid of a 917775-step run at N = 64 (207 records), records that
@@ -394,8 +386,8 @@ class TestPropagate:
 
         got = evolution._propagate(step_t.view(Power), y0, ks)
         assert got.tobytes() == evolution._propagate(step_t, y0, ks).tobytes()
-        assert tally["squarings"] == 18
-        assert tally["rows"] <= 800  # 737 here, 1309 when every level multiplies its records
+        assert tally["squarings"] == 19
+        assert tally["rows"] <= 800  # 727 here, 1299 when every level multiplies its records
 
     @staticmethod
     def _squarings(step_t, y0, ks, *block):
@@ -418,8 +410,7 @@ class TestPropagate:
 
     def test_collapsed_power_finishes_in_the_slow_subspace(self):
         step_t, y0, ks, *block = self._floor_run(1.0)
-        stop, expected = self._plain_schedule(step_t, y0, ks)
-        assert stop >= 15  # the plain schedule squares 15 or 16 times
+        expected = self._plain_schedule(step_t, y0, ks)
         got, squarings = self._squarings(step_t, y0, ks, *block)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
         assert squarings <= 11  # 9 here: level 9 collapses
@@ -433,7 +424,7 @@ class TestPropagate:
         ks = evolution._record_steps(traj.n_steps, cfg)
         block = evolution._slow_block(model.rate_table().flat_probabilities(), model.gamma,
                                       model.omega, traj.dt)
-        expected = self._plain_schedule(step_t, y0, ks)[1]
+        expected = self._plain_schedule(step_t, y0, ks)
         got, squarings = self._squarings(step_t, y0, ks, *block)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
         assert squarings <= 11
@@ -450,11 +441,11 @@ class TestPropagate:
             got = evolution._propagate(step_t, y0, ks, *block)
         (high,) = tails
         assert np.array_equal(high, ks >> 9)
-        expected = self._plain_schedule(step_t, y0, ks)[1]
+        expected = self._plain_schedule(step_t, y0, ks)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
 
     def test_uncollapsed_run_keeps_its_bits(self, monkeypatch):
-        # t_max = 1e-4 takes 72 steps, far short of the predicted level 9, past the chain's stop:
+        # t_max = 1e-4 takes 72 steps, far short of the predicted level 9, past the chain's top bit:
         # no power is tested and the chain goes on unchanged
         step_t, y0, ks, coords, level = self._floor_run(1e-4)
         assert level == 9 and int(ks.max()).bit_length() == 7
@@ -462,7 +453,7 @@ class TestPropagate:
         monkeypatch.setattr(evolution, "_collapsed", lambda *args: calls.append(args))
         got = evolution._propagate(step_t, y0, ks, coords, level)
         assert not calls
-        assert got.tobytes() == self._plain_schedule(step_t, y0, ks)[1].tobytes()
+        assert got.tobytes() == self._plain_schedule(step_t, y0, ks).tobytes()
 
     @classmethod
     def _collapse_calls(cls, model):
@@ -487,7 +478,7 @@ class TestPropagate:
         args, passed = self._collapse_calls(random_amplitude_model(np.random.default_rng(7), 2, 8))
         assert args[3].size == 64
         assert passed == [True]
-        expected = self._plain_schedule(*args[:3])[1]
+        expected = self._plain_schedule(*args[:3])
         got = evolution._propagate(*args)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
 
@@ -514,7 +505,16 @@ class TestPropagate:
         )
         args, passed = self._collapse_calls(model)
         assert len(args) == 3 and not passed
-        assert evolution._propagate(*args).tobytes() == self._plain_schedule(*args)[1].tobytes()
+        assert evolution._propagate(*args).tobytes() == self._plain_schedule(*args).tobytes()
+        # no test, so the chain squares up to the top bit of its largest k
+        assert self._squarings(*args)[1] == int(args[2].max()).bit_length() - 1
+
+    def test_uncollapsed_run_squares_to_its_top_bit(self, two_level_model):
+        # the n = 4 reference run, N = 16: too small to test, so its 917775 steps take 19 squarings
+        args, passed = self._collapse_calls(two_level_model)
+        assert len(args) == 3 and not passed
+        assert int(args[2].max()) == 917775
+        assert self._squarings(*args)[1] == 19
 
     @pytest.mark.parametrize("gamma, dt", [(5e-324, 1.0), (5.0, 5e-324), (1e300, 1e300)])
     def test_slow_block_without_a_normal_kappa_dt_makes_no_test(self, gamma, dt):
@@ -544,10 +544,9 @@ class TestPropagate:
         assert peak <= 2.95
 
     def test_early_stop_matches_matrix_power(self):
+        # a sparse schedule: three records at the first levels and one at top bit 19
         step_t, y0 = self._model_step()
         ks = np.array([0, 1, 3, 2**20 - 1])
-        stop, _ = self._plain_schedule(step_t, y0, ks)
-        assert stop < 19  # the chain stops short of the top bit
         got = evolution._propagate(step_t, y0, ks)
         for row, k in zip(got, ks):
             expected = y0 @ np.linalg.matrix_power(step_t, int(k))
@@ -560,8 +559,8 @@ class TestPropagate:
         assert np.array_equal(got, np.tile(y0, (len(ks), 1)))
 
     def test_largest_step_count_on_many_rows(self):
-        # 4096 rows at k = 2**53 - 1: the rows' high parts sum past the int64
-        # range, and every row takes the same path through the chain
+        # 4096 rows at k = 2**53 - 1, the most steps a run may take: every row takes the same
+        # path through all 53 levels of the chain
         angle = 0.3
         step_t = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         got = evolution._propagate(step_t, np.array([1.0, 0.0]), np.full(4096, 2**53 - 1))
@@ -1372,15 +1371,15 @@ class TestSizeGuard:
                 continue  # refused: four n^2 x n^2 arrays pass MAX_STACK_BYTES
             rate = weight + 0.5 if mode == "full" else -np.diagonal(m).min()
             steps = max(1, math.ceil(cfg.t_max / (cfg.safety / max(rate, 1e-300)) - 1e-9))
-            h_norm = 0.5 if mode == "full" else None
-            assert evolution._resolve_step(cfg, p, gamma, omega, h_norm)[1] == steps
+            h = 0.5 * np.eye(p.size) if mode == "full" else None  # spectral norm 0.5
+            assert evolution._resolve_step(cfg, p, gamma, omega, mode == "full", h)[1] == steps
 
     def test_reference_step_counts(self, two_level_model, two_level_trajectory):
         cfg = IntegratorConfig(t_max=1.0)
         p_all = two_level_model.rate_table().flat_probabilities()
-        h_norm = float(np.abs(np.linalg.eigvalsh(two_level_model.hamiltonian)).max())
         args = (cfg, p_all, two_level_model.gamma, two_level_model.omega)
-        assert evolution._resolve_step(*args, h_norm)[1] == two_level_trajectory.n_steps == 917775
+        assert (evolution._resolve_step(*args, True, two_level_model.hamiltonian)[1]
+                == two_level_trajectory.n_steps == 917775)
         assert evolution._resolve_step(*args)[1] == 1315003
 
     def test_oversized_run_builds_no_state(self, monkeypatch):
@@ -1423,11 +1422,19 @@ class TestSizeGuard:
         with pytest.raises(ConfigError, match="256 MiB limit"):
             evolution._size_spectrum(2591)
 
-    def test_oversized_full_run_is_refused_before_any_state(self):
+    def test_oversized_full_run_is_refused_before_any_state(self, monkeypatch):
+        # n = 64: refused from n alone, before H's O(n^3) norm, in simulate_model and integrate
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
         model = random_amplitude_model(np.random.default_rng(64), 8, 8)
+        p_all, cfg = model.rate_table().flat_probabilities(), IntegratorConfig(t_max=1e-3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         with pytest.raises(ConfigError, match="assemble its generator"):
-            simulate_model(model, IntegratorConfig(t_max=1e-3), mode="full")
+            simulate_model(model, cfg, mode="full")
         assert not {"_initial_dm", "_aligned_target"} & model.__dict__.keys()
+        with pytest.raises(ConfigError, match="assemble its generator"):
+            integrate(np.eye(64) / 64, model.hamiltonian, p_all, model.gamma, model.omega, cfg)
 
     def test_step_map_is_released_before_the_checks(self, monkeypatch):
         # at n = 16 the snapshot checks start with the stack and no n^2 x n^2 array beyond it
@@ -1536,7 +1543,22 @@ class TestSimulateModel:
         ("record_every", math.nan),
         ("record_points", math.nan),
         ("record_points", 2.5),
+        # a bool is an int to Python, but not a count
+        ("record_every", True),
+        ("record_points", True),
     ])
     def test_record_fields_must_be_integers(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             IntegratorConfig(t_max=1.0, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_max", "1"),
+        ("t_max", True),
+        ("dt", "0.1"),
+        ("dt", True),
+        ("safety", [0.05]),
+        ("safety", False),
+    ])
+    def test_float_fields_must_be_numbers(self, field, value):
+        with pytest.raises(ValidationError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            IntegratorConfig(**{"t_max": 1.0, field: value})
