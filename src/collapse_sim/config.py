@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig
+from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, _size_spectrum
 from .model import DEFAULT_EPSILON, CorrespondenceMap, MeasurementModel, StateVector, spin_half_scenario
 
 _FLOAT_MAX = sys.float_info.max  # a Python float, so a huge int compares exactly
@@ -151,6 +151,7 @@ def _model_from_scenario(raw) -> MeasurementModel:
     if "app_amplitudes" not in raw:
         raise ConfigError("scenario with 'sys_amplitudes' also needs 'app_amplitudes'")
     app_vec = StateVector(_amplitudes(raw["app_amplitudes"], "app_amplitudes"))
+    _size_spectrum(sys_vec.dim * app_vec.dim)  # past every command's limit: refused before O(I J) work
     correspondence = _correspondence(raw.get("correspondence"), sys_vec.dim, app_vec.dim)
     return MeasurementModel(
         sys=sys_vec,

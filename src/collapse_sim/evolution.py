@@ -4,9 +4,12 @@ snapshots at the recorded times, from which every observable is read.
 
 Both modes read the jump family's rates off ``dissipator._rate_bounds``,
 in O(n): :func:`_resolve_step` reads their bounds there, sets the step and
-sizes the run before any n x n array; full mode then builds the diagonal
-generator M of :func:`diag_generator_matrix`, and fast mode reads its
-coherence rates off the outflows.
+sizes the run, once, before any n x n array. One runner, :func:`_run`,
+holds both modes' bodies: full mode builds the diagonal generator M of
+:func:`diag_generator_matrix`, and fast mode reads its coherence rates off
+the outflows. :func:`simulate_model` hands it the model's states, already
+checked; :func:`integrate` and :func:`integrate_fast_limit` first check
+their initial state and target, and the Hamiltonian, finite and Hermitian.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
@@ -17,10 +20,7 @@ rho and ``-i [H, rho]`` as ``[X^T, R] + [J, X]`` for H = R + iJ; applied to
 the unit coordinates it gives the generator: a real n^2 x n^2 matrix, so the
 step map and every product of the propagation are float64, 8 bytes per entry.
 The recorded coordinates are unpacked once into the complex snapshot stack,
-``(X + X^T)/2 + i (X - X^T)/2``, which is exactly Hermitian. The coordinates
-hold only Hermitian matrices, so :func:`integrate` rejects a non-Hermitian or
-non-finite initial state or Hamiltonian before it assembles anything, and
-:func:`integrate_fast_limit` runs the same initial-state check first.
+``(X + X^T)/2 + i (X - X^T)/2``, which is exactly Hermitian.
 
 The full-mode generator is linear and time independent, so a fixed-step
 classical fourth-order Runge-Kutta update is precomputed once, from two
@@ -125,9 +125,9 @@ class IntegratorConfig:
 
     ``dt=None`` takes the automatic step of :func:`_resolve_step`. Snapshots
     are recorded at a fixed stride when ``record_every`` is given, otherwise on
-    an automatic schedule of about ``record_points`` samples, geometrically
-    spaced by default so that both the floor-induced fast transient and the
-    slow alignment tail are resolved ("linear" spacing gives evenly spaced ones).
+    an automatic schedule of at most ``record_points``, the first at t = 0 and
+    the last at t_max: geometric by default, which resolves both the floor's
+    fast transient and the slow alignment tail, or even ("linear").
     """
 
     t_max: float
@@ -446,14 +446,6 @@ def _record_count(n_steps: int, cfg: IntegratorConfig) -> int:
     return min(n_steps + 1, cfg.record_points)
 
 
-def _distinct(ks: np.ndarray) -> np.ndarray:
-    """The entries of a non-decreasing ``ks`` with repeats dropped."""
-    keep = np.empty(ks.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ks[1:], ks[:-1], out=keep[1:])
-    return ks[keep]
-
-
 def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     if cfg.record_every is not None:
         ks = np.arange(0, n_steps + 1, min(cfg.record_every, n_steps))
@@ -462,11 +454,14 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
         return ks
     if n_steps + 1 <= cfg.record_points:
         return np.arange(n_steps + 1)
-    # both automatic schedules round an increasing grid, so they never decrease
     if cfg.record_spacing == "linear":
-        return _distinct(np.round(np.linspace(0, n_steps, cfg.record_points)).astype(int))
-    interior = np.round(np.geomspace(1, n_steps, cfg.record_points - 1)).astype(int)
-    return _distinct(np.concatenate(([0], interior)))
+        ks = np.round(np.linspace(0, n_steps, cfg.record_points)).astype(int)
+    else:
+        ks = np.round(np.geomspace(1, n_steps, cfg.record_points - 1)).astype(int)
+        ks[-1] = n_steps  # a one-point geomspace returns only its start
+        ks = np.concatenate(([0], ks))
+    # both schedules round an increasing grid, so they never decrease: drop each repeat
+    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
 def _stack_blocks(states: np.ndarray):
@@ -556,6 +551,32 @@ def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
     return m0, target
 
 
+def _run(m0, h, p_all, gamma: float, omega: float, cfg: IntegratorConfig, target, full: bool,
+         dt: float, n_steps: int) -> Trajectory:
+    """The checked trajectory of a run in full mode (``full``, with ``h`` or None) or fast
+    mode, from the checked ``m0`` and ``target`` (or None), at the ``dt`` and ``n_steps`` of
+    :func:`_resolve_step`. The step map is a temporary, freed before the snapshot checks."""
+    n = m0.shape[0]
+    ks = _record_steps(n_steps, cfg)
+    times = ks * dt
+    if full:
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
+            states = _unpack(_propagate(_step_map(diag_generator_matrix(p_all, gamma, omega), h, dt),
+                                        _pack(m0).reshape(-1), ks, *_slow_block(p_all, gamma, omega, dt))
+                             .reshape(-1, n, n))
+    else:
+        q, lam, v = _balanced_modes(p_all, gamma, omega)
+        with np.errstate(under="ignore"):
+            modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
+            populations = modes @ (q[:, None] * v).T
+        outflow = _rate_bounds(p_all, gamma, omega)[3]
+        coherences = m0.copy()
+        np.fill_diagonal(coherences, 0.0)
+        states = coherences * np.exp(_coherence_generator(-outflow) * times[:, None, None])
+        states += populations[:, :, None] * np.eye(n)
+    return _build_trajectory(times, states, target, dt, n_steps)
+
+
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
               target=None) -> Trajectory:
     """Integrate the full master equation from ``rho0`` up to ``cfg.t_max``.
@@ -569,18 +590,11 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     the run before anything is assembled.
     """
     m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
-    n = m0.shape[0]
     h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     if h is not None:
-        _check_hermitian(h, n, "Hamiltonian", HERMITICITY_TOL)
-    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega, full=True, hamiltonian=h)
-    ks = _record_steps(n_steps, cfg)
-    diag_gen = diag_generator_matrix(p_all, gamma, omega)
-    block = _slow_block(p_all, gamma, omega, dt)
-    with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
-        states = _unpack(_propagate(_step_map(diag_gen, h, dt), _pack(m0).reshape(-1), ks, *block)
-                         .reshape(-1, n, n))
-    return _build_trajectory(ks * dt, states, target, dt, n_steps)
+        _check_hermitian(h, m0.shape[0], "Hamiltonian", HERMITICITY_TOL)
+    return _run(m0, h, p_all, gamma, omega, cfg, target, True,
+                *_resolve_step(cfg, p_all, gamma, omega, True, h))
 
 
 def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -600,19 +614,8 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     :func:`integrate` (shape, finite entries, Hermiticity) before any work.
     """
     m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
-    n = m0.shape[0]
-    dt, n_steps = _resolve_step(cfg, p_all, gamma, omega)
-    times = _record_steps(n_steps, cfg) * dt
-    q, lam, v = _balanced_modes(p_all, gamma, omega)
-    with np.errstate(under="ignore"):
-        modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
-        populations = modes @ (q[:, None] * v).T
-    outflow = _rate_bounds(p_all, gamma, omega)[3]
-    coherences = m0.copy()
-    np.fill_diagonal(coherences, 0.0)
-    states = coherences * np.exp(_coherence_generator(-outflow) * times[:, None, None])
-    states += populations[:, :, None] * np.eye(n)
-    return _build_trajectory(times, states, target, dt, n_steps)
+    return _run(m0, None, p_all, gamma, omega, cfg, target, False,
+                *_resolve_step(cfg, p_all, gamma, omega))
 
 
 def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL) -> float:
@@ -656,9 +659,10 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     against the scenario's aligned target.
     ``gamma``, when given, replaces ``model.gamma`` for this run and must be
     positive and finite. The mode and the Hamiltonian are checked and the run
-    sized (:func:`_resolve_step`) before the model builds its initial state
-    and target, once: like its rate table they do not depend on gamma, so a
-    coupling sweep runs every value on the one model.
+    sized (:func:`_resolve_step`), once, before the model builds its initial
+    state and target: like its rate table they do not depend on gamma, so a
+    coupling sweep runs every value on the one model. Both states, checked as
+    density matrices, go to the run with no second check or sizing.
     """
     if gamma is None:
         gamma = model.gamma
@@ -670,9 +674,6 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     h = model.hamiltonian if mode == "full" else None
     p_all = model.rate_table().flat_probabilities()
-    _resolve_step(cfg, p_all, gamma, model.omega, h is not None, h)  # sized before the states
-    target = model.aligned_target()
-    rho0 = model.initial_dm()
-    if h is not None:
-        return integrate(rho0, h, p_all, gamma, model.omega, cfg, target=target)
-    return integrate_fast_limit(rho0, p_all, gamma, model.omega, cfg, target=target)
+    step = _resolve_step(cfg, p_all, gamma, model.omega, h is not None, h)  # sized before the states
+    return _run(model.initial_dm().entries, h, p_all, gamma, model.omega, cfg,
+                model.aligned_target().entries, h is not None, *step)

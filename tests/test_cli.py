@@ -322,6 +322,23 @@ class TestSimulate:
         code = main(["simulate", "--config", path, "--mode", "fast"])
         self._assert_config_error(code, capsys, "258 MiB")
 
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "qsl", "sweep"])
+    def test_config_past_every_limit_is_refused_at_load(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # n = 2601: past the spectrum limit that bounds every command, so the loader refuses it
+        # before the correspondence builds its O(I J) weights
+        from collapse_sim.model import CorrespondenceMap
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("flat_weights ran")
+
+        monkeypatch.setattr(CorrespondenceMap, "flat_weights", forbidden)
+        amplitudes = [51**-0.5] * 51
+        path = self._replace_sections(
+            str(tmp_path / "wide.json"), gammas=[5.0],
+            scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
+        self._assert_config_error(main([command, "--config", path]), capsys, "258 MiB")
+
     def test_integral_numbers_load_as_integers(self, tmp_path):
         path = write_config(str(tmp_path / "run.json"),
                             integrator={"t_max": 1.0, "record_every": 2.0, "record_points": 1e3})
@@ -589,7 +606,8 @@ class TestSweep:
 class TestConfigFuzz:
     """Seeded field-by-field mutations of two valid configs through all four
     commands, in-process: every case exits 0, 1 or 2, an exit 1 prints
-    exactly one ``error:`` line, and no exception escapes ``main``."""
+    exactly one ``error:`` line, no exception escapes ``main``, and a
+    ``simulate`` that exits 0 writes a trajectory that ends at its t_max."""
 
     RECORD_POINTS_CAP = 16
     _DROP = object()
@@ -634,7 +652,7 @@ class TestConfigFuzz:
             nested = [nested] if level % 2 else {"0": nested}
         drawn = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300.0, 300.0))
         others = [False, "", [1.0], 0, -1, 2.5, -1e308]
-        return [cls._DROP, None, True, "5", [], {}, 1e308, 5e-324, 1e200, nested, drawn,
+        return [cls._DROP, None, True, "5", [], {}, 1e308, 5e-324, 1e200, 2, nested, drawn,
                 others[int(rng.integers(len(others)))]]
 
     @classmethod
@@ -661,17 +679,20 @@ class TestConfigFuzz:
         rng = np.random.default_rng(17)
         path = str(tmp_path / "fuzz.json")
         out = str(tmp_path / "out")
+        trajectory = tmp_path / "out" / "trajectory.csv"
         failures = []
         cases = 0
         for name, base in self._bases().items():
             for field in self._paths(base):
                 for value in self._mutations(rng):
+                    cfg = self._mutated(base, field, value)
                     with open(path, "w") as fh:
-                        json.dump(self._mutated(base, field, value), fh)
+                        json.dump(cfg, fh)
                     for command in ("simulate", "spectrum", "qsl", "sweep"):
                         shown = "drop" if value is self._DROP else repr(value)[:40]
                         case = (name, field, shown, command)
                         cases += 1
+                        trajectory.unlink(missing_ok=True)
                         try:
                             code = main([command, "--config", path, "--out", out])
                         except Exception as exc:  # any escape is a failure of the contract
@@ -680,6 +701,11 @@ class TestConfigFuzz:
                         errors = [line for line in err.splitlines() if line.startswith("error:")]
                         if code not in (0, 1, 2) or (code == 1 and len(errors) != 1):
                             failures.append((*case, code, err))
+                        elif command == "simulate" and code == 0:
+                            t_end = read_csv_columns(str(trajectory))["t"][-1]
+                            t_max = cfg["integrator"]["t_max"]
+                            if not abs(t_end - t_max) <= 1e-12 * t_max:
+                                failures.append((*case, f"ends at t = {t_end!r}, not {t_max!r}"))
         assert cases > 2000
         assert not failures, failures[:5]
 

@@ -1280,6 +1280,7 @@ class TestSizeGuard:
         (10**6, {"record_spacing": "linear"}),
         (10**6, {"record_points": 7}),
         (10, {"record_every": 10**300}),
+        (10**6, {"record_points": 2}),
     ])
     def test_count_matches_or_bounds_record_steps(self, n_steps, schedule):
         cfg = IntegratorConfig(t_max=1.0, **schedule)
@@ -1302,6 +1303,8 @@ class TestSizeGuard:
                 expected = np.arange(n_steps + 1)
             elif spacing == "linear":
                 expected = np.unique(np.round(np.linspace(0, n_steps, points)).astype(int))
+            elif points == 2:
+                expected = np.array([0, n_steps])  # a one-point geomspace is only its start, 1
             else:
                 interior = np.round(np.geomspace(1, n_steps, points - 1)).astype(int)
                 expected = np.unique(np.concatenate(([0], interior)))
@@ -1535,9 +1538,33 @@ class TestSimulateModel:
         def forbidden(*args, **kwargs):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(evolution, "integrate", forbidden)
+        monkeypatch.setattr(evolution, "_run", forbidden)
         with pytest.raises(ValidationError, match="gamma must be positive and finite"):
             simulate_model(two_level_model, IntegratorConfig(t_max=0.1), "full", gamma=gamma)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_run_is_checked_and_sized_once(self, two_level_model, mode, monkeypatch):
+        # the model checked its states as density matrices and its H itself, so the run is
+        # sized once, with H's norm taken once, and its inputs are not checked again
+        h, resolve, eigvalsh = two_level_model.hamiltonian, evolution._resolve_step, np.linalg.eigvalsh
+        calls = {"_resolve_step": 0, "eigvalsh on H": 0}
+
+        def counted_resolve(*args, **kwargs):
+            calls["_resolve_step"] += 1
+            return resolve(*args, **kwargs)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            calls["eigvalsh on H"] += np.shape(a) == h.shape and np.array_equal(a, h)
+            return eigvalsh(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("_checked_inputs ran")
+
+        monkeypatch.setattr(evolution, "_resolve_step", counted_resolve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(evolution, "_checked_inputs", forbidden)
+        simulate_model(two_level_model, IntegratorConfig(t_max=0.1), mode)
+        assert calls == {"_resolve_step": 1, "eigvalsh on H": int(mode == "full")}
 
     @pytest.mark.parametrize("field, value", [
         ("record_every", math.nan),
