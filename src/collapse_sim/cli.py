@@ -16,11 +16,11 @@ from .analysis import gamma_sweep, qsl_lower_bound
 from .analysis import generator_spectrum  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .config import RunConfig, load_run_config
 from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
-from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _unpack, diag_generator_matrix
+from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _rate_bounds, _unpack, diag_generator_matrix
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .evolution import Trajectory, _size_spectrum, alignment_time, simulate_model
+from .evolution import Trajectory, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
 
@@ -109,11 +109,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = load_run_config(args.config, out_dir=args.out)
-    model = cfg.model
-    _size_spectrum(model.dim)
+    model = cfg.model  # sized by load_run_config, before any n x n array
     out = _ensure_outdir(cfg)
     p_all = model.rate_table().flat_probabilities()
-    _, eigenvalues, _ = _balanced_modes(p_all, model.gamma, model.omega)
+    eigenvalues = _balanced_modes(_rate_bounds(p_all, model.gamma, model.omega))[0]
     write_spectrum_csv(os.path.join(out, "spectrum.csv"), eigenvalues, p_all / p_all.sum())
     return 0
 

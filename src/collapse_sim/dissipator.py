@@ -6,16 +6,16 @@ flat basis, weighted by ``gamma * omega * q_r / q_s`` with ``q`` the flat
 rate-table entries. The term moves population from ``s`` into ``r``; the
 stationary state of the family is the diagonal of the squared rates.
 
-Every rate of the family has one home, :func:`_rate_bounds`, which checks
-them and gives the jump weights' bound and the outflows in O(n); the diagonal
-generator M of :func:`diag_generator_matrix` is built from it, in place.
+Every rate of the family has one home, :func:`_rate_bounds`, read once per
+run in O(n); the diagonal generator M is built in place from its tuple by
+:func:`_diag_generator` (wrapped by the public :func:`diag_generator_matrix`).
 :func:`_closed_form_rhs` applies the family's action, plus ``-i [H, rho]``
 when there is an H, to any stack of matrices; full-mode assembly, the ``qsl``
 command and :func:`apply_dissipator_closed_form` use it. With an H it acts on
 the real coordinates ``X = Re rho + Im rho`` of a Hermitian rho
 (:func:`_pack`), on which ``-i [H, rho]``, for H = R + iJ, is ``[X^T, R] +
-[J, X]``. :func:`_balanced_modes` builds M and balances it in place into the
-symmetric form that detailed balance gives it, and decomposes that; fast
+[J, X]``. :func:`_balanced_modes` balances M of the same tuple in place into
+the symmetric form that detailed balance gives it, and decomposes that; fast
 mode and the ``spectrum`` command read it. The dense family
 (:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
 reference that tests check M-based code against.
@@ -88,7 +88,12 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
     Columns sum to zero and ``M @ p_all = 0``. Rates that overflow raise
     ValidationError.
     """
-    q, scale, _, outflow = _rate_bounds(p_all, gamma, omega)
+    return _diag_generator(_rate_bounds(p_all, gamma, omega))
+
+
+def _diag_generator(rates) -> np.ndarray:
+    """M of :func:`diag_generator_matrix`, built in place from the ``rates`` of :func:`_rate_bounds`."""
+    q, scale, _, outflow = rates
     gen = np.outer(q, 1.0 / q)
     gen *= scale
     np.fill_diagonal(gen, 0.0 - outflow)  # 0.0 - x: a zero outflow gives +0.0, not -0.0
@@ -98,9 +103,8 @@ def diag_generator_matrix(p_all, gamma: float, omega: float) -> np.ndarray:
 def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, float, np.ndarray]:
     """``q = sqrt(p)``, ``gamma * omega``, the largest jump weight (0 for one
     state) and the outflow rates ``-diag(M)``, in O(n): the one home of the
-    family's rates, off which :func:`diag_generator_matrix` and fast mode
-    read them. A ValidationError unless every p is positive and every rate
-    of M is finite."""
+    family's rates, read once per run and handed on as this tuple. A
+    ValidationError unless every p is positive and every rate of M is finite."""
     p = np.asarray(p_all, dtype=float).reshape(-1)
     if np.any(p <= 0):
         raise ValidationError("flat probabilities must be strictly positive (floored)")
@@ -114,10 +118,10 @@ def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, 
     return q, scale, weight, outflow
 
 
-def _balanced_modes(p_all, gamma: float, omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``q = sqrt(p)`` and the ascending eigenpairs ``(lam, V)`` of the
-    balanced generator ``K = diag(1/q) M diag(q)``, formed in place from M
-    of :func:`diag_generator_matrix` at the flat probabilities ``p_all``.
+def _balanced_modes(rates) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenpairs ``(lam, V)`` of the balanced generator ``K =
+    diag(1/q) M diag(q)``, formed in place from M of :func:`_diag_generator`
+    on the tuple ``rates`` of :func:`_rate_bounds`, whose q its callers hold.
 
     The jump weights satisfy detailed balance with respect to p, so K =
     gamma * omega * (1 1^T - diag(Q/q)) with Q = sum(q) is real symmetric
@@ -129,13 +133,13 @@ def _balanced_modes(p_all, gamma: float, omega: float) -> tuple[np.ndarray, np.n
     ``lam[-1]``, the kernel's, is set to exactly 0: its round-off would
     otherwise grow into a trace drift at long times.
     """
-    balanced = diag_generator_matrix(p_all, gamma, omega)
-    q = np.sqrt(np.ravel(p_all))
+    q = rates[0]
+    balanced = _diag_generator(rates)
     balanced *= q[None, :]
     balanced /= q[:, None]
     lam, v = np.linalg.eigh(balanced)  # one triangle: asymmetry is harmless
     lam[-1] = 0.0
-    return q, lam, v
+    return lam, v
 
 
 def _coherence_generator(d: np.ndarray) -> np.ndarray:

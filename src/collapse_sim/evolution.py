@@ -2,14 +2,14 @@
 reduction. A run returns a :class:`Trajectory`: the stack of density-matrix
 snapshots at the recorded times, from which every observable is read.
 
-Both modes read the jump family's rates off ``dissipator._rate_bounds``,
-in O(n): :func:`_resolve_step` reads their bounds there, sets the step and
-sizes the run, once, before any n x n array. One runner, :func:`_run`,
-holds both modes' bodies: full mode builds the diagonal generator M of
-:func:`diag_generator_matrix`, and fast mode reads its coherence rates off
-the outflows. :func:`simulate_model` hands it the model's states, already
-checked; :func:`integrate` and :func:`integrate_fast_limit` first check
-their initial state and target, and the Hamiltonian, finite and Hermitian.
+A run reads the jump family's rates once, in O(n), off
+``dissipator._rate_bounds``: :func:`simulate_model` itself, :func:`integrate`
+and :func:`integrate_fast_limit` in :func:`_checked_inputs`. The one tuple
+sizes the run in :func:`_resolve_step`, before any n x n array, and feeds the
+one runner, :func:`_run`, of both modes: full mode builds M and its slow
+block from it, fast mode its modes and coherence rates. :func:`simulate_model`
+hands it the model's states, already checked; the solvers first check their
+initial state and target, and the Hamiltonian, finite and Hermitian.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
@@ -76,7 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
-                         _pack, _rate_bounds, _unpack, apply_dissipator, diag_generator_matrix)
+                         _diag_generator, _pack, _rate_bounds, _unpack, apply_dissipator)
+from .dissipator import diag_generator_matrix  # noqa: F401  (a public name of this module)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
@@ -359,25 +360,24 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray,
     return out if m < top else table[ks]
 
 
-def _slow_block(p_all, gamma: float, omega: float, dt: float) -> tuple[np.ndarray, int] | tuple[()]:
+def _slow_block(rates, dt: float) -> tuple[np.ndarray, int] | tuple[()]:
     """The slow block's coordinates a n + b, a and b in the support, and the
     level at which :func:`_propagate` first tests for a collapse onto it,
-    read off ``p_all`` in O(n); () when N = n^2 < :data:`_COLLAPSE_MIN_SIZE`,
-    no p lies above the smallest (epsilon^2 when a floor exists), the s^2
-    support coordinates pass N/4, or kappa dt is not a positive normal
-    number. The support's coherences with the floor decay at kappa, half the
-    sum of the smallest floor and support outflows of
-    ``dissipator._rate_bounds``: the level is the first j at which
+    read off q and the outflows of ``rates`` (``dissipator._rate_bounds``)
+    in O(n); () when N = n^2 < :data:`_COLLAPSE_MIN_SIZE`, no q lies above
+    the smallest (epsilon when a floor exists), the s^2 support coordinates
+    pass N/4, or kappa dt is not a positive normal number. The support's
+    coherences with the floor decay at kappa, half the sum of the smallest
+    floor and support outflows: the level is the first j at which
     exp(-kappa 2**j dt) <= :data:`_COLLAPSE_TOL`."""
-    p = np.ravel(p_all)
-    n = p.size
+    q, _, _, outflow = rates
+    n = q.size
     if n * n < _COLLAPSE_MIN_SIZE:
         return ()
-    floor = p == p.min()
+    floor = q == q.min()
     support = (~floor).nonzero()[0]
     if not 0 < 4 * support.size ** 2 <= n * n:
         return ()
-    outflow = _rate_bounds(p, gamma, omega)[3]
     kappa_dt = (float(outflow[floor].min()) + float(outflow[support].min())) / 2 * dt
     if not np.finfo(float).tiny <= kappa_dt < math.inf:
         return ()
@@ -385,12 +385,12 @@ def _slow_block(p_all, gamma: float, omega: float, dt: float) -> tuple[np.ndarra
     return (support[:, None] * n + support).reshape(-1), max(1, level)
 
 
-def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float, full: bool = False,
+def _resolve_step(cfg: IntegratorConfig, rates, full: bool = False,
                   hamiltonian=None) -> tuple[float, int]:
-    """The step and step count of a run on the flat probabilities ``p_all``,
-    in full mode, with the Hamiltonian ``hamiltonian`` (None without one),
-    when ``full``; read off q = sqrt(p) in O(n), before any n x n array
-    exists. The automatic step is ``cfg.safety`` over the largest outflow in
+    """The step and step count of a run on the checked ``rates`` of
+    ``dissipator._rate_bounds``, in full mode, with the Hamiltonian
+    ``hamiltonian`` (None without one), when ``full``; in O(n), before any n x n
+    array. The automatic step is ``cfg.safety`` over the largest outflow in
     fast mode, where it only sets the sample grid, and over the largest jump
     weight plus the spectral norm of H in full mode: not over the largest
     outflow, up to Q / max(q) times that weight (Q = sum(q)), so at safety
@@ -398,9 +398,8 @@ def _resolve_step(cfg: IntegratorConfig, p_all, gamma: float, omega: float, full
     from n alone and before H's O(n^3) norm, when full mode's four real n^2 x
     n^2 arrays or fast mode's eigendecomposition (:func:`_size_spectrum`)
     would pass :data:`MAX_STACK_BYTES`; then when the run needs over
-    :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its stack; a
-    ValidationError from the checks of ``dissipator._rate_bounds``."""
-    _, _, weight, outflow = _rate_bounds(p_all, gamma, omega)
+    :data:`MAX_STEPS` steps or over :data:`MAX_STACK_BYTES` for its stack."""
+    _, _, weight, outflow = rates
     n = outflow.size
     assembly = 4 * n**4 * np.dtype(float).itemsize  # four real n^2 x n^2 arrays, see MAX_STACK_BYTES
     if not full:
@@ -540,36 +539,34 @@ def _checked_target(target, n: int) -> np.ndarray:
 
 
 def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
-    """The initial state as a checked n x n matrix and the checked ``target``
-    (None stays None), after the rates of ``dissipator._rate_bounds``, in
-    the order both solvers check them; no n x n array is built here."""
+    """The initial state as a checked n x n matrix, the checked ``target``
+    (None stays None) and the run's one read of ``dissipator._rate_bounds``,
+    taken first, in the order both solvers check them; no n x n array here."""
     m0 = _as_matrix(rho0)
-    n = _rate_bounds(p_all, gamma, omega)[0].size
-    _check_hermitian(m0, n, "initial state", SNAPSHOT_HERMITICITY_TOL)
+    rates = _rate_bounds(p_all, gamma, omega)
+    _check_hermitian(m0, rates[0].size, "initial state", SNAPSHOT_HERMITICITY_TOL)
     if target is not None:
-        target = _checked_target(target, n)
-    return m0, target
+        target = _checked_target(target, rates[0].size)
+    return m0, target, rates
 
 
-def _run(m0, h, p_all, gamma: float, omega: float, cfg: IntegratorConfig, target, full: bool,
-         dt: float, n_steps: int) -> Trajectory:
+def _run(m0, h, rates, cfg: IntegratorConfig, target, full: bool, dt: float, n_steps: int) -> Trajectory:
     """The checked trajectory of a run in full mode (``full``, with ``h`` or None) or fast
-    mode, from the checked ``m0`` and ``target`` (or None), at the ``dt`` and ``n_steps`` of
-    :func:`_resolve_step`. The step map is a temporary, freed before the snapshot checks."""
+    mode, from the checked ``m0``, ``rates`` and ``target`` (or None), at the ``dt`` and
+    ``n_steps`` of :func:`_resolve_step`; the step map is a temporary, freed before the checks."""
     n = m0.shape[0]
     ks = _record_steps(n_steps, cfg)
     times = ks * dt
     if full:
         with np.errstate(over="ignore", invalid="ignore"):  # _check_snapshots names a divergence
-            states = _unpack(_propagate(_step_map(diag_generator_matrix(p_all, gamma, omega), h, dt),
-                                        _pack(m0).reshape(-1), ks, *_slow_block(p_all, gamma, omega, dt))
-                             .reshape(-1, n, n))
+            states = _unpack(_propagate(_step_map(_diag_generator(rates), h, dt), _pack(m0).reshape(-1),
+                                        ks, *_slow_block(rates, dt)).reshape(-1, n, n))
     else:
-        q, lam, v = _balanced_modes(p_all, gamma, omega)
+        q, _, _, outflow = rates
+        lam, v = _balanced_modes(rates)
         with np.errstate(under="ignore"):
             modes = np.exp(np.outer(times, lam)) * ((np.diagonal(m0).real / q) @ v)
             populations = modes @ (q[:, None] * v).T
-        outflow = _rate_bounds(p_all, gamma, omega)[3]
         coherences = m0.copy()
         np.fill_diagonal(coherences, 0.0)
         states = coherences * np.exp(_coherence_generator(-outflow) * times[:, None, None])
@@ -589,12 +586,11 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     checked before any work. :func:`_resolve_step` sets the step and sizes
     the run before anything is assembled.
     """
-    m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
+    m0, target, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
     h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
     if h is not None:
         _check_hermitian(h, m0.shape[0], "Hamiltonian", HERMITICITY_TOL)
-    return _run(m0, h, p_all, gamma, omega, cfg, target, True,
-                *_resolve_step(cfg, p_all, gamma, omega, True, h))
+    return _run(m0, h, rates, cfg, target, True, *_resolve_step(cfg, rates, True, h))
 
 
 def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -613,9 +609,8 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     set the sample grid. ``rho0`` and ``target`` are checked as in
     :func:`integrate` (shape, finite entries, Hermiticity) before any work.
     """
-    m0, target = _checked_inputs(rho0, p_all, gamma, omega, target)
-    return _run(m0, None, p_all, gamma, omega, cfg, target, False,
-                *_resolve_step(cfg, p_all, gamma, omega))
+    m0, target, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
+    return _run(m0, None, rates, cfg, target, False, *_resolve_step(cfg, rates))
 
 
 def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL) -> float:
@@ -658,11 +653,11 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     dissipator-dominated reduction. The trace-distance series is measured
     against the scenario's aligned target.
     ``gamma``, when given, replaces ``model.gamma`` for this run and must be
-    positive and finite. The mode and the Hamiltonian are checked and the run
-    sized (:func:`_resolve_step`), once, before the model builds its initial
-    state and target: like its rate table they do not depend on gamma, so a
-    coupling sweep runs every value on the one model. Both states, checked as
-    density matrices, go to the run with no second check or sizing.
+    positive and finite. The mode and the Hamiltonian are checked, the rates
+    read and the run sized (:func:`_resolve_step`), once, before the model
+    builds its initial state and target: like its rate table they do not
+    depend on gamma, so a coupling sweep runs every value on the one model;
+    the states, checked as density matrices, go to the run as they are.
     """
     if gamma is None:
         gamma = model.gamma
@@ -673,7 +668,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     if mode == "full" and model.hamiltonian is None:
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     h = model.hamiltonian if mode == "full" else None
-    p_all = model.rate_table().flat_probabilities()
-    step = _resolve_step(cfg, p_all, gamma, model.omega, h is not None, h)  # sized before the states
-    return _run(model.initial_dm().entries, h, p_all, gamma, model.omega, cfg,
-                model.aligned_target().entries, h is not None, *step)
+    rates = _rate_bounds(model.rate_table().flat_probabilities(), gamma, model.omega)
+    step = _resolve_step(cfg, rates, h is not None, h)  # sized before the states
+    return _run(model.initial_dm().entries, h, rates, cfg, model.aligned_target().entries,
+                h is not None, *step)

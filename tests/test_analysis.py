@@ -23,7 +23,7 @@ from collapse_sim import (
 )
 from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
-from collapse_sim.dissipator import _balanced_modes
+from collapse_sim.dissipator import _balanced_modes, _rate_bounds
 from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, balanced_draws
 
@@ -72,7 +72,7 @@ class TestSpectrumReadsBalancedModes:
     # p / sum(p), against the general eig route of generator_spectrum
     def test_agrees_with_generator_spectrum(self):
         for p, gamma, omega in balanced_draws():
-            _, lam, _ = _balanced_modes(p, gamma, omega)
+            lam, _ = _balanced_modes(_rate_bounds(p, gamma, omega))
             general = generator_spectrum(diag_generator_matrix(p, gamma, omega), rate_scale=gamma * omega)
             expected = np.sort(general.eigenvalues.real)
             scale = max(np.abs(expected).max(), gamma * omega)
@@ -85,7 +85,8 @@ class TestSpectrumReadsBalancedModes:
         p_all = two_level_model.rate_table().flat_probabilities()
         for p, gamma, omega in [(p_all, 5.0, 1.0), *balanced_draws(40)]:
             gen = diag_generator_matrix(p, gamma, omega)
-            q, lam, v = _balanced_modes(p, gamma, omega)
+            rates = _rate_bounds(p, gamma, omega)
+            q, (lam, v) = rates[0], _balanced_modes(rates)
             vecs = q[:, None] * v
             vecs /= np.linalg.norm(vecs, axis=0)
             residual = gen @ vecs - vecs * lam
@@ -113,7 +114,7 @@ class TestSpectrumReadsBalancedModes:
             assert cli.main(["spectrum", "--config", path]) == 0
             p = load_run_config(path).model.rate_table().flat_probabilities()
             eigenvalues, stationary = written.pop()
-            assert np.array_equal(eigenvalues, _balanced_modes(p, 2.0, 1.5)[1])
+            assert np.array_equal(eigenvalues, _balanced_modes(_rate_bounds(p, 2.0, 1.5))[0])
             assert np.array_equal(stationary, p / p.sum())
             cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
             assert np.array_equal(cols["eigenvalue_re"], eigenvalues)

@@ -294,8 +294,9 @@ class TestSimulate:
             raise AssertionError("an n x n array was built")
 
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                             (dissipator, "diag_generator_matrix"),
-                             (evolution, "diag_generator_matrix"), (cli, "diag_generator_matrix")):
+                             (dissipator, "diag_generator_matrix"), (dissipator, "_diag_generator"),
+                             (evolution, "diag_generator_matrix"), (evolution, "_diag_generator"),
+                             (cli, "diag_generator_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         amplitudes = [50**-0.5] * 50
         path = self._replace_sections(
@@ -446,7 +447,7 @@ class TestSpectrum:
             raise AssertionError("an n x n array was built")
 
         for module, name in ((np.linalg, "eigh"), (dissipator, "diag_generator_matrix"),
-                             (cli, "diag_generator_matrix")):
+                             (dissipator, "_diag_generator"), (cli, "diag_generator_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         amplitudes = [60**-0.5] * 60
         path = TestSimulate._replace_sections(

@@ -233,7 +233,9 @@ class TestBalancedModes:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda k: seen.append(k.copy()) or eigh(k))
         for p, gamma, omega in balanced_draws(60):
-            q = dissipator._balanced_modes(p, gamma, omega)[0]
+            rates = dissipator._rate_bounds(p, gamma, omega)
+            q = rates[0]
+            dissipator._balanced_modes(rates)
             assert np.array_equal(q, np.sqrt(p))
             k = seen.pop()
             balanced = dissipator.diag_generator_matrix(p, gamma, omega) * q[None, :] / q[:, None]
@@ -244,7 +246,7 @@ class TestBalancedModes:
 
     def test_kernel_exactly_zero_and_ascending(self):
         for p, gamma, omega in balanced_draws(60):
-            _, lam, v = dissipator._balanced_modes(p, gamma, omega)
+            lam, v = dissipator._balanced_modes(dissipator._rate_bounds(p, gamma, omega))
             assert lam[-1] == 0.0
             assert np.all(np.diff(lam) >= 0.0)
             assert v.shape == (p.size, p.size)
@@ -253,7 +255,7 @@ class TestBalancedModes:
         # the k-th smallest nonzero rate lies in [d_k, d_{k+1}], d = sort(gamma omega Q/q)
         checks = 0
         for p, gamma, omega in balanced_draws():
-            _, lam, _ = dissipator._balanced_modes(p, gamma, omega)
+            lam, _ = dissipator._balanced_modes(dissipator._rate_bounds(p, gamma, omega))
             q = np.sqrt(p)
             d = np.sort(gamma * omega * q.sum() / q)
             rates = -lam[-2::-1]

@@ -422,8 +422,9 @@ class TestPropagate:
         step_t = _taylor_step(closed_form_generator(model), traj.dt).T
         y0 = model.initial_dm().entries.reshape(-1)
         ks = evolution._record_steps(traj.n_steps, cfg)
-        block = evolution._slow_block(model.rate_table().flat_probabilities(), model.gamma,
-                                      model.omega, traj.dt)
+        rates = dissipator._rate_bounds(model.rate_table().flat_probabilities(), model.gamma,
+                                        model.omega)
+        block = evolution._slow_block(rates, traj.dt)
         expected = self._plain_schedule(step_t, y0, ks)
         got, squarings = self._squarings(step_t, y0, ks, *block)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
@@ -520,8 +521,8 @@ class TestPropagate:
     def test_slow_block_without_a_normal_kappa_dt_makes_no_test(self, gamma, dt):
         # a zero, subnormal or infinite kappa dt names no level, and no warning is raised
         p = _floor_model(16, 4).rate_table().flat_probabilities()
-        assert evolution._slow_block(p, 5.0, 1.0, 1e-5)[1] >= 1
-        assert evolution._slow_block(p, gamma, 1.0, dt) == ()
+        assert evolution._slow_block(dissipator._rate_bounds(p, 5.0, 1.0), 1e-5)[1] >= 1
+        assert evolution._slow_block(dissipator._rate_bounds(p, gamma, 1.0), dt) == ()
 
     def test_runs_are_deterministic(self):
         # reseeding and drawing from numpy's global generator between two runs changes no bit,
@@ -1364,7 +1365,14 @@ class TestSizeGuard:
         uniform = self._uniform_model(3).rate_table().flat_probabilities()
         for p, gamma, omega in [*balanced_draws(), (uniform, 5.0, 1.0), (np.ones(1), 5.0, 1.0)]:
             m = diag_generator_matrix(p, gamma, omega)
-            _, _, weight, outflow = dissipator._rate_bounds(p, gamma, omega)
+            rates = dissipator._rate_bounds(p, gamma, omega)
+            q, _, weight, outflow = rates
+            # the builder a run hands its one read to is M bit for bit, and so are the modes
+            assert dissipator._diag_generator(rates).tobytes() == m.tobytes()
+            lam, v = np.linalg.eigh(m * q[None, :] / q[:, None])
+            lam[-1] = 0.0
+            modes = dissipator._balanced_modes(rates)
+            assert modes[0].tobytes() == lam.tobytes() and modes[1].tobytes() == v.tobytes()
             assert weight == (m - np.diag(np.diagonal(m))).max()
             assert outflow.max() == -np.diagonal(m).min()
             assert np.array_equal(np.diagonal(m), 0.0 - outflow)
@@ -1375,12 +1383,12 @@ class TestSizeGuard:
             rate = weight + 0.5 if mode == "full" else -np.diagonal(m).min()
             steps = max(1, math.ceil(cfg.t_max / (cfg.safety / max(rate, 1e-300)) - 1e-9))
             h = 0.5 * np.eye(p.size) if mode == "full" else None  # spectral norm 0.5
-            assert evolution._resolve_step(cfg, p, gamma, omega, mode == "full", h)[1] == steps
+            assert evolution._resolve_step(cfg, rates, mode == "full", h)[1] == steps
 
     def test_reference_step_counts(self, two_level_model, two_level_trajectory):
         cfg = IntegratorConfig(t_max=1.0)
         p_all = two_level_model.rate_table().flat_probabilities()
-        args = (cfg, p_all, two_level_model.gamma, two_level_model.omega)
+        args = (cfg, dissipator._rate_bounds(p_all, two_level_model.gamma, two_level_model.omega))
         assert (evolution._resolve_step(*args, True, two_level_model.hamiltonian)[1]
                 == two_level_trajectory.n_steps == 917775)
         assert evolution._resolve_step(*args)[1] == 1315003
@@ -1395,8 +1403,8 @@ class TestSizeGuard:
 
         model = self._uniform_model(50)
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
-                             (dissipator, "diag_generator_matrix"),
-                             (evolution, "diag_generator_matrix")):
+                             (dissipator, "diag_generator_matrix"), (dissipator, "_diag_generator"),
+                             (evolution, "diag_generator_matrix"), (evolution, "_diag_generator")):
             monkeypatch.setattr(module, name, forbidden)
         with pytest.raises(ConfigError, match="22888 MiB"):
             simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
@@ -1414,7 +1422,8 @@ class TestSizeGuard:
         model = self._uniform_model(20)
         rho0, p_all = model.initial_dm(), model.rate_table().flat_probabilities()
         for module, name in ((np.linalg, "eigh"), (dissipator, "diag_generator_matrix"),
-                             (evolution, "diag_generator_matrix")):
+                             (dissipator, "_diag_generator"), (evolution, "diag_generator_matrix"),
+                             (evolution, "_diag_generator")):
             monkeypatch.setattr(module, name, forbidden)
         with pytest.raises(ConfigError, match="586 MiB"):
             evolution.integrate_fast_limit(rho0, p_all, 5.0, 1.0, IntegratorConfig(t_max=1.0))
@@ -1545,13 +1554,18 @@ class TestSimulateModel:
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_run_is_checked_and_sized_once(self, two_level_model, mode, monkeypatch):
         # the model checked its states as density matrices and its H itself, so the run is
-        # sized once, with H's norm taken once, and its inputs are not checked again
-        h, resolve, eigvalsh = two_level_model.hamiltonian, evolution._resolve_step, np.linalg.eigvalsh
-        calls = {"_resolve_step": 0, "eigvalsh on H": 0}
+        # sized once, with H's norm taken once, and its inputs are not checked again; every
+        # run, simulate_model's or a direct solver call's, reads the family's rates once, also
+        # at n = 16, where full mode reads its slow block off them too
+        resolve, eigvalsh, cfg = evolution._resolve_step, np.linalg.eigvalsh, IntegratorConfig(t_max=0.1)
+        rate_bounds, checked_inputs = dissipator._rate_bounds, evolution._checked_inputs
+        models, calls = (two_level_model, _floor_model(16, 4)), {}
 
-        def counted_resolve(*args, **kwargs):
-            calls["_resolve_step"] += 1
-            return resolve(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
         def counted_eigvalsh(a, *args, **kwargs):
             calls["eigvalsh on H"] += np.shape(a) == h.shape and np.array_equal(a, h)
@@ -1560,11 +1574,26 @@ class TestSimulateModel:
         def forbidden(*args, **kwargs):
             raise AssertionError("_checked_inputs ran")
 
-        monkeypatch.setattr(evolution, "_resolve_step", counted_resolve)
+        monkeypatch.setattr(evolution, "_resolve_step", counted("_resolve_step", resolve))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(evolution, "_checked_inputs", forbidden)
-        simulate_model(two_level_model, IntegratorConfig(t_max=0.1), mode)
-        assert calls == {"_resolve_step": 1, "eigvalsh on H": int(mode == "full")}
+        for module in (evolution, dissipator):
+            monkeypatch.setattr(module, "_rate_bounds", counted("_rate_bounds", rate_bounds))
+        for model in models:
+            h = model.hamiltonian
+            expected = {"_resolve_step": 1, "eigvalsh on H": int(mode == "full"), "_rate_bounds": 1}
+            calls.update(dict.fromkeys(expected, 0))
+            monkeypatch.setattr(evolution, "_checked_inputs", forbidden)
+            simulate_model(model, cfg, mode)
+            assert calls == expected
+            calls.update(dict.fromkeys(expected, 0))
+            monkeypatch.setattr(evolution, "_checked_inputs", checked_inputs)
+            args = (model.rate_table().flat_probabilities(), model.gamma, model.omega, cfg,
+                    model.aligned_target())
+            if mode == "full":
+                integrate(model.initial_dm(), h, *args)
+            else:
+                integrate_fast_limit(model.initial_dm(), *args)
+            assert calls == expected
 
     @pytest.mark.parametrize("field, value", [
         ("record_every", math.nan),
