@@ -3,7 +3,6 @@ coupling-strength scaling studies."""
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -12,7 +11,7 @@ import numpy as np
 from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
-from .states import _as_matrix, trace_distance
+from .states import _as_matrix, _positive, trace_distance
 
 ZERO_MODE_REL_TOL = 1e-9
 
@@ -135,12 +134,11 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
     Every row runs on ``model`` itself through ``simulate_model``'s
     ``gamma`` keyword, so all rows share the rate table, initial state and
     target that the model derives once, up to ``t_max * model.gamma /
-    gamma``. A row's ValidationError names its gamma; alignment failures
-    propagate as NotAlignedError for the offending row.
+    gamma``. Every gamma and ``tol`` is checked before the first row runs; a
+    row's ValidationError names its gamma, a row's NotAlignedError propagates.
     """
-    values = [float(g) for g in gammas]
+    values = [_positive(g, "sweep gammas") for g in gammas]
     if not values:
         raise ValidationError("gamma sweep needs at least one value")
-    if not all(math.isfinite(g) and g > 0 for g in values):
-        raise ValidationError(f"sweep gammas must be positive and finite, got {values}")
+    _positive(tol, "alignment tolerance")
     return [_sweep_row(model, g, cfg, mode, tol) for g in values]

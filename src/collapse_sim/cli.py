@@ -69,7 +69,7 @@ def _ensure_outdir(cfg: RunConfig) -> str:
 def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
     out = cfg.out_dir
     corr = cfg.model.correspondence
-    weights = corr.flat_weights(cfg.model.probabilities())
+    weights = np.diagonal(cfg.model.aligned_target().entries).real
     # one series per pairing, in assignment order (the legend order)
     series = [
         (f"diag_{flat} / {weights[flat]:.4g}", traj.times, traj.diagonals[:, flat] / weights[flat])

@@ -80,8 +80,8 @@ from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coh
 from .dissipator import diag_generator_matrix  # noqa: F401  (a public name of this module)
 from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _readonly,
-                     _spectral_entropy, _trace_distances)
+from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _positive,
+                     _readonly, _spectral_entropy, _trace_distances)
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
@@ -139,17 +139,11 @@ class IntegratorConfig:
     record_spacing: str = "log"
 
     def __post_init__(self):
-        for name in ("t_max", "dt", "safety"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               or name == "dt" and value is None):
-                raise ValidationError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValidationError(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not 0 < self.safety <= 0.5:
+        _positive(self.t_max, "t_max")
+        if self.dt is not None:
+            _positive(self.dt, "dt")
+        if not _positive(self.safety, "safety") <= 0.5:
             raise ValidationError("safety factor must lie in (0, 0.5]")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
         for name in ("record_every", "record_points"):
             value = getattr(self, name)
             if value is not None:
@@ -622,8 +616,7 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     only the tail after the last crossing is read. ``target`` must be a
     finite Hermitian matrix of the trajectory's dimension.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"alignment tolerance must be positive and finite, got {tol!r}")
+    _positive(tol, "alignment tolerance")
     target_m = _checked_target(target, traj.dim)
     first_ok = 0
     for end in range(traj.times.size, 0, -_ALIGNMENT_BLOCK):
@@ -659,10 +652,7 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     depend on gamma, so a coupling sweep runs every value on the one model;
     the states, checked as density matrices, go to the run as they are.
     """
-    if gamma is None:
-        gamma = model.gamma
-    elif not (math.isfinite(gamma) and gamma > 0):
-        raise ValidationError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = model.gamma if gamma is None else _positive(gamma, "gamma")
     if mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")
     if mode == "full" and model.hamiltonian is None:

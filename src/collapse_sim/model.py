@@ -15,8 +15,10 @@ from .states import (
     NORM_TOL,
     DensityMatrix,
     StateVector,
+    _angle,
     _check_hermitian,
     _checked_amplitudes,
+    _positive,
     _readonly,
     aligned_dm,
     product_state_dm,
@@ -128,8 +130,7 @@ class RateTable:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise ValidationError(f"rate table must be 2-D, got shape {v.shape}")
-        if not (math.isfinite(self.floor) and self.floor > 0):
-            raise ValidationError(f"rate floor must be positive and finite, got {self.floor!r}")
+        _positive(self.floor, "rate floor")
         if not np.all(v >= self.floor):
             raise ValidationError("rate table entries must not drop below the floor")
         object.__setattr__(self, "values", _readonly(v))
@@ -159,14 +160,13 @@ def born_rate_table(probs, correspondence: CorrespondenceMap, epsilon: float) ->
     ``epsilon``. One-to-one with uniform weights reduces to
     ``max(sqrt(p_i), epsilon)`` on the grid diagonal.
     """
+    epsilon = _positive(epsilon, "epsilon")
     roots = np.sqrt(correspondence.flat_weights(probs))
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
     smallest = float(roots[roots > 0].min(initial=math.inf))
     if epsilon >= smallest:
         raise ConfigError(f"rate floor {epsilon!r} would mask the smallest physical rate {smallest!r}")
-    grid = np.maximum(roots, float(epsilon)).reshape(correspondence.outcomes, correspondence.readings)
-    return RateTable(grid, float(epsilon))
+    grid = np.maximum(roots, epsilon).reshape(correspondence.outcomes, correspondence.readings)
+    return RateTable(grid, epsilon)
 
 
 def zeeman_hamiltonian(alpha: float, energy_scale: float) -> np.ndarray:
@@ -175,8 +175,8 @@ def zeeman_hamiltonian(alpha: float, energy_scale: float) -> np.ndarray:
     Eigenvalues are +-energy_scale/2 and the +energy_scale/2 eigenvector is
     ``(cos alpha, sin alpha)``.
     """
-    if not math.isfinite(energy_scale) or energy_scale <= 0:
-        raise ValidationError(f"energy scale must be positive and finite, got {energy_scale!r}")
+    _angle(alpha, "alpha")
+    _positive(energy_scale, "energy scale")
     c = math.cos(2.0 * alpha)
     s = math.sin(2.0 * alpha)
     return 0.5 * energy_scale * np.array([[c, s], [s, -c]], dtype=float)
@@ -208,9 +208,7 @@ class MeasurementModel:
 
     def __post_init__(self):
         for name in ("gamma", "omega", "epsilon"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+            _positive(getattr(self, name), name)
         if self.sys.dim != self.correspondence.outcomes:
             raise ValidationError(
                 f"system dimension {self.sys.dim} does not match "
@@ -259,11 +257,11 @@ def spin_half_scenario(
     epsilon: float = DEFAULT_EPSILON,
 ) -> MeasurementModel:
     """Two-level system and two-level pointer, both prepared in eigenstates
-    of fields tilted by ``2 * alpha``; one-to-one correspondence. An angle
-    whose double is not a finite float raises ValidationError naming it."""
-    for name, alpha in (("alpha_s", alpha_s), ("alpha_a", alpha_a)):
-        if not math.isfinite(2.0 * alpha):
-            raise ValidationError(f"{name} must be an angle with 2 * {name} finite, got {alpha!r}")
+    of fields tilted by ``2 * alpha``; one-to-one correspondence. Each argument
+    is checked before any work, and a bad one raises ValidationError naming it."""
+    _angle(alpha_s, "alpha_s")
+    _angle(alpha_a, "alpha_a")
+    gamma, omega, epsilon = _positive(gamma, "gamma"), _positive(omega, "omega"), _positive(epsilon, "epsilon")
     sys = StateVector(np.array([math.cos(alpha_s), math.sin(alpha_s)]))
     app = StateVector(np.array([math.cos(alpha_a), math.sin(alpha_a)]))
     h_sys = zeeman_hamiltonian(alpha_s, omega)
@@ -274,8 +272,8 @@ def spin_half_scenario(
         sys=sys,
         app=app,
         correspondence=CorrespondenceMap.one_to_one(2),
-        gamma=float(gamma),
-        omega=float(omega),
-        epsilon=float(epsilon),
+        gamma=gamma,
+        omega=omega,
+        epsilon=epsilon,
         hamiltonian=hamiltonian,
     )

@@ -1,15 +1,18 @@
-"""State vectors, density matrices, and spectral utilities built on them.
+"""State vectors, density matrices, spectral utilities, and the input checks.
 
 Combined system+pointer matrices use the flat index convention
 ``(i, j) -> i * J + j`` (row-major, 0-based), where ``i`` labels the
 observable outcome and ``j`` the pointer reading. The layout has one home,
 ``CorrespondenceMap.flat_weights`` in :mod:`collapse_sim.model`, which places
-the Born weights of the aligned state and of the rate table.
+the Born weights of the aligned state and of the rate table. Every positive
+scalar the library takes goes through ``_positive``, every tilt angle through ``_angle``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -31,6 +34,27 @@ def _as_matrix(obj) -> np.ndarray:
     if isinstance(obj, DensityMatrix):
         return obj.entries
     return np.asarray(obj, dtype=complex)
+
+
+def _real(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a float, refused unless a real number (not a bool) in (0, largest
+    float]; the comparison reads an int exactly, so a huge one does not overflow."""
+    if not 0 < _real(value, name) <= float_info.max:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _angle(value, name: str) -> None:
+    """Refuse ``value`` unless a real number (not a bool) whose double, the
+    field's tilt, is a finite float; an int is read exactly, as in ``_positive``."""
+    if not abs(_real(value, name)) <= float_info.max / 2:
+        raise ValidationError(f"{name} must be an angle with 2 * {name} finite, got {value!r}")
 
 
 def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
