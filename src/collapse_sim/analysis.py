@@ -137,6 +137,10 @@ def gamma_sweep(model, gammas, cfg: IntegratorConfig, mode: str = "fast",
     gamma``. Every gamma and ``tol`` is checked before the first row runs; a
     row's ValidationError names its gamma, a row's NotAlignedError propagates.
     """
+    try:
+        gammas = iter(gammas)
+    except TypeError:
+        raise ValidationError(f"sweep gammas must be a sequence of numbers, got {gammas!r}") from None
     values = [_positive(g, "sweep gammas") for g in gammas]
     if not values:
         raise ValidationError("gamma sweep needs at least one value")

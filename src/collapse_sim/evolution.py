@@ -35,12 +35,12 @@ made by doubling, and each record starts from row k mod 2**m of it. Once the
 floor transient has died, only the slow block of the aligned states still
 moves, and the powers have collapsed onto it: from N =
 :data:`_COLLAPSE_MIN_SIZE` on, :func:`_collapsed` tests the power at the
-level that the floor rates predict (:func:`_slow_block`), and at most one
-more, on its own rows at the block's coordinates, and one that passes
-finishes every record in the block (:func:`_collapsed_tail`), with no
-further squaring: the chain's only early stop. A power that fails, or holds
-a non-finite entry, goes on through the unchanged chain. Fast mode has no
-step map: the one symmetric eigendecomposition of the family,
+level that the floor rates predict (:func:`_slow_block`), once per run, on
+its own rows at the block's coordinates; one that passes finishes every
+record in the block, through the same chain run on the block's power, with
+no further squaring: the chain's only early stop. A power that fails, or
+holds a non-finite entry, goes on through the unchanged chain. Fast mode has
+no step map: the one symmetric eigendecomposition of the family,
 ``dissipator._balanced_modes``, gives its populations in closed form.
 :data:`MAX_STACK_BYTES` caps the (T, n, n) complex snapshot stack (16 bytes
 per entry), the full-mode arrays, whose budget its comment sets out, and,
@@ -92,11 +92,11 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
 # up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
 # it); from n^2 = 128 on a collapse test holds, beside S and the power, its s^2 x n^2 rows at the
-# slow block (s^2 <= n^2/4), Q and C, n^2 x s^2 each, which its tail keeps beside the rows, and a
-# residual block of _STACK_BLOCK_BYTES; S is freed before the rows are unpacked. The stack's own
-# phases hold little beyond it: _check_snapshots, passing or failing, and Trajectory.trace_dist
-# read it in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by tracemalloc at n = 16,
-# T = 1152), and the spectra's batched eigenvalue call keeps only its (T, n) output
+# slow block (s^2 <= n^2/4), Q and C, n^2 x s^2 each, kept with two T x s^2 copies of the rows by
+# the tail, and a residual block of _STACK_BLOCK_BYTES; S is freed before the rows are unpacked.
+# The stack's own phases hold little beyond it: _check_snapshots, passing or failing, and
+# Trajectory.trace_dist read it in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by
+# tracemalloc at n = 16, T = 1152); the spectra's batched eigenvalue call keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -263,8 +263,8 @@ def _collapsed(power: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.nd
     """Test whether the N x N ``power`` has collapsed onto the slow block:
     its own rows at the w support ``coords``, orthonormalised, are the
     columns of Q, and ``power`` is compared with ``C Q^H``, C = ``power @
-    Q``, in row blocks of :func:`_stack_blocks`. Returns ``(C, Q)`` when no
-    entry of the residual passes :data:`_COLLAPSE_TOL` times the largest
+    Q``, in row blocks of :func:`_stack_blocks`. Returns ``(C, Q^H)`` when
+    no entry of the residual passes :data:`_COLLAPSE_TOL` times the largest
     entry of ``power``, else None, at the first block that fails or, before
     any QR, for a power with a non-finite entry.
     """
@@ -280,70 +280,56 @@ def _collapsed(power: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.nd
         resid -= power[rows]
         if np.abs(resid).max() > _COLLAPSE_TOL * scale:
             return None
-    return c, q
-
-
-def _collapsed_tail(out: np.ndarray, high: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Finish every row of ``out`` whose remaining step count ``high``, in
-    powers P = ``C Q^H`` of the level that collapsed, is positive: P**h = C
-    (Q^H C)**(h - 1) Q^H, so the row becomes ``((y C) (Q^H C)**(h - 1)) Q^H``,
-    the w x w power going through a binary chain of its own."""
-    rows = high.nonzero()[0]
-    qh = q.conj().T
-    y = out[rows] @ c
-    steps = high[rows] - 1
-    small = qh @ c
-    for j in range(int(steps.max()).bit_length()):
-        if j:
-            small = small @ small
-        picked = ((steps >> j) & 1).nonzero()[0]
-        y[picked] = y[picked] @ small
-    out[rows] = y @ qh
-    return out
+    return c, qh
 
 
 def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray,
                coords: np.ndarray | None = None, level: int | None = None) -> np.ndarray:
     """Rows ``y0 @ step_t**k``, the states ``step**k @ y0`` for ``step_t =
-    step^T``, for every k in ``ks``, from one squaring chain (full mode only).
+    step^T``, for every k in ``ks``, from one squaring chain (full mode only);
+    ``y0`` is one row shared by every record or, 2-D, one row per record.
 
     Power ``step_t**(2**j)`` multiplies, in one batched product, the rows
     whose k has bit j set, and is squared into the next power, up to the top
     bit of the largest k. Records whose k agree mod 2**m pass through the
-    same rows on levels below m, so those levels are one table of the rows
-    ``y0 @ step_t**r``, r < 2**m, built by doubling (rows r + 2**j are rows r
-    times ``step_t**(2**j)``); from level m on, each record carries its own
-    row, starting from row k mod 2**m. The table doubles while it has fewer
-    rows than the records its level would multiply and at most T after
-    doubling, so repeated k can make it span every level; every row still
-    takes the level-by-level products, in the same order.
+    same rows on levels below m, so from a shared row those levels are one
+    table of the rows ``y0 @ step_t**r``, r < 2**m, built by doubling (rows
+    r + 2**j are rows r times ``step_t**(2**j)``); from level m on, each
+    record carries its own row, starting from row k mod 2**m. The table
+    doubles while it has fewer rows than the records its level would
+    multiply and at most T after doubling, so repeated k can make it span
+    every level; every row still takes the level-by-level products, in the
+    same order.
 
     Given the slow block's ``coords`` and ``level`` from :func:`_slow_block`,
-    :func:`_collapsed` tests the power of that level and, should it fail, of
-    the next, below the top bit; a power that passes has collapsed onto the
-    block, and :func:`_collapsed_tail` finishes every row in its dimensions,
-    with no further squaring: the chain's only early stop. A power that
-    fails, or holds a non-finite entry, goes on through the unchanged chain,
-    so a run that never collapses keeps its bits. Its memory is counted at
-    :data:`MAX_STACK_BYTES`.
+    :func:`_collapsed` tests the power P of that level once, below the top
+    bit. One that passes, P = C Q^H, has collapsed onto the block: P**h = C
+    (Q^H C)**(h - 1) Q^H, so each row with h = k >> level > 0 ends as
+    ``_propagate(Q^H C, y C, h - 1) @ Q^H``, with no further squaring of P:
+    the chain's only early stop. A power that fails, or holds a non-finite
+    entry, goes on through the unchanged chain, so a run that never
+    collapses keeps its bits. Its memory is counted at :data:`MAX_STACK_BYTES`.
     """
     ks = np.asarray(ks, dtype=np.int64)
     top = max(1, int(ks.max()).bit_length())
     counts = ((ks[:, None] >> np.arange(top)) & 1).sum(axis=0).tolist()  # records with bit j set
-    m = 0
-    while m < top and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
+    shared, m = y0.ndim == 1, 0
+    while shared and m < top and 2 ** m < counts[m] and 2 ** (m + 1) <= ks.size:
         m += 1
-    tested = () if level is None else (level, level + 1)
-    table = np.empty((2 ** m, y0.size), dtype=np.result_type(step_t, y0))
-    table[:2] = y0
+    table = np.empty((2 ** m if shared else ks.size, y0.shape[-1]), dtype=np.result_type(step_t, y0))
+    table[:] = y0
     power = step_t
     for j in range(top):
         if j == m:
-            out, table = table[ks & (2 ** m - 1)], None
+            out, table = (table[ks & (2 ** m - 1)] if shared else table), None
         if j:
             power = power @ power
-            if j in tested and (basis := _collapsed(power, coords)) is not None:
-                return _collapsed_tail(out if j >= m else table[ks & (2 ** j - 1)], ks >> j, *basis)
+            if j == level and (basis := _collapsed(power, coords)) is not None:
+                c, qh = basis
+                part, high = (out if j >= m else table[ks & (2 ** j - 1)]), ks >> j
+                rows = high.nonzero()[0]
+                part[rows] = _propagate(qh @ c, part[rows] @ c, high[rows] - 1) @ qh
+                return part
         if j < m:
             # level 0 multiplies two copies of y0: numpy sends a one-row product to gemv, which
             # rounds unlike the batched gemm rows
@@ -356,7 +342,7 @@ def _propagate(step_t: np.ndarray, y0: np.ndarray, ks: np.ndarray,
 
 def _slow_block(rates, dt: float) -> tuple[np.ndarray, int] | tuple[()]:
     """The slow block's coordinates a n + b, a and b in the support, and the
-    level at which :func:`_propagate` first tests for a collapse onto it,
+    level at which :func:`_propagate` tests for a collapse onto it,
     read off q and the outflows of ``rates`` (``dissipator._rate_bounds``)
     in O(n); () when N = n^2 < :data:`_COLLAPSE_MIN_SIZE`, no q lies above
     the smallest (epsilon when a floor exists), the s^2 support coordinates

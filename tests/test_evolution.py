@@ -197,29 +197,30 @@ class TestIntegrate:
 
     def test_unstable_step_at_sixteen_skips_non_finite_powers(self, monkeypatch):
         # n = 16 at dt = 1e-3, far past RK4's stability limit: the powers overflow from level 6
-        # on; with the predicted level moved to 5, the test there runs its QR on a finite power,
-        # the test at 6 skips its power before any QR, and one IntegrationError names the
-        # divergence, with no floating-point warning on the way
-        qr_finite, attempts = [], []
+        # on; with the predicted level moved to 5, the one test runs its QR on a finite power and
+        # fails, moved to 6 it skips its power before any QR, and either way one IntegrationError
+        # names the divergence, with no floating-point warning on the way
         qr, collapsed, slow_block = np.linalg.qr, evolution._collapsed, evolution._slow_block
-
-        def checked_qr(a, *args, **kwargs):
-            qr_finite.append(np.isfinite(a).all())
-            return qr(a, *args, **kwargs)
-
-        def attempt(power, coords):
-            attempts.append((np.isfinite(power).all(), collapsed(power, coords)))
-            return attempts[-1][1]
-
-        monkeypatch.setattr(np.linalg, "qr", checked_qr)
-        monkeypatch.setattr(evolution, "_collapsed", attempt)
-        monkeypatch.setattr(evolution, "_slow_block", lambda *args: (slow_block(*args)[0], 5))
         cfg = IntegratorConfig(t_max=100.0, dt=1e-3, record_every=10000)
-        with pytest.raises(IntegrationError, match="^non-finite state at t = 10: integration"):
-            simulate_model(_floor_model(16, 4), cfg, mode="full")
-        assert qr_finite and all(qr_finite)
-        skipped = [result for finite, result in attempts if not finite]
-        assert skipped and all(result is None for result in skipped)
+        for level, finite in ((5, True), (6, False)):
+            qr_finite, attempts = [], []
+
+            def checked_qr(a, *args, **kwargs):
+                qr_finite.append(np.isfinite(a).all())
+                return qr(a, *args, **kwargs)
+
+            def attempt(power, coords):
+                attempts.append((np.isfinite(power).all(), collapsed(power, coords)))
+                return attempts[-1][1]
+
+            monkeypatch.setattr(np.linalg, "qr", checked_qr)
+            monkeypatch.setattr(evolution, "_collapsed", attempt)
+            monkeypatch.setattr(evolution, "_slow_block",
+                                lambda *args, level=level: (slow_block(*args)[0], level))
+            with pytest.raises(IntegrationError, match="^non-finite state at t = 10: integration"):
+                simulate_model(_floor_model(16, 4), cfg, mode="full")
+            assert attempts == [(finite, None)]
+            assert qr_finite == ([True] if finite else [])
 
 
 def _floor_model(seed, d):
@@ -307,14 +308,16 @@ class TestPropagate:
     @staticmethod
     def _run_inputs(model, t_max):
         # the transposed step map, initial coordinates and record steps that
-        # one full-mode run passes to _propagate
+        # one full-mode run passes to _propagate; a collapsed chain calls it once more, untested,
+        # for its tail, on one row per record
         captured = []
         propagate = evolution._propagate
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evolution, "_propagate",
                           lambda *args: captured.append(args) or propagate(*args))
             simulate_model(model, IntegratorConfig(t_max=t_max), mode="full")
-        (args,) = captured
+        args, *tails = captured
+        assert len(tails) <= 1 and all(len(tail) == 3 and tail[1].ndim == 2 for tail in tails)
         return args
 
     @classmethod
@@ -431,19 +434,56 @@ class TestPropagate:
         assert squarings <= 11
 
     def test_collapse_inside_the_table_levels(self):
-        # 2048 consecutive records: the table doubles up to level 9, where the power collapses
+        # 2048 consecutive records: the table doubles up to level 9, where the power collapses, and
+        # the chain calls itself once on the block's power for the records with k >> 9 > 0
         step_t, y0, _, *block = self._floor_run(1.0)
         ks = np.arange(2048)
         tails = []
-        tail = evolution._collapsed_tail
+        propagate = evolution._propagate
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evolution, "_collapsed_tail",
-                          lambda out, high, *basis: tails.append(high) or tail(out, high, *basis))
-            got = evolution._propagate(step_t, y0, ks, *block)
-        (high,) = tails
-        assert np.array_equal(high, ks >> 9)
+            patch.setattr(evolution, "_propagate", lambda *args: tails.append(args) or propagate(*args))
+            got = propagate(step_t, y0, ks, *block)
+        ((small, rows, steps),) = tails
+        high = ks >> 9
+        assert small.shape == (16, 16) and rows.shape == (np.count_nonzero(high), 16)
+        assert np.array_equal(steps, high[high > 0] - 1)
         expected = self._plain_schedule(step_t, y0, ks)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    def test_rows_per_record_match_matrix_power(self):
+        # one start row per record takes no table: zero, repeated and distinct k, a single record
+        # (a one-row product, which numpy sends to gemv) and complex rows or powers
+        rng = np.random.default_rng(6)
+        real_step, _ = self._model_step()
+        complex_step = self._step(rng, 5).T
+
+        def rows(count, size):
+            return rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+
+        cases = [(real_step, rows(6, 64), [0, 3, 3, 17, 0, 64]),
+                 (complex_step, rows(4, 5), [5, 0, 5, 2**12 + 1]),
+                 (complex_step, rows(3, 5).real, [7, 7, 1]),
+                 (real_step, rows(1, 64).real, [2**10 - 1]),
+                 (complex_step, rows(1, 5), [0])]
+        for step_t, y0, ks in cases:
+            got = evolution._propagate(step_t, y0, np.array(ks))
+            assert got.shape == y0.shape and got.dtype == np.result_type(step_t, y0)
+            for row, y, k in zip(got, y0, ks):
+                expected = y @ np.linalg.matrix_power(step_t, k)
+                assert np.abs(row - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_level_short_of_the_prediction_is_tested_once(self, monkeypatch):
+        # the floor run's power at level 8, one short of the predicted 9, has not collapsed: its one
+        # test fails, no later power is tested, and the rows are the untested chain's
+        step_t, y0, ks, coords, level = self._floor_run(1.0)
+        assert level == 9
+        results = []
+        collapsed = evolution._collapsed
+        monkeypatch.setattr(evolution, "_collapsed",
+                            lambda *args: results.append(collapsed(*args)) or results[-1])
+        got = evolution._propagate(step_t, y0, ks, coords, level - 1)
+        assert results == [None]
+        assert got.tobytes() == evolution._propagate(step_t, y0, ks).tobytes()
 
     def test_uncollapsed_run_keeps_its_bits(self, monkeypatch):
         # t_max = 1e-4 takes 72 steps, far short of the predicted level 9, past the chain's top bit:

@@ -133,6 +133,14 @@ class TestScalarInputs:
         with pytest.raises(ValidationError, match="sweep gammas must be a number, got '2'"):
             gamma_sweep(two_level_model, "25", CFG)
 
+    @pytest.mark.parametrize("gammas", [5.0, None])
+    def test_sweep_of_one_value_is_refused(self, two_level_model, no_run, gammas):
+        # one number, or none, is not a sequence of gammas
+        with pytest.raises(ValidationError) as info:
+            gamma_sweep(two_level_model, gammas, CFG)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"sweep gammas must be a sequence of numbers, got {gammas!r}"
+
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_int_and_numpy_gamma_run_as_their_float(self, two_level_model, mode):
         runs = [simulate_model(two_level_model, CFG, mode, gamma=g) for g in (5.0, 5, np.float64(5.0))]
