@@ -12,17 +12,11 @@ from .analysis import (
     GeneratorSpectrum,
     QslReport,
     SweepRow,
-    diag_generator_matrix,
     gamma_sweep,
     generator_spectrum,
     qsl_lower_bound,
 )
-from .dissipator import (
-    DissipatorSpec,
-    apply_dissipator,
-    apply_dissipator_closed_form,
-    lindblad_jump_family,
-)
+from .dissipator import apply_dissipator_closed_form, diag_generator_matrix
 from .errors import (
     ConfigError,
     IntegrationError,
@@ -36,7 +30,6 @@ from .evolution import (
     alignment_time,
     integrate,
     integrate_fast_limit,
-    master_rhs,
     simulate_model,
 )
 from .model import (
@@ -61,10 +54,9 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrespondenceMap",
     "ConfigError",
+    "CorrespondenceMap",
     "DensityMatrix",
-    "DissipatorSpec",
     "GeneratorSpectrum",
     "IntegrationError",
     "IntegratorConfig",
@@ -79,7 +71,6 @@ __all__ = [
     "ValidationError",
     "aligned_dm",
     "alignment_time",
-    "apply_dissipator",
     "apply_dissipator_closed_form",
     "born_probabilities",
     "born_rate_table",
@@ -89,8 +80,6 @@ __all__ = [
     "generator_spectrum",
     "integrate",
     "integrate_fast_limit",
-    "lindblad_jump_family",
-    "master_rhs",
     "product_state_dm",
     "qsl_lower_bound",
     "simulate_model",

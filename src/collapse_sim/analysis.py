@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipator import diag_generator_matrix  # noqa: F401  (public name of this module)
 from .errors import ValidationError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
 from .states import _as_matrix, _positive, trace_distance

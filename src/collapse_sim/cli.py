@@ -17,9 +17,8 @@ from .analysis import generator_spectrum  # noqa: F401  (perfbench/tracer.py wra
 from .config import RunConfig, load_run_config
 from .csvio import _tracked_pairs, write_qsl_csv, write_spectrum_csv, write_sweep_csv, write_trajectory_csv
 from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _rate_bounds, _unpack, diag_generator_matrix
-from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .dissipator import lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
-from .evolution import master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .evolution import Trajectory, alignment_time, simulate_model
 from .svgplot import write_line_plot
 
@@ -167,10 +166,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, FloatingPointError, np.linalg.LinAlgError) as exc:

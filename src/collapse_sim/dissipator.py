@@ -17,8 +17,9 @@ the real coordinates ``X = Re rho + Im rho`` of a Hermitian rho
 [J, X]``. :func:`_balanced_modes` balances M of the same tuple in place into
 the symmetric form that detailed balance gives it, and decomposes that; fast
 mode and the ``spectrum`` command read it. The dense family
-(:class:`DissipatorSpec`) takes O(n^4) memory; it is kept as the independent
-reference that tests check M-based code against.
+(:class:`DissipatorSpec`, :func:`lindblad_jump_family`, :func:`apply_dissipator`,
+:func:`master_rhs`) takes O(n^4) memory and is on no run path: it is the tests'
+oracle, the reference they check M-based code against, and is not exported.
 """
 
 from __future__ import annotations
@@ -76,6 +77,21 @@ def apply_dissipator(spec: DissipatorSpec, rho) -> np.ndarray:
         jd = jump.conj().T
         jdj = jd @ jump
         out += w * (jump @ m @ jd - 0.5 * (jdj @ m + m @ jdj))
+    return out
+
+
+def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
+    """Full right-hand side: -i[H, rho] plus the jump-family action (hbar = 1).
+
+    ``hamiltonian`` may be None for purely dissipative evolution.
+    """
+    m = _as_matrix(rho)
+    out = apply_dissipator(spec, m)
+    if hamiltonian is not None:
+        h = np.asarray(hamiltonian, dtype=complex)
+        if h.shape != m.shape:
+            raise ValidationError(f"Hamiltonian shape {h.shape} does not match state {m.shape}")
+        out = out - 1j * (h @ m - m @ h)
     return out
 
 

@@ -42,6 +42,8 @@ no further squaring: the chain's only early stop. A power that fails, or
 holds a non-finite entry, goes on through the unchanged chain. Fast mode has
 no step map: the one symmetric eigendecomposition of the family,
 ``dissipator._balanced_modes``, gives its populations in closed form.
+The dense jump family is the tests' oracle in ``dissipator``; this module
+imports its names only for the benchmark's tracer to wrap.
 :data:`MAX_STACK_BYTES` caps the (T, n, n) complex snapshot stack (16 bytes
 per entry), the full-mode arrays, whose budget its comment sets out, and,
 through :func:`_size_spectrum`, the eigendecomposition of the ``spectrum``
@@ -69,18 +71,16 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (DissipatorSpec, _balanced_modes, _closed_form_rhs, _coherence_generator,
-                         _diag_generator, _pack, _rate_bounds, _unpack, apply_dissipator)
+from .dissipator import (_balanced_modes, _closed_form_rhs, _coherence_generator, _diag_generator, _pack,
+                         _rate_bounds, _unpack)
+from .dissipator import apply_dissipator, lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .dissipator import diag_generator_matrix  # noqa: F401  (a public name of this module)
-from .dissipator import lindblad_jump_family  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _positive,
+from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _integer, _positive,
                      _readonly, _spectral_entropy, _trace_distances)
 
 TRACE_DRIFT_TOL = 1e-9
@@ -147,9 +147,7 @@ class IntegratorConfig:
         for name in ("record_every", "record_points"):
             value = getattr(self, name)
             if value is not None:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValidationError(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, _integer(value, name))
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.record_points < 2:
@@ -223,21 +221,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-
-def master_rhs(hamiltonian, spec: DissipatorSpec, rho) -> np.ndarray:
-    """Full right-hand side: -i[H, rho] plus the jump-family action (hbar = 1).
-
-    ``hamiltonian`` may be None for purely dissipative evolution.
-    """
-    m = _as_matrix(rho)
-    out = apply_dissipator(spec, m)
-    if hamiltonian is not None:
-        h = np.asarray(hamiltonian, dtype=complex)
-        if h.shape != m.shape:
-            raise ValidationError(f"Hamiltonian shape {h.shape} does not match state {m.shape}")
-        out = out - 1j * (h @ m - m @ h)
-    return out
 
 
 def _step_map(diag_gen: np.ndarray, h: np.ndarray | None, dt: float) -> np.ndarray:

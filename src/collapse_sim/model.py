@@ -18,6 +18,7 @@ from .states import (
     _angle,
     _check_hermitian,
     _checked_amplitudes,
+    _integer,
     _positive,
     _readonly,
     aligned_dm,
@@ -43,8 +44,14 @@ class CorrespondenceMap:
     weights: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        for name in ("outcomes", "readings"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.outcomes < 1 or self.readings < 1:
             raise ValidationError("outcome and reading counts must be positive")
+        object.__setattr__(self, "assignment",
+                           tuple(tuple(_integer(j, "reading index") for j in g) for g in self.assignment))
+        object.__setattr__(self, "weights",
+                           tuple(tuple(_positive(x, "reading weight") for x in w) for w in self.weights))
         if len(self.assignment) != self.outcomes or len(self.weights) != self.outcomes:
             raise ValidationError("assignment and weights must cover every outcome")
         seen: set[int] = set()
@@ -59,14 +66,13 @@ class CorrespondenceMap:
                 if j in seen:
                     raise ValidationError(f"reading {j} assigned to more than one outcome")
                 seen.add(j)
-            if any(not x > 0 for x in w):
-                raise ValidationError(f"outcome {i}: reading weights must be positive")
             total = math.fsum(w)
             if not abs(total - 1.0) <= NORM_TOL:
                 raise ValidationError(f"outcome {i}: reading weights sum to {total!r}")
 
     @classmethod
     def one_to_one(cls, n: int) -> "CorrespondenceMap":
+        n = _integer(n, "n")
         return cls(n, n, tuple((i,) for i in range(n)), tuple((1.0,) for _ in range(n)))
 
     @classmethod
@@ -77,11 +83,9 @@ class CorrespondenceMap:
         assignment: Sequence[Sequence[int]],
         weights: Sequence[Sequence[float]] | None = None,
     ) -> "CorrespondenceMap":
-        groups = tuple(tuple(int(j) for j in g) for g in assignment)
+        groups = tuple(tuple(g) for g in assignment)
         if weights is None:
             weights = tuple(tuple(1.0 / len(g) for _ in g) for g in groups)
-        else:
-            weights = tuple(tuple(float(x) for x in w) for w in weights)
         return cls(outcomes, readings, groups, weights)
 
     def _pairings(self):

@@ -4,13 +4,15 @@ Combined system+pointer matrices use the flat index convention
 ``(i, j) -> i * J + j`` (row-major, 0-based), where ``i`` labels the
 observable outcome and ``j`` the pointer reading. The layout has one home,
 ``CorrespondenceMap.flat_weights`` in :mod:`collapse_sim.model`, which places
-the Born weights of the aligned state and of the rate table. Every positive
-scalar the library takes goes through ``_positive``, every tilt angle through ``_angle``.
+the Born weights of the aligned state and of the rate table. Every positive scalar
+the library takes goes through ``_positive``, every tilt angle through ``_angle``, and
+every count and index through ``_integer``.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import InitVar, dataclass
 from sys import float_info
 
@@ -40,6 +42,13 @@ def _real(value, name: str):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return value
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused unless an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _positive(value, name: str) -> float:

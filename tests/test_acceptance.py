@@ -16,18 +16,16 @@ from collapse_sim import (
     MeasurementModel,
     StateVector,
     alignment_time,
-    apply_dissipator,
     apply_dissipator_closed_form,
     diag_generator_matrix,
     gamma_sweep,
     generator_spectrum,
     integrate,
-    lindblad_jump_family,
-    master_rhs,
     qsl_lower_bound,
     simulate_model,
     spin_half_scenario,
 )
+from collapse_sim.dissipator import apply_dissipator, lindblad_jump_family, master_rhs
 from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, random_hermitian_unit_trace
 

@@ -11,19 +11,17 @@ from collapse_sim import (
     NotAlignedError,
     ValidationError,
     alignment_time,
-    apply_dissipator,
     diag_generator_matrix,
     gamma_sweep,
     generator_spectrum,
-    lindblad_jump_family,
-    master_rhs,
     qsl_lower_bound,
     simulate_model,
     spin_half_scenario,
 )
 from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
-from collapse_sim.dissipator import _balanced_modes, _rate_bounds
+from collapse_sim.dissipator import _balanced_modes, _rate_bounds, apply_dissipator, lindblad_jump_family
+from collapse_sim.dissipator import master_rhs
 from collapse_sim.model import RateTable
 from conftest import ALPHA_A, ALPHA_S, balanced_draws
 

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import collapse_sim
-from collapse_sim import lindblad_jump_family, master_rhs, qsl_lower_bound
+from collapse_sim import qsl_lower_bound
 from collapse_sim.cli import main
+from collapse_sim.dissipator import lindblad_jump_family, master_rhs
 from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
 from conftest import ALPHA_A, ALPHA_S

@@ -4,16 +4,16 @@ import types
 import numpy as np
 import pytest
 
+import collapse_sim
 from collapse_sim import (
     CorrespondenceMap,
     ValidationError,
     aligned_dm,
-    apply_dissipator,
     apply_dissipator_closed_form,
     born_rate_table,
-    lindblad_jump_family,
 )
-from collapse_sim import dissipator
+from collapse_sim import cli, dissipator, evolution
+from collapse_sim.dissipator import apply_dissipator, lindblad_jump_family
 from collapse_sim.model import RateTable
 from conftest import balanced_draws, random_hermitian_unit_trace
 
@@ -263,3 +263,23 @@ class TestBalancedModes:
             assert np.all(rates >= d[:-1] - tol) and np.all(rates <= d[1:] + tol)
             checks += 2 * rates.size
         assert checks > 10000
+
+
+class TestPublicNames:
+    DENSE = ("DissipatorSpec", "apply_dissipator", "lindblad_jump_family", "master_rhs")
+
+    def test_exported_names_resolve_once_in_order(self):
+        names = collapse_sim.__all__
+        assert all(hasattr(collapse_sim, name) for name in names)
+        assert names == sorted(names)
+        assert len(set(names)) == len(names)
+
+    def test_dense_family_is_not_exported(self):
+        for name in self.DENSE:
+            assert name not in collapse_sim.__all__
+            assert not hasattr(collapse_sim, name), name
+
+    def test_dense_family_lives_in_one_module(self):
+        for name in self.DENSE:
+            assert getattr(dissipator, name).__module__ == "collapse_sim.dissipator"
+        assert cli.master_rhs is evolution.master_rhs is dissipator.master_rhs

@@ -18,20 +18,17 @@ from collapse_sim import (
     Trajectory,
     ValidationError,
     alignment_time,
-    apply_dissipator,
     diag_generator_matrix,
     dm_eigenvalues,
     integrate,
     integrate_fast_limit,
-    lindblad_jump_family,
-    master_rhs,
     simulate_model,
     spin_half_scenario,
     trace_distance,
     von_neumann_entropy,
 )
 from collapse_sim import dissipator, evolution
-from collapse_sim.dissipator import DissipatorSpec
+from collapse_sim.dissipator import DissipatorSpec, apply_dissipator, lindblad_jump_family, master_rhs
 from collapse_sim.model import RateTable
 from collapse_sim.states import _trace_distances
 from conftest import (

@@ -55,6 +55,35 @@ class TestCorrespondenceMap:
         with pytest.raises(ValidationError, match="1 probabilities for 2 outcomes"):
             CorrespondenceMap.one_to_one(2).flat_weights([1.0])
 
+    @pytest.mark.parametrize("reading", [1.9, "2", True], ids=["float", "string", "bool"])
+    def test_assignment_rejects_non_integer_reading(self, reading):
+        with pytest.raises(ValidationError, match=r"reading index must be an integer, got"):
+            CorrespondenceMap.from_assignment(2, 3, [[0], [reading, 2]])
+
+    def test_direct_map_rejects_fractional_reading(self):
+        with pytest.raises(ValidationError, match=r"reading index must be an integer, got 1\.5"):
+            CorrespondenceMap(2, 2, ((0,), (1.5,)), ((1.0,), (1.0,)))
+
+    def test_rejects_bool_count(self):
+        with pytest.raises(ValidationError, match="outcomes must be an integer, got True"):
+            CorrespondenceMap(True, 1, ((0,),), ((1.0,),))
+
+    def test_one_to_one_rejects_float_size(self):
+        with pytest.raises(ValidationError, match=r"n must be an integer, got 2\.0"):
+            CorrespondenceMap.one_to_one(2.0)
+
+    @pytest.mark.parametrize("weight, message", [("1", "a number, got '1'"), (10**400, "positive and finite")],
+                             ids=["string", "huge_int"])
+    def test_rejects_non_numeric_or_unbounded_weight(self, weight, message):
+        with pytest.raises(ValidationError, match=f"reading weight must be {message}"):
+            CorrespondenceMap.from_assignment(2, 2, [[0], [1]], [[weight], [1.0]])
+
+    def test_integral_inputs_are_stored_as_int_and_float(self):
+        corr = CorrespondenceMap.from_assignment(np.int64(2), 3, [[np.int64(0)], [1, 2]], [[1], [0.5, 0.5]])
+        assert corr == CorrespondenceMap.from_assignment(2, 3, [[0], [1, 2]])
+        assert type(corr.outcomes) is int and type(corr.assignment[0][0]) is int
+        assert type(corr.weights[0][0]) is float
+
 
 class TestBornProbabilities:
     def test_basis_state(self):

@@ -15,16 +15,15 @@ from collapse_sim import (
     RateTable,
     ValidationError,
     alignment_time,
-    apply_dissipator,
     apply_dissipator_closed_form,
     born_rate_table,
     gamma_sweep,
-    lindblad_jump_family,
     simulate_model,
     spin_half_scenario,
     zeeman_hamiltonian,
 )
 from collapse_sim import evolution
+from collapse_sim.dissipator import apply_dissipator, lindblad_jump_family
 from collapse_sim.evolution import SNAPSHOT_HERMITICITY_TOL, SNAPSHOT_POSITIVITY_TOL, TRACE_DRIFT_TOL
 from conftest import ALPHA_A, ALPHA_S, exact_states, random_amplitude_model, random_density_matrix
 
