@@ -10,11 +10,12 @@ Every rate of the family has one home, :func:`_rate_bounds`, read once per
 run in O(n); the diagonal generator M is built in place from its tuple by
 :func:`_diag_generator` (wrapped by the public :func:`diag_generator_matrix`).
 :func:`_closed_form_rhs` applies the family's action, plus ``-i [H, rho]``
-when there is an H, to any stack of matrices; full-mode assembly, the ``qsl``
-command and :func:`apply_dissipator_closed_form` use it. With an H it acts on
-the real coordinates ``X = Re rho + Im rho`` of a Hermitian rho
-(:func:`_pack`), on which ``-i [H, rho]``, for H = R + iJ, is ``[X^T, R] +
-[J, X]``. :func:`_balanced_modes` balances M of the same tuple in place into
+when there is an H, to any stack of matrices; the ``qsl`` command and
+:func:`apply_dissipator_closed_form` use it, and :func:`_generator_rows`
+writes its images of the unit coordinates, full mode's G^T, bit for bit.
+With an H it acts on the real coordinates ``X = Re rho + Im rho`` of a
+Hermitian rho (:func:`_pack`), on which ``-i [H, rho]``, for H = R + iJ, is
+``[X^T, R] + [J, X]``. :func:`_balanced_modes` balances M of the same tuple in place into
 the symmetric form that detailed balance gives it, and decomposes that; fast
 mode and the ``spectrum`` command read it. The dense family
 (:class:`DissipatorSpec`, :func:`lindblad_jump_family`, :func:`apply_dissipator`,
@@ -226,3 +227,27 @@ def _closed_form_rhs(gen: np.ndarray, h: np.ndarray | None, x: np.ndarray) -> np
         out += j @ x
         out -= x @ j
     return out
+
+
+def _generator_rows(gen: np.ndarray, h: np.ndarray | None) -> np.ndarray:
+    """G^T: row k = p n + q is the image under :func:`_closed_form_rhs` of unit
+    coordinate k, written from index patterns in its order, zero signs included,
+    so bit for bit: coh[p, q] at (p, q), or column p of ``gen`` on the diagonal
+    when p = q, then, for h = R + iJ, the four terms of the commutator."""
+    n = gen.shape[0]
+    coh = _coherence_generator(np.diagonal(gen))
+    zeros = coh * 0.0 if h is None else np.zeros((n, n))  # signed as coh * x, until H adds +0.0
+    np.fill_diagonal(zeros, 0.0)  # as diag(x) @ gen.T leaves it
+    rows = np.empty((n, n, n, n))  # rows[p, q] is the image of unit (p, q)
+    rows[...] = zeros
+    flat = rows.reshape(n * n, n * n)
+    flat.flat[::n * n + 1] = coh.reshape(-1)
+    flat[::n + 1, ::n + 1] = gen.T
+    if h is not None:
+        row_q, col_p = np.einsum("pqqc->pqc", rows), np.einsum("pqap->pqa", rows)
+        col_q, row_p = np.einsum("pqaq->pqa", rows), np.einsum("pqpc->pqc", rows)
+        row_q += h.real[:, None, :]  # +R[p, :] on row q
+        col_p -= h.real.T  # -R[:, q] on column p
+        col_q += h.imag.T[:, None, :]  # +J[:, p] on column q
+        row_p -= h.imag  # -J[q, :] on row p
+    return flat

@@ -16,9 +16,10 @@ mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
 Hermitian rho instead of vec(rho) (``dissipator._pack``): the symmetric
 part of X is ``Re rho``, the antisymmetric part ``Im rho``. The right-hand
 side ``dissipator._closed_form_rhs`` acts on X directly, the family as on
-rho and ``-i [H, rho]`` as ``[X^T, R] + [J, X]`` for H = R + iJ; applied to
-the unit coordinates it gives the generator: a real n^2 x n^2 matrix, so the
-step map and every product of the propagation are float64, 8 bytes per entry.
+rho and ``-i [H, rho]`` as ``[X^T, R] + [J, X]`` for H = R + iJ; its images
+of the unit coordinates (``dissipator._generator_rows``) are the generator:
+a real n^2 x n^2 matrix, so the step map and every product of the
+propagation are float64, 8 bytes per entry.
 The recorded coordinates are unpacked once into the complex snapshot stack,
 ``(X + X^T)/2 + i (X - X^T)/2``, which is exactly Hermitian.
 
@@ -61,9 +62,9 @@ to the next block. The spectra and the entropy are computed on first read
 of :attr:`Trajectory.eigenvalues` or :attr:`Trajectory.entropy`, from one
 batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
-:attr:`Trajectory.trace_dist`, in the same blocks, and :func:`alignment_time`
-computes them only for the tail it reads, in blocks from the last snapshot
-back. Every failed check is an :class:`IntegrationError` that names the
+:attr:`Trajectory.trace_dist`, in the same blocks; :func:`alignment_time`
+computes them only for the samples of the tail that trace-norm bounds leave
+open. Every failed check is an :class:`IntegrationError` that names the
 snapshot's time and value.
 """
 
@@ -75,21 +76,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipator import (_balanced_modes, _closed_form_rhs, _coherence_generator, _diag_generator, _pack,
+from .dissipator import (_balanced_modes, _coherence_generator, _diag_generator, _generator_rows, _pack,
                          _rate_bounds, _unpack)
 from .dissipator import apply_dissipator, lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .dissipator import diag_generator_matrix  # noqa: F401  (a public name of this module)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _integer, _positive,
-                     _readonly, _spectral_entropy, _trace_distances)
+from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _distance_bounds, _integer,
+                     _positive, _readonly, _spectral_entropy, _trace_distances)
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
 SNAPSHOT_HERMITICITY_TOL = 1e-10
 POSITIVITY_FAILURE_TOL = 1e-6
 # largest (T, n, n) complex snapshot stack a run may record, and the most full mode may hold
-# as four real n^2 x n^2 arrays: assembly holds three (unit coordinates, image, one product),
-# _step_map four (a, a^2, the tail, S), _propagate's chain S, the current power, its square and
+# as four real n^2 x n^2 arrays: assembly holds one, G^T, in place (1.20 by tracemalloc at n =
+# 16 with H), _step_map four (a, a^2, the tail, S), _propagate's chain S, the power, its square and
 # up to 2 T x n^2 rows (its table of at most T rows, until the T output rows are gathered from
 # it); from n^2 = 128 on a collapse test holds, beside S and the power, its s^2 x n^2 rows at the
 # slow block (s^2 <= n^2/4), Q and C, n^2 x s^2 each, kept with two T x s^2 copies of the rows by
@@ -104,7 +105,7 @@ MAX_STEPS = 2**53
 # command and in fast mode) holds at its peak, inside eigh: K, balanced from M in place, LAPACK's
 # copy of K, its 2 n^2 workspace and the eigenvectors (5.1 by max RSS at n = 2025)
 SPECTRUM_ARRAYS = 5
-# snapshots per batched trace-distance call in alignment_time's backward search
+# snapshots per block of alignment_time's backward search, each bounded in one vectorised pass
 _ALIGNMENT_BLOCK = 32
 # bytes per block of the stack in the snapshot checks and Trajectory.trace_dist, and of a power
 # in a collapse test's residual, small enough that a block's temporaries stay in cache
@@ -225,12 +226,11 @@ class Trajectory:
 
 def _step_map(diag_gen: np.ndarray, h: np.ndarray | None, dt: float) -> np.ndarray:
     """The transposed RK4 step map S^T = I + a + a^2 (I/2 + a/6 + a^2/24), a =
-    dt G^T, real and C-contiguous: row k of G^T is the image under
-    :func:`_closed_form_rhs` of unit coordinate k. a is scaled and the tail
-    built in place, within the budget set out at :data:`MAX_STACK_BYTES`."""
-    n = diag_gen.shape[0]
-    size = n * n
-    a = _closed_form_rhs(diag_gen, h, np.eye(size).reshape(size, n, n)).reshape(size, size)
+    dt G^T, real and C-contiguous, with G^T from ``dissipator._generator_rows``.
+    a is scaled and the tail built in place, within the budget set out at
+    :data:`MAX_STACK_BYTES`."""
+    size = diag_gen.shape[0] ** 2
+    a = _generator_rows(diag_gen, h)
     a *= dt
     a2 = a @ a
     tail = a2 / 24.0
@@ -580,9 +580,11 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     """Earliest recorded time from which the trace distance to ``target``
     stays at or below ``tol`` through the end of the trajectory.
 
-    The distances are computed in blocks of snapshots from the last one
-    back, stopping at the first block that holds a sample above ``tol``, so
-    only the tail after the last crossing is read. ``target`` must be a
+    The snapshots are read in blocks from the last one back, stopping at
+    the first block that holds a sample above ``tol``, so only the tail
+    after the last crossing is read; in it, only the samples that the bounds
+    of ``states._distance_bounds`` leave open, and the last, are
+    eigendecomposed, with the full scan's result. ``target`` must be a
     finite Hermitian matrix of the trajectory's dimension.
     """
     _positive(tol, "alignment tolerance")
@@ -590,10 +592,18 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     first_ok = 0
     for end in range(traj.times.size, 0, -_ALIGNMENT_BLOCK):
         start = max(0, end - _ALIGNMENT_BLOCK)
-        dist = _trace_distances(traj.states[start:end], target_m)
-        if end == traj.times.size:
-            final = float(dist[-1])
-        above = np.nonzero(dist > tol)[0]
+        states = traj.states[start:end]
+        lower, upper, margin = _distance_bounds(states, target_m)
+        exceeds = lower > tol + margin
+        open_ = ~exceeds & ~(upper <= tol - margin)  # a NaN bound leaves the sample open
+        open_[-1] |= end == traj.times.size  # the final distance is always computed
+        if open_.any():
+            rows = open_.nonzero()[0]
+            dist = _trace_distances(states[rows], target_m)
+            exceeds[rows] = dist > tol
+            if end == traj.times.size:
+                final = float(dist[-1])
+        above = np.nonzero(exceeds)[0]
         if above.size:
             first_ok = start + int(above[-1]) + 1
             break

@@ -168,6 +168,27 @@ def _trace_distances(states: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(states - target)).sum(axis=1)
 
 
+def _distance_bounds(states: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Bounds ``lower <= D <= upper`` on each distance D of :func:`_trace_distances`, and
+    their round-off ``margin``: for the Hermitian X that ``eigvalsh`` reads of ``states -
+    target`` (lower triangle, real diagonal), ``max(||X||_F, sum |X_ii|) <= ||X||_1 <=
+    sum_j ||X e_j||_2``. The computed D lies within n p(n) eps ||X||_F / 2 + n eps D of
+    ||X||_1 / 2 (Weyl, for LAPACK's backward error p(n) eps ||X||_2), each bound within
+    about 2 n eps of its value: ``margin = 8 n eps (n ||X||_F + upper)`` covers both for
+    p(n) up to 16 n."""
+    x = states - target
+    n, ones = x.shape[-1], np.ones(x.shape[-1])
+    diag = np.diagonal(x, axis1=-2, axis2=-1).real
+    sq = x.real * x.real
+    sq += x.imag * x.imag
+    sq *= np.tri(n, k=-1)  # |entries|^2 of the strict lower triangle
+    cols = sq @ ones + ones @ sq + diag * diag  # squared column norms of X
+    fro = np.sqrt(cols.sum(axis=-1))
+    upper = 0.5 * np.sqrt(cols).sum(axis=-1)
+    lower = 0.5 * np.maximum(fro, np.abs(diag).sum(axis=-1))
+    return lower, upper, 8 * n * np.finfo(float).eps * (n * fro + upper)
+
+
 def trace_distance(a, b) -> float:
     """Half the sum of |eigenvalues| of the difference of two states."""
     return float(_trace_distances(_as_matrix(a)[None], _as_matrix(b))[0])

@@ -30,7 +30,7 @@ from collapse_sim import (
 from collapse_sim import dissipator, evolution
 from collapse_sim.dissipator import DissipatorSpec, apply_dissipator, lindblad_jump_family, master_rhs
 from collapse_sim.model import RateTable
-from collapse_sim.states import _trace_distances
+from collapse_sim.states import _distance_bounds, _trace_distances
 from conftest import (
     ALPHA_A,
     ALPHA_S,
@@ -929,6 +929,33 @@ class TestGeneratorOracle:
         assert np.max(np.abs(generator.T - expected.real)) <= 1e-12 * scale
 
 
+class TestGeneratorRows:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 3), (4, 4), (5, 5)])
+    @pytest.mark.parametrize("kind", ["complex", "real", "none"])
+    def test_rows_equal_the_unit_images_bit_for_bit(self, shape, kind):
+        # the index-pattern builder against _closed_form_rhs on the unit stack, zero signs included
+        rng = np.random.default_rng(sum(shape))
+        n = shape[0] * shape[1]
+        diag_gen = diag_generator_matrix(RateTable(rng.uniform(0.05, 1.0, size=shape), 0.05)
+                                         .flat_probabilities(), 5.0, 1.0)
+        h = random_hermitian_unit_trace(rng, n)
+        h = {"complex": h, "real": h.real.astype(complex), "none": None}[kind]
+        rows = dissipator._generator_rows(diag_gen, h)
+        assert rows.shape == (n * n, n * n) and rows.flags.c_contiguous
+        assert rows.tobytes() == _unit_generator(diag_gen, h).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_signs_of_a_signed_hamiltonian(self, two_level_model, sign):
+        # every entry of H of one sign, and its zeros of either sign: each product of the
+        # commutator adds +0.0 where it has no entry
+        rates = evolution._rate_bounds(two_level_model.rate_table().flat_probabilities(), 5.0, 1.0)
+        diag_gen = evolution._diag_generator(rates)
+        h = np.array(two_level_model.hamiltonian)
+        for signed in (sign * np.abs(h).astype(complex), h * 0.0 * sign):
+            assert (dissipator._generator_rows(diag_gen, signed).tobytes()
+                    == _unit_generator(diag_gen, signed).tobytes())
+
+
 class TestRealBasis:
     def test_pack_unpack_round_trip(self):
         # X = Re rho + Im rho rounds once and its unpacking once more: the
@@ -1232,16 +1259,37 @@ class TestAlignmentTime:
         ("reference", "aligned", 1e-9),  # not aligned
         ("reference", "final", 0.01),
         ("linear", "aligned", 0.01),  # last crossing many blocks before the end
+        # an int tol is a tie: tol is the distance computed at that sample
+        ("reference", "aligned", -1),
+        ("reference", "aligned", -6),
+        ("reference", "aligned", -40),
+        ("reference", "aligned", 100),
+        ("reference", "final", -2),
+        ("reference", "aligned", 1e-12),
+        ("wide", "aligned", 0.01),  # seeded fast mode at n = 100
+        ("wide", "aligned", 1e-3),
+        ("wide", "aligned", -3),
+        ("noisy", "aligned", 0.01),  # the bounds read the triangle that eigvalsh reads
+        ("noisy", "aligned", -5),
     ])
     def test_tail_search_matches_full_scan(self, two_level_model, two_level_trajectory,
                                            run, target, tol):
+        model = two_level_model
         if run == "reference":
             traj = two_level_trajectory
+        elif run == "noisy":
+            noise = np.triu(np.random.default_rng(5).normal(size=two_level_trajectory.states.shape), 1)
+            traj = dataclasses.replace(two_level_trajectory, states=two_level_trajectory.states + 0.05 * noise)
+        elif run == "wide":
+            model = random_amplitude_model(np.random.default_rng(100), 10, 10)
+            traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
         else:
             cfg = IntegratorConfig(t_max=1.0, record_points=1000, record_spacing="linear")
             traj = simulate_model(two_level_model, cfg, mode="fast")
-        target = traj.states[-1] if target == "final" else two_level_model.aligned_target()
+        target = traj.states[-1] if target == "final" else model.aligned_target()
         dist = np.array([trace_distance(s, target) for s in traj.states])
+        if isinstance(tol, int):
+            tol = float(dist[tol])
         above = np.nonzero(dist > tol)[0]
         first_ok = 0 if above.size == 0 else int(above[-1]) + 1
         if first_ok < dist.size:
@@ -1258,18 +1306,28 @@ class TestAlignmentTime:
         assert err.value.final_distance == dist[-1]
 
     def test_distances_only_for_the_tail(self, two_level_model, monkeypatch):
+        # the reference run's last crossing lies in its last block; of that block only the
+        # samples the bounds leave open, and the last one, reach eigvalsh
         rows = []
         original = evolution._trace_distances
 
-        def counting(states, target):
-            rows.append(len(states))
+        def recording(states, target):
+            rows.append(np.array(states))
             return original(states, target)
 
-        monkeypatch.setattr(evolution, "_trace_distances", counting)
+        monkeypatch.setattr(evolution, "_trace_distances", recording)
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode="full")
         assert rows == []
-        alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
-        assert rows == [evolution._ALIGNMENT_BLOCK] == [32]
+        target = two_level_model.aligned_target().entries
+        alignment_time(traj, target, tol=0.01)
+        block = traj.states[-evolution._ALIGNMENT_BLOCK:]
+        lower, upper, margin = _distance_bounds(block, target)
+        open_ = (lower <= 0.01 + margin) & (upper > 0.01 - margin)
+        assert not open_[-1]
+        open_[-1] = True
+        (computed,) = rows
+        assert computed.tobytes() == block[open_].tobytes()
+        assert len(computed) == 3 < evolution._ALIGNMENT_BLOCK == 32
 
     @pytest.mark.parametrize("call", ["alignment_time", "integrate", "integrate_fast_limit"])
     @pytest.mark.parametrize("defect, match", [

@@ -15,6 +15,7 @@ from collapse_sim import (
     trace_distance,
     von_neumann_entropy,
 )
+from collapse_sim.states import _distance_bounds, _trace_distances
 from conftest import (
     ALPHA_A,
     ALPHA_S,
@@ -193,6 +194,29 @@ class TestTraceDistance:
             assert dab <= 1.0 + 1e-12
             assert abs(dab - trace_distance(b, a)) < 1e-12
             assert dab <= trace_distance(a, c) + trace_distance(c, b) + 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 100])
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "rank one", "upper noise"])
+    def test_distance_bounds_hold_the_computed_distance(self, n, kind):
+        # the bounds, widened by their margin, hold the eigvalsh distance, also where they
+        # are tight (a diagonal difference) and where the upper triangle is not read
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+        states = a + a.conj().transpose(0, 2, 1)
+        if kind == "diagonal":
+            states = np.diagonal(states, axis1=1, axis2=2)[:, :, None] * np.eye(n)
+        elif kind == "rank one":
+            states = np.einsum("ti,tj->tij", a[:, 0], a[:, 0].conj())
+        elif kind == "upper noise":
+            states = states + np.triu(rng.normal(size=states.shape), 1)
+        target = np.diag(rng.uniform(size=n)).astype(complex)
+        lower, upper, margin = _distance_bounds(states, target)
+        dist = _trace_distances(states, target)
+        assert (lower - margin <= dist).all() and (dist <= upper + margin).all()
+        assert (margin <= 1e-11 * upper).all()
+        if kind == "diagonal":
+            assert np.abs(lower - dist).max() <= 2 * margin.max()
+            assert np.abs(upper - dist).max() <= 2 * margin.max()
 
 
 class TestVonNeumannEntropy:
