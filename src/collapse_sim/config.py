@@ -61,9 +61,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _section(raw, name: str) -> dict:
+def _section(raw, name: str, keys: tuple[str, ...] | None = None) -> dict:
+    """``raw`` as a JSON object; given ``keys``, one that holds no other key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a JSON object, got {raw!r}")
+    unknown = [key for key in raw if key not in keys] if keys is not None else []
+    if unknown:
+        raise ConfigError(f"{name} has unknown key {unknown[0]!r}; known keys: {', '.join(keys)}")
     return raw
 
 
@@ -112,7 +116,7 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
                 "a correspondence section is required when outcome and reading counts differ"
             )
         return CorrespondenceMap.one_to_one(outcomes)
-    raw = _section(raw, "correspondence")
+    raw = _section(raw, "correspondence", ("assignment", "weights"))
     assignment_raw = raw.get("assignment")
     if assignment_raw is None:
         raise ConfigError("correspondence section needs an 'assignment' mapping")
@@ -135,13 +139,14 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
 
 def _model_from_scenario(raw) -> MeasurementModel:
     raw = _section(raw, "scenario")
+    has_angles = "alpha_s" in raw
+    if has_angles == ("sys_amplitudes" in raw):
+        raise ConfigError("scenario needs exactly one of 'alpha_s' or 'sys_amplitudes'")
+    kind = ("alpha_s", "alpha_a") if has_angles else ("sys_amplitudes", "app_amplitudes", "correspondence")
+    _section(raw, "scenario", (*kind, "gamma", "omega", "epsilon"))
     gamma = _number(raw.get("gamma", 1.0), "gamma")
     omega = _number(raw.get("omega", 1.0), "omega")
     epsilon = _number(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
-    has_angles = "alpha_s" in raw
-    has_amplitudes = "sys_amplitudes" in raw
-    if has_angles == has_amplitudes:
-        raise ConfigError("scenario needs exactly one of 'alpha_s' or 'sys_amplitudes'")
     if has_angles:
         if "alpha_a" not in raw:
             raise ConfigError("scenario with 'alpha_s' also needs 'alpha_a'")
@@ -165,7 +170,8 @@ def _model_from_scenario(raw) -> MeasurementModel:
 
 
 def _integrator(raw) -> IntegratorConfig:
-    raw = _section({} if raw is None else raw, "integrator")
+    raw = _section({} if raw is None else raw, "integrator",
+                   ("t_max", "dt", "safety", "record_every", "record_points", "record_spacing"))
     if "t_max" not in raw:
         raise ConfigError("integrator section needs 't_max'")
     kwargs = {"t_max": _number(raw["t_max"], "t_max")}
@@ -195,9 +201,11 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ConfigError(f"config file {path} lacks a 'scenario' section")
-    model = _model_from_scenario(raw["scenario"])
+    # every section refuses a key it does not read, before the model is built
+    _section(raw, "config", ("scenario", "integrator", "mode", "outputs", "gammas", "alignment_tol"))
     integrator = _integrator(raw.get("integrator"))
-    outputs = _section(raw.get("outputs", {}), "outputs")
+    outputs = _section(raw.get("outputs", {}), "outputs", ("dir", "plot"))
+    model = _model_from_scenario(raw["scenario"])
     config_dir = outputs.get("dir", ".")
     if not isinstance(config_dir, str):
         raise ConfigError(f"outputs dir must be a JSON string, got {config_dir!r}")

@@ -8,7 +8,8 @@ and :func:`integrate_fast_limit` in :func:`_checked_inputs`. The one tuple
 sizes the run in :func:`_resolve_step`, before any n x n array, and feeds the
 one runner, :func:`_run`, of both modes: full mode builds M and its slow
 block from it, fast mode its modes and coherence rates. :func:`simulate_model`
-hands it the model's states, already checked; the solvers first check their
+hands it the model's states, valid by construction (``states.product_state_dm``
+and ``states.aligned_dm`` hold the proofs); the solvers first check their
 initial state and target, and the Hamiltonian, finite and Hermitian.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
@@ -51,16 +52,17 @@ through :func:`_size_spectrum`, the eigendecomposition of the ``spectrum``
 command and of fast mode; :data:`MAX_STEPS` caps the step count.
 
 The stack is checked by :func:`_check_snapshots` once the :class:`Trajectory`
-exists, in one pass over blocks of about :data:`_STACK_BLOCK_BYTES`, in time
-order: finite entries, trace drift and Hermiticity elementwise, and, when
-they pass, positivity by one batched Cholesky factorisation of the block's
-``rho + SNAPSHOT_POSITIVITY_TOL * I``, which exists, up to round-off, exactly
-when every eigenvalue lies above ``-SNAPSHOT_POSITIVITY_TOL``. A block that
-fails is eigendecomposed alone, to name its first failing snapshot; should
-its spectra find none (a round-off tie at the tolerance), the pass goes on
-to the next block. The spectra and the entropy are computed on first read
-of :attr:`Trajectory.eigenvalues` or :attr:`Trajectory.entropy`, from one
-batched eigenvalue call that both share.
+exists, and again by each read of :attr:`Trajectory.snapshots`, which then
+builds its density matrices unchecked. The check is one pass over blocks of
+about :data:`_STACK_BLOCK_BYTES`, in time order: finite entries, trace drift
+and Hermiticity elementwise, and, when they pass, positivity by one batched
+Cholesky factorisation of the block's ``rho + SNAPSHOT_POSITIVITY_TOL * I``,
+which exists, up to round-off, exactly when every eigenvalue lies above
+``-SNAPSHOT_POSITIVITY_TOL``. A block that fails is eigendecomposed alone, to
+name its first failing snapshot; should its spectra find none (a round-off
+tie at the tolerance), the pass goes on to the next block. The spectra and
+the entropy are computed on first read of :attr:`Trajectory.eigenvalues` or
+:attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
 :attr:`Trajectory.trace_dist`, in the same blocks; :func:`alignment_time`
 computes them only for the samples of the tail that trace-norm bounds leave
@@ -79,7 +81,6 @@ import numpy as np
 from .dissipator import (_balanced_modes, _coherence_generator, _diag_generator, _generator_rows, _pack,
                          _rate_bounds, _unpack)
 from .dissipator import apply_dissipator, lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .dissipator import diag_generator_matrix  # noqa: F401  (a public name of this module)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
 from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _distance_bounds, _integer,
                      _positive, _readonly, _spectral_entropy, _trace_distances)
@@ -157,11 +158,6 @@ class IntegratorConfig:
             raise ValidationError(f"unknown record_spacing {self.record_spacing!r}")
 
 
-def _snapshot(entries) -> DensityMatrix:
-    return DensityMatrix(entries, positivity_tol=SNAPSHOT_POSITIVITY_TOL,
-                         hermiticity_tol=SNAPSHOT_HERMITICITY_TOL, trace_tol=TRACE_DRIFT_TOL)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded history of an integration run: the snapshot stack and what
@@ -214,10 +210,10 @@ class Trajectory:
 
     @property
     def snapshots(self) -> tuple[DensityMatrix, ...]:
-        """The stack as validated density matrices, built anew on each access
-        (each holds a copy of its entries); read ``states`` where an array
-        will do."""
-        return tuple(_snapshot(m) for m in self.states)
+        """The stack as density matrices, each a copy, built unchecked on each access once
+        :func:`_check_snapshots` has passed the stack; read ``states`` where an array will do."""
+        _check_snapshots(self)
+        return tuple(DensityMatrix._proven(m) for m in self.states)
 
     @property
     def dim(self) -> int:

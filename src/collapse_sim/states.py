@@ -6,14 +6,16 @@ observable outcome and ``j`` the pointer reading. The layout has one home,
 ``CorrespondenceMap.flat_weights`` in :mod:`collapse_sim.model`, which places
 the Born weights of the aligned state and of the rate table. Every positive scalar
 the library takes goes through ``_positive``, every tilt angle through ``_angle``, and
-every count and index through ``_integer``.
+every count and index through ``_integer``. A ``DensityMatrix`` is checked once: the
+pure product of ``product_state_dm`` and the diagonal of ``aligned_dm`` are density
+matrices by construction and skip the check; each docstring holds its proof.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
@@ -109,29 +111,29 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semi-definite complex matrix.
-
-    ``positivity_tol`` loosens the eigenvalue floor for matrices produced by
-    numerical integration, which carry round-off of order the step error.
-    """
+    """Hermitian, unit-trace, positive semi-definite complex matrix, checked on
+    construction; ``_proven`` copies one its caller has proven, unchecked."""
 
     entries: np.ndarray
-    positivity_tol: InitVar[float] = POSITIVITY_TOL
-    hermiticity_tol: InitVar[float] = HERMITICITY_TOL
-    trace_tol: InitVar[float] = TRACE_TOL
 
-    def __post_init__(self, positivity_tol: float, hermiticity_tol: float, trace_tol: float):
+    def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        _check_hermitian(m, m.shape[0], "density matrix", hermiticity_tol)
+        _check_hermitian(m, m.shape[0], "density matrix", HERMITICITY_TOL)
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > trace_tol:
+        if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -positivity_tol:
+        if smallest < -POSITIVITY_TOL:
             raise PositivityError(f"density matrix has eigenvalue {smallest:.3e} below 0")
         object.__setattr__(self, "entries", _readonly(m))
+
+    @classmethod
+    def _proven(cls, entries) -> DensityMatrix:
+        dm = object.__new__(cls)
+        object.__setattr__(dm, "entries", _readonly(np.array(entries, dtype=complex)))
+        return dm
 
     @property
     def dim(self) -> int:
@@ -142,12 +144,14 @@ def product_state_dm(sys, app) -> DensityMatrix:
     """Density matrix of the combined pure product state.
 
     Entry ((i,j),(i',j')) equals ``s_i a_j conj(s_i') conj(a_j')`` for system
-    amplitudes ``s`` and apparatus amplitudes ``a``; the result is pure.
+    amplitudes ``s`` and apparatus amplitudes ``a``; the result is pure. Unchecked, as its
+    trace is 1 within 3 NORM_TOL (normalised amplitudes), it is exactly Hermitian (mirrored
+    products), and one rounding per entry of psi psi^H puts no eigenvalue below -3 eps |psi|^2.
     """
     sys_amps = _checked_amplitudes(sys, "sys")
     app_amps = _checked_amplitudes(app, "app")
     psi = np.kron(sys_amps, app_amps)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return DensityMatrix._proven(np.outer(psi, psi.conj()))
 
 
 def aligned_dm(probs, correspondence) -> DensityMatrix:
@@ -156,9 +160,10 @@ def aligned_dm(probs, correspondence) -> DensityMatrix:
     Outcome ``i`` with probability ``p_i`` places ``p_i * w_ij`` at flat index
     ``(i, j)`` for each reading ``j`` assigned to it (``w_ij = 1/R`` for R
     uniform readings); every other entry is zero. ``correspondence`` is a
-    ``CorrespondenceMap``, whose ``flat_weights`` builds and checks the diagonal.
+    ``CorrespondenceMap``, whose ``flat_weights`` builds and checks the diagonal. Unchecked,
+    as it is real with p_i >= 0 and w_ij > 0, and sum_i p_i and each sum_j w_ij are 1 within NORM_TOL.
     """
-    return DensityMatrix(np.diag(correspondence.flat_weights(probs).astype(complex)))
+    return DensityMatrix._proven(np.diag(correspondence.flat_weights(probs).astype(complex)))
 
 
 def _trace_distances(states: np.ndarray, target: np.ndarray) -> np.ndarray:

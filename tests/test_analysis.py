@@ -230,9 +230,17 @@ class TestGammaSweep:
                 built.append(_name)
                 _init(self, *args)
             monkeypatch.setattr(cls, "__post_init__", counted)
+        proven = DensityMatrix._proven.__func__
+
+        def counted_proven(cls, entries):
+            built.append(cls.__name__)
+            return proven(cls, entries)
+
+        monkeypatch.setattr(DensityMatrix, "_proven", classmethod(counted_proven))
         rows = gamma_sweep(model, [2.5, 5.0, 10.0, 20.0], IntegratorConfig(t_max=1.0), mode=mode)
         assert len(rows) == 4
-        # no model and no rate table; the initial state and the target once each
+        # no model and no rate table; the initial state and the target once each, by
+        # either construction path
         assert sorted(built) == ["DensityMatrix", "DensityMatrix"]
 
     def test_products_stay_constant(self, two_level_model):

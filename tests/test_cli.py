@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -266,11 +267,45 @@ class TestSimulate:
                                                "omega": 1.5e308}}, "needs inf steps"),
             ({"outputs": {"plot": "false"}}, "outputs plot must be a JSON boolean"),
             ({"outputs": {"dir": ["x"]}}, "outputs dir must be a JSON string"),
+            ({"integrator": {"t_max": 1.0, "safety": 0.7}}, "safety factor must lie in (0, 0.5]"),
+            # a key no section reads is refused, not dropped: a typo would run the defaults
+            ({"alignment_tolerance": 0.5}, "config has unknown key 'alignment_tolerance'"),
+            ({"scenario": {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A, "epsilonn": 0.01}},
+             "scenario has unknown key 'epsilonn'"),
+            ({"integrator": {"t_max": 1.0, "record_point": 16}}, "integrator has unknown key 'record_point'"),
         ],
     )
     def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
         path = self._replace_sections(str(tmp_path / "bad.json"), **overrides)
         self._assert_config_error(main(["sweep", "--config", path]), capsys, fragment)
+
+    @pytest.mark.parametrize("section, value, fragment", [
+        ("alignment_tolerance", 0.5, "config has unknown key 'alignment_tolerance'"),
+        ("scenario", {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A, "epsilonn": 0.01},
+         "scenario has unknown key 'epsilonn'"),
+        # an angle scenario reads no correspondence, and an amplitude one no angle
+        ("scenario", {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A, "correspondence": {}},
+         "scenario has unknown key 'correspondence'"),
+        ("scenario", {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.8, 0.6], "alpha_a": ALPHA_A},
+         "scenario has unknown key 'alpha_a'"),
+        ("scenario", {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.8, 0.6],
+                      "correspondence": {"assignment": {"0": [0], "1": [1]}, "weight": {}}},
+         "correspondence has unknown key 'weight'"),
+        ("integrator", {"t_max": 1.0, "record_point": 16}, "integrator has unknown key 'record_point'"),
+        ("outputs", {"plots": True}, "outputs has unknown key 'plots'"),
+    ])
+    def test_unknown_key_is_refused_before_the_model(self, tmp_path, monkeypatch, section, value,
+                                                     fragment):
+        from collapse_sim import config
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        for name in ("spin_half_scenario", "MeasurementModel"):
+            monkeypatch.setattr(config, name, forbidden)
+        path = self._replace_sections(str(tmp_path / "bad.json"), **{section: value})
+        with pytest.raises(collapse_sim.ConfigError, match=re.escape(fragment)):
+            load_run_config(path)
 
     def test_oversized_record_count_exits_one_before_recording(self, tmp_path, capsys,
                                                               monkeypatch):
@@ -296,8 +331,7 @@ class TestSimulate:
 
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
                              (dissipator, "diag_generator_matrix"), (dissipator, "_diag_generator"),
-                             (evolution, "diag_generator_matrix"), (evolution, "_diag_generator"),
-                             (cli, "diag_generator_matrix")):
+                             (evolution, "_diag_generator"), (cli, "diag_generator_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         amplitudes = [50**-0.5] * 50
         path = self._replace_sections(
@@ -588,6 +622,9 @@ class TestSweep:
     def test_empty_gamma_list_is_usage_error(self, config_path, capsys):
         assert main(["sweep", "--config", config_path, "--gammas", ""]) == 1
         assert main(["sweep", "--config", config_path]) == 1
+        capsys.readouterr()
+        assert main(["sweep", "--config", config_path, "--gammas", "5,"]) == 1
+        assert capsys.readouterr().err == "error: --gammas must be a comma-separated number list, got '5,'\n"
         for gammas in ("5,nan", "5,inf"):
             capsys.readouterr()
             assert main(["sweep", "--config", config_path, "--gammas", gammas]) == 1
@@ -740,6 +777,28 @@ def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):
                 kept += [(module, alias.asname or alias.name) for alias in node.names]
     assert kept
     assert set(kept) <= traced, sorted(set(kept) - traced)
+
+
+def test_src_imports_nothing_it_does_not_use():
+    # every name a module of the package imports is read in that module, or kept for the
+    # benchmark's tracer under its marker (which the test above holds to the tracer)
+    root = Path(__file__).resolve().parents[1]
+    marker = "# noqa: F401  (perfbench/tracer.py wraps this name)"
+    unused = []
+    for path in sorted((root / "src" / "collapse_sim").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        tree = ast.parse("\n".join(lines))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    and marker not in lines[node.end_lineno - 1]):
+                unused += [(path.name, name) for name in
+                           (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                           if name not in read]
+    assert not unused, unused
 
 
 def test_defaults_have_one_home(tmp_path, monkeypatch):

@@ -164,6 +164,24 @@ class TestCsvFormat:
             assert fh.read() == "payload\n"
         assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
+        path = str(tmp_path / "out.txt")
+        atomic_write_text(path, "old\n")
+        text = "new\n"
+        if failing == "write":
+            text = "\ud800"  # a lone surrogate: no codec writes it
+        else:
+            def refused(*args):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(os, "replace", refused)
+        with pytest.raises((UnicodeError, OSError)):
+            atomic_write_text(path, text)
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+        with open(path) as fh:
+            assert fh.read() == "old\n"
+
 
 class TestSvgPlots:
     def test_render_is_well_formed_svg(self):

@@ -279,7 +279,7 @@ class TestPropagate:
         # RK4 map of a random Markov generator plus a Hamiltonian part:
         # powers stay bounded, so relative errors are meaningful
         p_all = rng.uniform(0.05, 1.0, size=n)
-        gen = evolution.diag_generator_matrix(p_all / p_all.sum(), 1.0, 1.0)
+        gen = diag_generator_matrix(p_all / p_all.sum(), 1.0, 1.0)
         h = random_hermitian_unit_trace(rng, n)
         return _taylor_step(gen - 1j * h, 0.02)
 
@@ -679,6 +679,10 @@ class TestSnapshotChecks:
             evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
         assert fragment in str(err.value)
         assert type(err.value) is error
+        # a trajectory built by hand is checked by the same rule when its snapshots are read
+        traj = Trajectory(self.TIMES, _bad_stack(kind), np.eye(3) / 3, 0.1, 9)
+        with pytest.raises(error, match=re.escape(fragment)):
+            traj.snapshots
 
     @pytest.mark.parametrize("kind", ["negative", "trace"])
     def test_drift_and_positivity_name_the_steps(self, kind):
@@ -1499,7 +1503,7 @@ class TestSizeGuard:
         model = self._uniform_model(50)
         for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
                              (dissipator, "diag_generator_matrix"), (dissipator, "_diag_generator"),
-                             (evolution, "diag_generator_matrix"), (evolution, "_diag_generator")):
+                             (evolution, "_diag_generator")):
             monkeypatch.setattr(module, name, forbidden)
         with pytest.raises(ConfigError, match="22888 MiB"):
             simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
@@ -1517,8 +1521,7 @@ class TestSizeGuard:
         model = self._uniform_model(20)
         rho0, p_all = model.initial_dm(), model.rate_table().flat_probabilities()
         for module, name in ((np.linalg, "eigh"), (dissipator, "diag_generator_matrix"),
-                             (dissipator, "_diag_generator"), (evolution, "diag_generator_matrix"),
-                             (evolution, "_diag_generator")):
+                             (dissipator, "_diag_generator"), (evolution, "_diag_generator")):
             monkeypatch.setattr(module, name, forbidden)
         with pytest.raises(ConfigError, match="586 MiB"):
             evolution.integrate_fast_limit(rho0, p_all, 5.0, 1.0, IntegratorConfig(t_max=1.0))
@@ -1623,6 +1626,8 @@ class TestSimulateModel:
             IntegratorConfig(t_max=1.0, safety=0.9)
         with pytest.raises(ValidationError):
             IntegratorConfig(t_max=1.0, record_spacing="cubic")
+        with pytest.raises(ValidationError, match="record_every must be at least 1"):
+            IntegratorConfig(t_max=1.0, record_every=0)
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
     @pytest.mark.parametrize("gamma", [2.5, 20.0])

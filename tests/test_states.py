@@ -72,12 +72,59 @@ class TestDensityMatrix:
         with pytest.raises(PositivityError):
             DensityMatrix(m.astype(complex))
 
-    def test_tolerance_overrides(self):
+    @pytest.mark.parametrize("entries", [np.eye(2, 3) / 2, np.array([1.0]), np.zeros((0, 0))],
+                             ids=["2x3", "vector", "empty"])
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValidationError, match="must be square"):
+            DensityMatrix(entries)
+
+    def test_checks_at_the_module_tolerances_only(self):
         m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         with pytest.raises(PositivityError):
             DensityMatrix(m)
-        loose = DensityMatrix(m, positivity_tol=1e-8, trace_tol=1e-9)
-        assert loose.dim == 2
+        with pytest.raises(TypeError):
+            DensityMatrix(m, positivity_tol=1e-8)
+
+
+class TestProvenStates:
+    """The states the package builds are density matrices by construction, so
+    they skip the public check; these tests hold the proofs to it."""
+
+    def test_builders_make_no_eigenvalue_call(self, monkeypatch, two_level_trajectory):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh was called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        rng = np.random.default_rng(5)
+        product_state_dm(random_state(rng, 3), random_state(rng, 4))
+        aligned_dm([0.25, 0.75], CorrespondenceMap.from_assignment(2, 3, [[0], [1, 2]]))
+        snapshots = two_level_trajectory.snapshots
+        assert len(snapshots) == len(two_level_trajectory.states)
+
+    def test_product_states_pass_the_public_check(self):
+        rng = np.random.default_rng(11)
+        shapes = [(1, 1), (2, 3), (30, 30)] + [tuple(rng.integers(1, 31, size=2)) for _ in range(12)]
+        for outcomes, readings in shapes:
+            dm = product_state_dm(random_state(rng, outcomes), random_state(rng, readings))
+            checked = DensityMatrix(dm.entries)
+            assert np.array_equal(checked.entries, dm.entries)
+            assert not dm.entries.flags.writeable
+
+    def test_aligned_states_pass_the_public_check(self):
+        rng = np.random.default_rng(12)
+        for outcomes in (1, 2, 7, 30):
+            readings = outcomes + int(rng.integers(0, 31 - outcomes))
+            owner = np.concatenate([np.arange(outcomes), rng.integers(0, outcomes, readings - outcomes)])
+            rng.shuffle(owner)
+            groups = [np.flatnonzero(owner == i).tolist() for i in range(outcomes)]
+            weights = [(w / w.sum()).tolist() for w in (rng.uniform(0.5, 1.5, len(g)) for g in groups)]
+            probs = np.abs(random_state(rng, outcomes)) ** 2
+            for corr in (CorrespondenceMap.one_to_one(outcomes),
+                         CorrespondenceMap.from_assignment(outcomes, readings, groups, weights)):
+                dm = aligned_dm(probs, corr)
+                checked = DensityMatrix(dm.entries)
+                assert np.array_equal(checked.entries, dm.entries)
+                assert not dm.entries.flags.writeable
 
 
 class TestProductStateDm:
