@@ -199,14 +199,14 @@ def trace_distance(a, b) -> float:
     return float(_trace_distances(_as_matrix(a)[None], _as_matrix(b))[0])
 
 
-def von_neumann_entropy(dm, positivity_tol: float = POSITIVITY_TOL) -> float:
+def von_neumann_entropy(dm) -> float:
     """Spectral entropy -sum(P log P), natural logarithm, over the eigenvalues
-    of ``dm``. Eigenvalues in ``[-positivity_tol, 0]`` count as exact zeros;
+    of ``dm``. Eigenvalues in ``[-POSITIVITY_TOL, 0]`` count as exact zeros;
     anything lower raises PositivityError.
     """
     evals = np.linalg.eigvalsh(_as_matrix(dm))
     smallest = float(evals[0])
-    if smallest < -positivity_tol:
+    if smallest < -POSITIVITY_TOL:
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
     return float(_spectral_entropy(evals))
 

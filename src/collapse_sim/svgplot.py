@@ -18,10 +18,8 @@ _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 46
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 5  # about five ticks
     if not raw > 0:  # a span so small that its step underflows: one tick
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))

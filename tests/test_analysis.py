@@ -157,6 +157,11 @@ class TestGeneratorSpectrum:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             generator_spectrum(np.zeros((2, 2)), rate_scale=1.0)
 
+    def test_zero_sum_stationary_mode_is_an_error(self):
+        # the kernel of [[1, 1], [1, 1]] is (1, -1), which cannot be normalised to sum 1
+        with pytest.raises(ValidationError, match="zero sum"):
+            generator_spectrum(np.ones((2, 2)), 1.0)
+
     def test_spectral_expansion_reproduces_fast_diagonals(self, two_level_model):
         p_all = two_level_model.rate_table().flat_probabilities()
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode="fast")
@@ -212,6 +217,10 @@ class TestQslLowerBound:
         rhs = np.full((4, 4), bad, dtype=complex)
         with pytest.raises(ValidationError, match="non-finite"):
             qsl_lower_bound(rho0, target, rhs)
+
+    def test_rejects_rhs_of_another_shape(self):
+        with pytest.raises(ValidationError, match=r"rhs shape \(3, 3\) does not match state \(2, 2\)"):
+            qsl_lower_bound(np.eye(2) / 2, np.eye(2) / 2, np.zeros((3, 3)))
 
 
 class TestGammaSweep:

@@ -801,6 +801,44 @@ def test_src_imports_nothing_it_does_not_use():
     assert not unused, unused
 
 
+def test_src_sets_every_private_default():
+    # every defaulted parameter of a module-level private function is set by some call in the
+    # package, by keyword, by position or through a * argument; one no caller sets is dead code
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((root / "src" / "collapse_sim").glob("*.py"))}
+    defaults = {}  # (module, function) -> {parameter: its position, None when keyword-only}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                params = {arg.arg: pos for pos, arg in enumerate(positional)
+                          if pos >= len(positional) - len(args.defaults)}
+                params.update({arg.arg: None for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                               if default is not None})
+                if params:
+                    defaults[(module, node.name)] = params
+    set_params = set()
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            spread = any(kw.arg is None for kw in call.keywords)
+            keywords = {kw.arg for kw in call.keywords}
+            for (module, function), params in defaults.items():
+                if function == callee:
+                    set_params |= {(module, function, param) for param, pos in params.items()
+                                   if spread or param in keywords
+                                   or pos is not None and (starred or pos < len(call.args))}
+    unset = sorted((module, function, param) for (module, function), params in defaults.items()
+                   for param in params if (module, function, param) not in set_params)
+    assert not unset, unset
+
+
 def test_defaults_have_one_home(tmp_path, monkeypatch):
     # the alignment tolerance and the rate floor are each defined once, and
     # every default reads that one constant

@@ -207,6 +207,15 @@ class TestSvgPlots:
         doc = render_line_plot([("flat", x, np.zeros(2))], title="", xlabel="", ylabel="")
         assert "polyline" in doc
 
+    def test_one_point_series_gets_a_unit_wide_x_axis(self):
+        # one x value spans no range: the axis widens to [x, x + 1], with the point at its left end
+        doc = render_line_plot([("point", [0.5], [2.0])], title="", xlabel="", ylabel="")
+        root = ET.fromstring(doc)
+        (polyline,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        assert polyline.get("points").startswith("64.00,")
+        x_labels = [el.text for el in root.iter() if el.tag.endswith("text") and el.get("y") == "412"]
+        assert x_labels == ["0.6", "0.8", "1", "1.2", "1.4"]
+
     def test_subnormal_time_span_does_not_crash(self):
         # a span whose tick step underflows to 0 gets one tick, not a log10(0) error
         x = np.array([0.0, 5e-324])

@@ -482,6 +482,13 @@ class TestPropagate:
         assert results == [None]
         assert got.tobytes() == evolution._propagate(step_t, y0, ks).tobytes()
 
+    def test_power_whose_basis_overflows_is_refused(self):
+        # a finite power near the float64 limit: C = P Q overflows, so the residual holds NaN,
+        # and a NaN residual fails the test instead of passing every comparison
+        power = np.random.default_rng(0).uniform(-1, 1, (128, 128)) * 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert evolution._collapsed(power, np.arange(16) * 8) is None
+
     def test_uncollapsed_run_keeps_its_bits(self, monkeypatch):
         # t_max = 1e-4 takes 72 steps, far short of the predicted level 9, past the chain's top bit:
         # no power is tested and the chain goes on unchanged
@@ -691,6 +698,15 @@ class TestSnapshotChecks:
             evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
         assert str(err.value).endswith("; the run took 9 steps of dt = 0.1")
 
+    def test_fast_mode_names_its_sample_grid(self):
+        # fast mode samples a closed form and takes no steps: at epsilon = 1e-8 its t = 0 trace
+        # drifts past the tolerance, and the message names the grid, not 1.3e10 steps never taken
+        model = spin_half_scenario(1.1623892818282235, 2.0420352248333655, 5.0, 1.0, epsilon=1e-8)
+        with pytest.raises(IntegrationError) as err:
+            simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
+        assert str(err.value).startswith("trace drifted by ")
+        assert str(err.value).endswith(" at t = 0; the closed form was sampled at 225 times up to t = 1")
+
     def test_earliest_failing_snapshot_wins(self):
         # a later non-finite snapshot and a later gross positivity failure do
         # not mask the trace drift at t = 0.5
@@ -722,7 +738,7 @@ class TestSnapshotChecks:
         target = two_level_model.aligned_target()
         for k, snap in enumerate(traj.snapshots):
             assert traj.entropy[k] == pytest.approx(
-                von_neumann_entropy(snap, positivity_tol=1e-8), abs=1e-14)
+                von_neumann_entropy(snap), abs=1e-14)
             assert np.allclose(traj.eigenvalues[k], dm_eigenvalues(snap),
                                rtol=0, atol=1e-15)
             assert traj.trace_dist[k] == trace_distance(snap, target)

@@ -68,6 +68,14 @@ class TestCorrespondenceMap:
         with pytest.raises(ValidationError, match="outcomes must be an integer, got True"):
             CorrespondenceMap(True, 1, ((0,),), ((1.0,),))
 
+    @pytest.mark.parametrize("outcomes, readings, assignment, weights, message", [
+        (0, 1, (), (), "outcome and reading counts must be positive"),
+        (2, 2, ((0,),), ((1.0,),), "assignment and weights must cover every outcome"),
+    ], ids=["no outcomes", "uncovered outcome"])
+    def test_direct_map_rejects_bad_shape(self, outcomes, readings, assignment, weights, message):
+        with pytest.raises(ValidationError, match=message):
+            CorrespondenceMap(outcomes, readings, assignment, weights)
+
     def test_one_to_one_rejects_float_size(self):
         with pytest.raises(ValidationError, match=r"n must be an integer, got 2\.0"):
             CorrespondenceMap.one_to_one(2.0)
@@ -143,6 +151,10 @@ class TestBornRateTable:
     def test_rate_table_rejects_nan_entries(self):
         with pytest.raises(ValidationError, match="floor"):
             RateTable(np.array([[0.5, math.nan], [0.5, 0.5]]), 1e-4)
+
+    def test_rate_table_rejects_one_dimensional_values(self):
+        with pytest.raises(ValidationError, match=r"rate table must be 2-D, got shape \(4,\)"):
+            RateTable(np.ones(4), 0.5)
 
     def test_squares_recover_probabilities(self):
         rng = np.random.default_rng(9)
@@ -243,6 +255,17 @@ class TestMeasurementModel:
             MeasurementModel(
                 sys=StateVector([1, 0, 0]),
                 app=StateVector([1, 0]),
+                correspondence=CorrespondenceMap.one_to_one(2),
+                gamma=1.0,
+                omega=1.0,
+                epsilon=1e-4,
+            )
+
+    def test_rejects_apparatus_dimension_mismatch(self):
+        with pytest.raises(ValidationError, match="apparatus dimension 3 does not match 2 readings"):
+            MeasurementModel(
+                sys=StateVector([1, 0]),
+                app=StateVector([1, 0, 0]),
                 correspondence=CorrespondenceMap.one_to_one(2),
                 gamma=1.0,
                 omega=1.0,

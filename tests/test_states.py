@@ -85,6 +85,9 @@ class TestDensityMatrix:
         with pytest.raises(TypeError):
             DensityMatrix(m, positivity_tol=1e-8)
 
+    def test_dim_is_the_side_of_the_matrix(self):
+        assert DensityMatrix(np.eye(3) / 3).dim == 3
+
 
 class TestProvenStates:
     """The states the package builds are density matrices by construction, so
@@ -290,13 +293,20 @@ class TestVonNeumannEntropy:
         with pytest.raises(PositivityError):
             von_neumann_entropy(m)
 
+    def test_checks_at_the_module_tolerance_only(self):
+        m = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
+        with pytest.raises(PositivityError):
+            von_neumann_entropy(m)
+        with pytest.raises(TypeError):
+            von_neumann_entropy(m, positivity_tol=1e-8)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             rho = random_density_matrix(rng, 4)
             u = random_unitary(rng, 4)
             s1 = von_neumann_entropy(rho)
-            s2 = von_neumann_entropy(u @ rho @ u.conj().T, positivity_tol=1e-9)
+            s2 = von_neumann_entropy(u @ rho @ u.conj().T)
             assert abs(s1 - s2) < 1e-9
 
 
