@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import RateTable
-from .states import _as_matrix, _readonly
+from .states import _as_matrix, _positive, _readonly
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +121,13 @@ def _rate_bounds(p_all, gamma: float, omega: float) -> tuple[np.ndarray, float, 
     """``q = sqrt(p)``, ``gamma * omega``, the largest jump weight (0 for one
     state) and the outflow rates ``-diag(M)``, in O(n): the one home of the
     family's rates, read once per run and handed on as this tuple. A
-    ValidationError unless every p is positive and every rate of M is finite."""
+    ValidationError unless gamma and omega are positive and finite (named as
+    the config names them), every p is positive and every rate of M is finite."""
+    scale = _positive(gamma, "gamma") * _positive(omega, "omega")
     p = np.asarray(p_all, dtype=float).reshape(-1)
     if np.any(p <= 0):
         raise ValidationError("flat probabilities must be strictly positive (floored)")
     q = np.sqrt(p)
-    scale = float(gamma) * float(omega)
     with np.errstate(over="ignore", invalid="ignore"):
         weight = float(scale * (q.max() * (1.0 / q.min()))) if q.size > 1 else 0.0
         outflow = scale * (q.sum() / q - q * (1.0 / q))

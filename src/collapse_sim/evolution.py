@@ -163,14 +163,14 @@ class Trajectory:
     """Recorded history of an integration run: the snapshot stack and what
     the run computed to produce it.
 
-    ``states`` is the read-only (T, n, n) stack of density matrices at the
-    recorded ``times``; every per-time series is read from it. Populations
-    are ``diagonals``, a view of its real diagonal, and the coherence of
-    the flat pair (r, s) is ``states[:, r, s]``. ``target`` is the run's
-    target state (the final snapshot when no target was supplied);
-    ``trace_dist`` measures each snapshot against it. ``eigenvalues``,
-    ``entropy`` and ``trace_dist`` are read-only arrays computed on first
-    read and kept; the first two share one batched eigenvalue call.
+    ``states`` is the (T, n, n) stack of density matrices at the T >= 0 recorded ``times``
+    (1-D floats); every per-time series is read from it. Populations are ``diagonals``, a view
+    of its real diagonal, and the coherence of the flat pair (r, s) is ``states[:, r, s]``.
+    ``target`` is a copy of the run's n x n target state, or of the final snapshot for
+    ``target=None``; ``trace_dist`` measures each snapshot against it. Other shapes raise
+    ValidationError; ``times``, ``states`` (neither read nor copied) and ``target`` are frozen
+    read-only, the caller's arrays too. ``eigenvalues``, ``entropy`` and ``trace_dist`` are
+    read-only arrays computed on first read and kept; the first two share one eigenvalue call.
     """
 
     times: np.ndarray
@@ -178,6 +178,17 @@ class Trajectory:
     target: np.ndarray
     dt: float
     n_steps: int
+
+    def __post_init__(self):
+        times, states = np.asarray(self.times, dtype=float), np.asarray(self.states)
+        final = states[-1] if self.target is None and states.ndim and len(states) else self.target
+        target = np.array(_as_matrix(final))  # a copy: None with no snapshot is refused as shape ()
+        n = states.shape[-1] if states.ndim else 0
+        if not (times.ndim == 1 and states.shape == (times.size, n, n) and target.shape == (n, n)):
+            raise ValidationError("a trajectory needs 1-D times of length T, a (T, n, n) stack and an n x n target; "
+                                  f"got times {times.shape}, states {states.shape} and target {target.shape}")
+        for name, value in (("times", times), ("states", states), ("target", target)):
+            object.__setattr__(self, name, _readonly(value))
 
     @property
     def diagonals(self) -> np.ndarray:
@@ -420,8 +431,8 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
 
 
 def _stack_blocks(states: np.ndarray):
-    """Consecutive slices of ``states`` of about :data:`_STACK_BLOCK_BYTES` each."""
-    step = max(1, _STACK_BLOCK_BYTES // states[0].nbytes)
+    """Consecutive slices of ``states`` of about :data:`_STACK_BLOCK_BYTES` each; none for T = 0."""
+    step = max(1, _STACK_BLOCK_BYTES // max(1, states.itemsize * math.prod(states.shape[1:])))
     return (slice(start, start + step) for start in range(0, len(states), step))
 
 
@@ -476,21 +487,6 @@ def _check_snapshots(traj: Trajectory, sampled: bool = False) -> None:
             raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
 
 
-def _build_trajectory(times, states, target, dt, n_steps, sampled: bool = False) -> Trajectory:
-    traj = Trajectory(
-        times=times,
-        states=_readonly(states),
-        target=_readonly(np.array(target if target is not None else states[-1])),
-        dt=dt,
-        n_steps=n_steps,
-    )
-    if sampled:
-        _check_snapshots(traj, sampled)
-    else:  # the memory tests wrap _check_snapshots in a one-argument recorder on full runs
-        _check_snapshots(traj)
-    return traj
-
-
 def _checked_target(target, n: int) -> np.ndarray:
     """``target`` as an n x n complex matrix; a ValidationError unless it is
     finite and Hermitian, before any eigenvalue call can read one triangle."""
@@ -532,7 +528,9 @@ def _run(m0, h, rates, cfg: IntegratorConfig, target, full: bool, dt: float, n_s
         np.fill_diagonal(coherences, 0.0)
         states = coherences * np.exp(_coherence_generator(-outflow) * times[:, None, None])
         states += populations[:, :, None] * np.eye(n)
-    return _build_trajectory(times, states, target, dt, n_steps, not full)
+    traj = Trajectory(times, states, target, dt, n_steps)
+    _check_snapshots(traj, not full)
+    return traj
 
 
 def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: IntegratorConfig,
@@ -583,10 +581,13 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     after the last crossing is read; in it, only the samples that the bounds
     of ``states._distance_bounds`` leave open, and the last, are
     eigendecomposed, with the full scan's result. ``target`` must be a
-    finite Hermitian matrix of the trajectory's dimension.
+    finite Hermitian matrix of the trajectory's dimension, and the
+    trajectory must hold a sample.
     """
     _positive(tol, "alignment tolerance")
     target_m = _checked_target(target, traj.dim)
+    if not traj.times.size:
+        raise ValidationError("the trajectory has no samples, so it has no alignment time")
     first_ok = 0
     for end in range(traj.times.size, 0, -_ALIGNMENT_BLOCK):
         start = max(0, end - _ALIGNMENT_BLOCK)
@@ -629,13 +630,13 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     depend on gamma, so a coupling sweep runs every value on the one model;
     the states, checked as density matrices, go to the run as they are.
     """
-    gamma = model.gamma if gamma is None else _positive(gamma, "gamma")
     if mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {mode!r}; expected 'full' or 'fast'")
     if mode == "full" and model.hamiltonian is None:
         raise ConfigError("mode 'full' requires a scenario with a Hamiltonian (tilt angles)")
     h = model.hamiltonian if mode == "full" else None
-    rates = _rate_bounds(model.rate_table().flat_probabilities(), gamma, model.omega)
+    rates = _rate_bounds(model.rate_table().flat_probabilities(), model.gamma if gamma is None else gamma,
+                         model.omega)
     step = _resolve_step(cfg, rates, h is not None, h)  # sized before the states
     return _run(model.initial_dm().entries, h, rates, cfg, model.aligned_target().entries,
                 h is not None, *step)

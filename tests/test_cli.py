@@ -801,6 +801,32 @@ def test_src_imports_nothing_it_does_not_use():
     assert not unused, unused
 
 
+def test_src_reads_every_private_name():
+    # every private function, class or constant bound at module or class level in the package
+    # is read somewhere in the package, by name or as an attribute; one only tests read is dead
+    root = Path(__file__).resolve().parents[1]
+    read, bound = set(), []
+    for path in sorted((root / "src" / "collapse_sim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef))]:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                else:
+                    targets = getattr(node, "targets", [getattr(node, "target", None)])
+                    names = [target.id for target in targets if isinstance(target, ast.Name)]
+                bound += [(path.name, name) for name in names
+                          if name.startswith("_") and not name.endswith("__")]
+    assert bound
+    unread = sorted((module, name) for module, name in bound if name not in read)
+    assert not unread, unread
+
+
 def test_src_sets_every_private_default():
     # every defaulted parameter of a module-level private function is set by some call in the
     # package, by keyword, by position or through a * argument; one no caller sets is dead code

@@ -642,6 +642,13 @@ class TestStepPolynomial:
         assert np.abs(step - nested).max() <= 4 * np.spacing(np.abs(nested).max())
 
 
+def _checked_trajectory(times, stack):
+    # the trajectory of a hand-built stack, checked as a full run checks its own
+    traj = Trajectory(times, stack, None, 0.1, 9)
+    evolution._check_snapshots(traj)
+    return traj
+
+
 def _bad_stack(kind):
     rng = np.random.default_rng(8)
     stack = np.array([random_density_matrix(rng, 3) for _ in range(10)])
@@ -683,7 +690,7 @@ class TestSnapshotChecks:
     def test_bad_snapshot_is_named_by_time(self, kind, error, fragment):
         # every snapshot failure is a numerical failure of the run (CLI exit 2)
         with pytest.raises(error) as err:
-            evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
+            _checked_trajectory(self.TIMES, _bad_stack(kind))
         assert fragment in str(err.value)
         assert type(err.value) is error
         # a trajectory built by hand is checked by the same rule when its snapshots are read
@@ -695,7 +702,7 @@ class TestSnapshotChecks:
     def test_drift_and_positivity_name_the_steps(self, kind):
         # a smaller dt cannot mend these failures: the message names the run's steps
         with pytest.raises(IntegrationError) as err:
-            evolution._build_trajectory(self.TIMES, _bad_stack(kind), None, 0.1, 9)
+            _checked_trajectory(self.TIMES, _bad_stack(kind))
         assert str(err.value).endswith("; the run took 9 steps of dt = 0.1")
 
     def test_fast_mode_names_its_sample_grid(self):
@@ -714,7 +721,7 @@ class TestSnapshotChecks:
         stack[7, 0, 0] = np.inf
         stack[6] = _bad_stack("negative")[5]
         with pytest.raises(IntegrationError, match="trace drifted by .* at t = 0.5;"):
-            evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+            _checked_trajectory(self.TIMES, stack)
 
     def test_order_within_one_snapshot(self):
         # gross positivity is checked before trace drift and Hermiticity
@@ -722,7 +729,7 @@ class TestSnapshotChecks:
         stack[5] *= 1.0 + 1e-6
         stack[5, 0, 1] += 1e-6
         with pytest.raises(IntegrationError, match="positivity violated at t = 0.5"):
-            evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+            _checked_trajectory(self.TIMES, stack)
 
     def test_snapshots_are_validated_views_of_the_stack(self, two_level_trajectory):
         traj = two_level_trajectory
@@ -767,7 +774,7 @@ class TestSnapshotChecks:
     ])
     def test_boundary_snapshots_pass(self, kind, spectrum):
         stack = _bad_stack(kind)
-        traj = evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+        traj = _checked_trajectory(self.TIMES, stack)
         assert "_spectra" not in traj.__dict__  # passed by the Cholesky factorisation
         assert traj.eigenvalues[5] == pytest.approx(spectrum, rel=0, abs=1e-14)
         assert np.array_equal(traj.eigenvalues, np.linalg.eigvalsh(stack)[:, ::-1])
@@ -780,7 +787,7 @@ class TestSnapshotChecks:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         stack = _bad_stack("none")
-        traj = evolution._build_trajectory(self.TIMES, stack, None, 0.1, 9)
+        traj = _checked_trajectory(self.TIMES, stack)
         assert np.array_equal(traj.eigenvalues, np.linalg.eigvalsh(stack)[:, ::-1])
         assert traj.entropy.shape == (10,)
 
@@ -805,7 +812,7 @@ class TestSnapshotChecks:
         stack[3 * per_block + 1] = np.diag(np.r_[1.0 + 1e-3, np.zeros(14), -1e-3])
         with pytest.raises(IntegrationError,
                            match=rf"trace drifted by 1\.000e-06 at t = {times[first]:g};"):
-            evolution._build_trajectory(times, stack, None, 0.1, 9)
+            _checked_trajectory(times, stack)
 
     def test_non_finite_first_snapshot_of_a_later_block(self):
         # the block's finite head is empty: the NaN itself is named
@@ -813,7 +820,7 @@ class TestSnapshotChecks:
         stack[2 * per_block, 3, 4] = np.nan
         with pytest.raises(IntegrationError,
                            match=rf"non-finite state at t = {times[2 * per_block]:g}:"):
-            evolution._build_trajectory(times, stack, None, 0.1, 9)
+            _checked_trajectory(times, stack)
 
     def test_cholesky_failure_in_a_later_block_is_checked_alone(self, monkeypatch):
         # the third block's factorisation fails and its spectra find no failure: only that
@@ -834,7 +841,7 @@ class TestSnapshotChecks:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing_third)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        traj = evolution._build_trajectory(times, stack, None, 0.1, 9)
+        traj = _checked_trajectory(times, stack)
         assert len(calls) == 4
         assert shapes == [(per_block, 16, 16)]
         assert "_spectra" not in traj.__dict__
@@ -913,6 +920,62 @@ def _hermitian_basis_columns(n):
     units = np.eye(n * n).reshape(n * n, n, n)
     basis = 0.5 * (units + units.swapaxes(1, 2)) + 0.5j * (units - units.swapaxes(1, 2))
     return basis.reshape(n * n, n * n).T
+
+
+class TestHandBuiltTrajectory:
+    """A trajectory built by hand gets what a run's does: its shapes are checked and its
+    arrays frozen at construction, and ``target=None`` is its final snapshot."""
+
+    @staticmethod
+    def _stack():
+        # three snapshots of I/2
+        return np.repeat(np.eye(2, dtype=complex)[None] / 2, 3, axis=0)
+
+    def test_arrays_are_read_only_and_trace_dist_cannot_go_stale(self):
+        times, stack, target = np.arange(3.0), self._stack(), np.eye(2) / 2
+        traj = Trajectory(times, stack, target, 0.1, 2)
+        assert np.array_equal(traj.trace_dist, [0.0, 0.0, 0.0])
+        for name in ("times", "states", "target"):
+            assert not getattr(traj, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            traj.states[1] = np.diag([1.0, 0.0])
+        with pytest.raises(ValueError):
+            stack[1] = np.diag([1.0, 0.0])  # the caller's stack is the trajectory's, frozen
+        assert np.shares_memory(traj.states, stack) and traj.times is times
+        assert not np.shares_memory(traj.target, target)  # a given target is copied
+
+    def test_none_target_is_a_copy_of_the_final_snapshot(self):
+        stack = self._stack()
+        stack[-1] = np.diag([0.75, 0.25])
+        traj = Trajectory([0, 1, 2], stack, None, 0.1, 2)
+        assert traj.target.dtype == complex and np.array_equal(traj.target, stack[-1])
+        assert not np.shares_memory(traj.target, stack)
+        assert traj.times.dtype == float and np.array_equal(traj.times, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("times, stack, target, got", [
+        (np.arange(2.0), np.eye(2)[None].repeat(3, axis=0) / 2, None,
+         "times (2,), states (3, 2, 2) and target (2, 2)"),
+        (np.arange(3.0), np.eye(2)[None].repeat(3, axis=0) / 2, np.eye(3) / 3,
+         "times (3,), states (3, 2, 2) and target (3, 3)"),
+        (np.zeros((3, 1)), np.eye(2)[None].repeat(3, axis=0) / 2, None,
+         "times (3, 1), states (3, 2, 2) and target (2, 2)"),
+        (np.arange(3.0), np.ones((3, 2, 3)) / 2, np.eye(2) / 2,
+         "times (3,), states (3, 2, 3) and target (2, 2)"),
+        (np.arange(0.0), np.zeros((0, 2, 2)), None,
+         "times (0,), states (0, 2, 2) and target ()"),
+    ], ids=["lengths", "target", "2-D times", "non-square", "no final snapshot"])
+    def test_mismatched_shapes_are_refused(self, times, stack, target, got):
+        with pytest.raises(ValidationError) as info:
+            Trajectory(times, stack, target, 0.1, 2)
+        assert str(info.value).startswith("a trajectory needs 1-D times of length T, a (T, n, n) stack")
+        assert str(info.value).endswith(f"; got {got}")
+
+    def test_zero_samples_read_cleanly(self):
+        traj = Trajectory(np.arange(0.0), np.zeros((0, 2, 2), dtype=complex), np.eye(2) / 2, 0.1, 0)
+        assert traj.snapshots == ()
+        assert traj.trace_dist.shape == (0,)
+        with pytest.raises(ValidationError, match="the trajectory has no samples"):
+            alignment_time(traj, np.eye(2) / 2)
 
 
 def _amplitude_run(n, seed):
@@ -1574,12 +1637,12 @@ class TestSizeGuard:
         held, before, checks = [], [], []
         check = evolution._check_snapshots
 
-        def recording(traj):
+        def recording(traj, *args):
             current, peak = tracemalloc.get_traced_memory()
             held.append(current - traj.states.nbytes)
             before.append(peak)
             tracemalloc.reset_peak()
-            check(traj)
+            check(traj, *args)
             checks.append((tracemalloc.get_traced_memory()[1] - current) / traj.states.nbytes)
 
         monkeypatch.setattr(evolution, "_check_snapshots", recording)

@@ -4,20 +4,26 @@ the closed-form dissipator against the dense jump family; and every public
 scalar input refused alike, before any work."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import collapse_sim
 from collapse_sim import (
     CorrespondenceMap,
     IntegratorConfig,
+    MeasurementModel,
     RateTable,
     ValidationError,
     alignment_time,
     apply_dissipator_closed_form,
     born_rate_table,
+    diag_generator_matrix,
     gamma_sweep,
+    integrate,
+    integrate_fast_limit,
     simulate_model,
     spin_half_scenario,
     zeeman_hamiltonian,
@@ -70,27 +76,50 @@ NOT_POSITIVE = [True, "1", 10**400, math.nan, math.inf, -math.inf, 0, -1.0]
 NOT_ANGLES = [True, "0.3", 10**400, math.nan, math.inf, 1e308]
 CFG = IntegratorConfig(t_max=0.1)
 
-# (parameter named in the message, call with the value v on the reference model and trajectory)
+# the library calls that take the couplings, each given them by keyword on the reference model
+COUPLED = {
+    "integrate": (integrate, lambda model, **c: integrate(
+        model.initial_dm(), model.hamiltonian, model.rate_table().flat_probabilities(), cfg=CFG, **c)),
+    "fast limit": (integrate_fast_limit, lambda model, **c: integrate_fast_limit(
+        model.initial_dm(), model.rate_table().flat_probabilities(), cfg=CFG, **c)),
+    "generator": (diag_generator_matrix, lambda model, **c: diag_generator_matrix(
+        model.rate_table().flat_probabilities(), **c)),
+    "closed form": (apply_dissipator_closed_form, lambda model, **c: apply_dissipator_closed_form(
+        model.rate_table(), rho=model.initial_dm(), **c)),
+}
+# ((callable, its parameter), parameter named in the message, call with the value v on the
+# reference model and trajectory)
 POSITIVE_SITES = {
-    "config t_max": ("t_max", lambda v, model, traj: IntegratorConfig(t_max=v)),
-    "config dt": ("dt", lambda v, model, traj: IntegratorConfig(t_max=1.0, dt=v)),
-    "config safety": ("safety", lambda v, model, traj: IntegratorConfig(t_max=1.0, safety=v)),
-    "simulate gamma": ("gamma", lambda v, model, traj: simulate_model(model, CFG, "full", gamma=v)),
-    "sweep gammas": ("sweep gammas", lambda v, model, traj: gamma_sweep(model, [5.0, v], CFG)),
-    "sweep tol": ("alignment tolerance",
+    "config t_max": ((IntegratorConfig, "t_max"), "t_max", lambda v, model, traj: IntegratorConfig(t_max=v)),
+    "config dt": ((IntegratorConfig, "dt"), "dt", lambda v, model, traj: IntegratorConfig(t_max=1.0, dt=v)),
+    "config safety": ((IntegratorConfig, "safety"), "safety",
+                      lambda v, model, traj: IntegratorConfig(t_max=1.0, safety=v)),
+    "simulate gamma": ((simulate_model, "gamma"), "gamma",
+                       lambda v, model, traj: simulate_model(model, CFG, "full", gamma=v)),
+    "sweep gammas": ((gamma_sweep, "gammas"), "sweep gammas",
+                     lambda v, model, traj: gamma_sweep(model, [5.0, v], CFG)),
+    "sweep tol": ((gamma_sweep, "tol"), "alignment tolerance",
                   lambda v, model, traj: gamma_sweep(model, [5.0, 10.0], CFG, tol=v)),
-    "alignment tol": ("alignment tolerance",
+    "alignment tol": ((alignment_time, "tol"), "alignment tolerance",
                       lambda v, model, traj: alignment_time(traj, model.aligned_target(), tol=v)),
-    "rate floor": ("rate floor", lambda v, model, traj: RateTable(np.ones((2, 2)), v)),
-    "born epsilon": ("epsilon", lambda v, model, traj: born_rate_table(
+    "rate floor": ((RateTable, "floor"), "rate floor", lambda v, model, traj: RateTable(np.ones((2, 2)), v)),
+    "born epsilon": ((born_rate_table, "epsilon"), "epsilon", lambda v, model, traj: born_rate_table(
         [0.5, 0.5], CorrespondenceMap.one_to_one(2), v)),
-    "energy scale": ("energy scale", lambda v, model, traj: zeeman_hamiltonian(0.3, v)),
-    **{f"model {name}": (name, lambda v, model, traj, name=name: dataclasses.replace(model, **{name: v}))
+    "energy scale": ((zeeman_hamiltonian, "energy_scale"), "energy scale",
+                     lambda v, model, traj: zeeman_hamiltonian(0.3, v)),
+    **{f"model {name}": ((MeasurementModel, name), name,
+                         lambda v, model, traj, name=name: dataclasses.replace(model, **{name: v}))
        for name in ("gamma", "omega", "epsilon")},
-    **{f"scenario {name}": (name, lambda v, model, traj, name=name: spin_half_scenario(
+    **{f"scenario {name}": ((spin_half_scenario, name), name, lambda v, model, traj, name=name: spin_half_scenario(
         ALPHA_S, ALPHA_A, **{"gamma": 5.0, "omega": 1.0, name: v}))
        for name in ("gamma", "omega", "epsilon")},
+    **{f"{label} {name}": ((function, name), name, lambda v, model, traj, call=call, name=name: call(
+        model, **{"gamma": model.gamma, "omega": model.omega, name: v}))
+       for label, (function, call) in COUPLED.items() for name in ("gamma", "omega")},
 }
+# public callables that record a result rather than take an input: Trajectory's dt only labels
+# the snapshot check's messages, and SweepRow's gamma is a value the sweep has already refused
+RECORDS = {"Trajectory", "SweepRow"}
 ANGLE_SITES = {
     "scenario alpha_s": ("alpha_s", lambda v: spin_half_scenario(v, ALPHA_A, 5.0, 1.0)),
     "scenario alpha_a": ("alpha_a", lambda v: spin_half_scenario(ALPHA_S, v, 5.0, 1.0)),
@@ -119,8 +148,20 @@ class TestScalarInputs:
 
     @pytest.mark.parametrize("site", POSITIVE_SITES)
     def test_positive_scalar_is_refused(self, site, two_level_model, two_level_trajectory, no_run):
-        name, call = POSITIVE_SITES[site]
+        _, name, call = POSITIVE_SITES[site]
         _refused(lambda v: call(v, two_level_model, two_level_trajectory), NOT_POSITIVE, name)
+
+    def test_every_scalar_parameter_has_a_site(self):
+        # a public callable that takes one of these scalars, but for a record, is in the table
+        scalars = {"gamma", "omega", "epsilon", "t_max", "dt", "safety", "tol", "energy_scale", "floor"}
+        covered = {covers for covers, _, _ in POSITIVE_SITES.values()}
+        missing = []
+        for name in sorted(set(collapse_sim.__all__) - RECORDS):
+            obj = getattr(collapse_sim, name)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                missing += [(name, param) for param in inspect.signature(obj).parameters
+                            if param in scalars and (obj, param) not in covered]
+        assert not missing, missing
 
     @pytest.mark.parametrize("site", ANGLE_SITES)
     def test_angle_is_refused(self, site):
