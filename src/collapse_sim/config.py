@@ -12,6 +12,12 @@ an optional outcome/reading correspondence. Example:
       "mode": "full",
       "outputs": {"dir": ".", "plot": false}
     }
+
+Each scalar goes as written to the library call that checks it, so a value
+error is that call's ValidationError; the loader keeps only JSON's rules:
+counts and reading indices may be written 2.0, amplitudes are numbers or
+[re, im] pairs, outcome keys are decimal strings, and a section refuses
+unknown keys. Those structural errors are ConfigError.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 from .errors import ConfigError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, _size_spectrum
 from .model import DEFAULT_EPSILON, CorrespondenceMap, MeasurementModel, StateVector, spin_half_scenario
+from .states import _positive
 
 _FLOAT_MAX = sys.float_info.max  # a Python float, so a huge int compares exactly
 
@@ -48,7 +55,8 @@ def _is_number(value) -> bool:
 
 
 def _number(value, name: str) -> float:
-    """A finite JSON number; a string or a JSON boolean is rejected."""
+    """A finite JSON number, for an amplitude part: ``complex()`` would overflow on a
+    huge int; a string or a JSON boolean is rejected."""
     if not _is_number(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
@@ -123,17 +131,14 @@ def _correspondence(raw, outcomes: int, readings: int) -> CorrespondenceMap:
     assignment = [[] for _ in range(outcomes)]
     for index, group in _keyed(assignment_raw, outcomes, "correspondence assignment").items():
         assignment[index] = [
-            _index(j, readings, "correspondence reading")
+            _integer(j, "correspondence reading")
             for j in _list(group, "correspondence assignment group")
         ]
     weights = None
     if raw.get("weights") is not None:
         weights = [[1.0 / max(len(group), 1)] * len(group) for group in assignment]
         for index, group in _keyed(raw["weights"], outcomes, "correspondence weights").items():
-            weights[index] = [
-                _number(w, "correspondence weight")
-                for w in _list(group, "correspondence weight group")
-            ]
+            weights[index] = _list(group, "correspondence weight group")
     return CorrespondenceMap.from_assignment(outcomes, readings, assignment, weights)
 
 
@@ -144,14 +149,11 @@ def _model_from_scenario(raw) -> MeasurementModel:
         raise ConfigError("scenario needs exactly one of 'alpha_s' or 'sys_amplitudes'")
     kind = ("alpha_s", "alpha_a") if has_angles else ("sys_amplitudes", "app_amplitudes", "correspondence")
     _section(raw, "scenario", (*kind, "gamma", "omega", "epsilon"))
-    gamma = _number(raw.get("gamma", 1.0), "gamma")
-    omega = _number(raw.get("omega", 1.0), "omega")
-    epsilon = _number(raw.get("epsilon", DEFAULT_EPSILON), "epsilon")
+    gamma, omega, epsilon = raw.get("gamma", 1.0), raw.get("omega", 1.0), raw.get("epsilon", DEFAULT_EPSILON)
     if has_angles:
         if "alpha_a" not in raw:
             raise ConfigError("scenario with 'alpha_s' also needs 'alpha_a'")
-        return spin_half_scenario(_number(raw["alpha_s"], "alpha_s"),
-                                  _number(raw["alpha_a"], "alpha_a"), gamma, omega, epsilon)
+        return spin_half_scenario(raw["alpha_s"], raw["alpha_a"], gamma, omega, epsilon)
     sys_vec = StateVector(_amplitudes(raw["sys_amplitudes"], "sys_amplitudes"))
     if "app_amplitudes" not in raw:
         raise ConfigError("scenario with 'sys_amplitudes' also needs 'app_amplitudes'")
@@ -174,18 +176,9 @@ def _integrator(raw) -> IntegratorConfig:
                    ("t_max", "dt", "safety", "record_every", "record_points", "record_spacing"))
     if "t_max" not in raw:
         raise ConfigError("integrator section needs 't_max'")
-    kwargs = {"t_max": _number(raw["t_max"], "t_max")}
-    if raw.get("dt") is not None:
-        kwargs["dt"] = _number(raw["dt"], "dt")
-    if "safety" in raw:
-        kwargs["safety"] = _number(raw["safety"], "safety")
-    if raw.get("record_every") is not None:
-        kwargs["record_every"] = _integer(raw["record_every"], "record_every")
-    if "record_points" in raw:
-        kwargs["record_points"] = _integer(raw["record_points"], "record_points")
-    if "record_spacing" in raw:
-        kwargs["record_spacing"] = str(raw["record_spacing"])
-    return IntegratorConfig(**kwargs)
+    counts = {name: _integer(raw[name], name) for name in ("record_every", "record_points")
+              if raw.get(name) is not None}
+    return IntegratorConfig(**{**raw, **counts})
 
 
 def load_run_config(path: str, mode: str | None = None, out_dir: str | None = None,
@@ -216,10 +209,8 @@ def load_run_config(path: str, mode: str | None = None, out_dir: str | None = No
     if resolved_mode not in ("full", "fast"):
         raise ConfigError(f"unknown mode {resolved_mode!r}; expected 'full' or 'fast'")
     if gammas is None and raw.get("gammas") is not None:
-        gammas = tuple(_number(g, "gammas entry") for g in _list(raw["gammas"], "gammas"))
-    alignment_tol = _number(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol")
-    if alignment_tol <= 0:
-        raise ConfigError(f"alignment_tol must be positive, got {alignment_tol!r}")
+        gammas = tuple(_positive(g, "sweep gammas") for g in _list(raw["gammas"], "gammas"))
+    alignment_tol = _positive(raw.get("alignment_tol", DEFAULT_ALIGNMENT_TOL), "alignment_tol")
     return RunConfig(
         model=model,
         integrator=integrator,

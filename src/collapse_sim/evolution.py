@@ -141,15 +141,13 @@ class IntegratorConfig:
     record_spacing: str = "log"
 
     def __post_init__(self):
-        _positive(self.t_max, "t_max")
-        if self.dt is not None:
-            _positive(self.dt, "dt")
-        if not _positive(self.safety, "safety") <= 0.5:
+        # each field is stored as checked; only dt and record_every may be None
+        for name, check in (("t_max", _positive), ("dt", _positive), ("safety", _positive),
+                            ("record_every", _integer), ("record_points", _integer)):
+            if getattr(self, name) is not None or name not in ("dt", "record_every"):
+                object.__setattr__(self, name, check(getattr(self, name), name))
+        if not self.safety <= 0.5:
             raise ValidationError("safety factor must lie in (0, 0.5]")
-        for name in ("record_every", "record_points"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _integer(value, name))
         if self.record_every is not None and self.record_every < 1:
             raise ValidationError("record_every must be at least 1")
         if self.record_points < 2:
@@ -167,7 +165,8 @@ class Trajectory:
     (1-D floats); every per-time series is read from it. Populations are ``diagonals``, a view
     of its real diagonal, and the coherence of the flat pair (r, s) is ``states[:, r, s]``.
     ``target`` is a copy of the run's n x n target state, or of the final snapshot for
-    ``target=None``; ``trace_dist`` measures each snapshot against it. Other shapes raise
+    ``target=None``; ``trace_dist`` measures each snapshot against it. Other shapes, and a given
+    target that is not finite and Hermitian within SNAPSHOT_HERMITICITY_TOL, raise
     ValidationError; ``times``, ``states`` (neither read nor copied) and ``target`` are frozen
     read-only, the caller's arrays too. ``eigenvalues``, ``entropy`` and ``trace_dist`` are
     read-only arrays computed on first read and kept; the first two share one eigenvalue call.
@@ -187,6 +186,8 @@ class Trajectory:
         if not (times.ndim == 1 and states.shape == (times.size, n, n) and target.shape == (n, n)):
             raise ValidationError("a trajectory needs 1-D times of length T, a (T, n, n) stack and an n x n target; "
                                   f"got times {times.shape}, states {states.shape} and target {target.shape}")
+        if self.target is not None:  # trace_dist reads one triangle of it
+            _check_hermitian(target, n, "target", SNAPSHOT_HERMITICITY_TOL)
         for name, value in (("times", times), ("states", states), ("target", target)):
             object.__setattr__(self, name, _readonly(value))
 

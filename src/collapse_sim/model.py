@@ -212,7 +212,7 @@ class MeasurementModel:
 
     def __post_init__(self):
         for name in ("gamma", "omega", "epsilon"):
-            _positive(getattr(self, name), name)
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         if self.sys.dim != self.correspondence.outcomes:
             raise ValidationError(
                 f"system dimension {self.sys.dim} does not match "

@@ -80,6 +80,19 @@ def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
 
 
+def _checked_state(obj, name: str) -> np.ndarray:
+    """The matrix of ``obj``: a DensityMatrix's entries as they are, or a bare array as a
+    complex matrix, refused unless square, finite and Hermitian within HERMITICITY_TOL, the
+    bar a DensityMatrix meets; an eigenvalue call would read only one triangle of it."""
+    if isinstance(obj, DensityMatrix):
+        return obj.entries
+    m = np.asarray(obj, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    _check_hermitian(m, m.shape[0], name, HERMITICITY_TOL)
+    return m
+
+
 def _checked_amplitudes(vec, name: str) -> np.ndarray:
     amps = vec.amplitudes if isinstance(vec, StateVector) else np.asarray(vec, dtype=complex).reshape(-1)
     with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused below
@@ -117,10 +130,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValidationError(f"density matrix must be square, got shape {m.shape}")
-        _check_hermitian(m, m.shape[0], "density matrix", HERMITICITY_TOL)
+        m = _checked_state(np.array(self.entries, dtype=complex), "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
@@ -196,7 +206,8 @@ def _distance_bounds(states: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
 
 def trace_distance(a, b) -> float:
     """Half the sum of |eigenvalues| of the difference of two states."""
-    return float(_trace_distances(_as_matrix(a)[None], _as_matrix(b))[0])
+    a, b = _checked_state(a, "first state"), _checked_state(b, "second state")
+    return float(_trace_distances(a[None], b)[0])
 
 
 def von_neumann_entropy(dm) -> float:
@@ -204,7 +215,7 @@ def von_neumann_entropy(dm) -> float:
     of ``dm``. Eigenvalues in ``[-POSITIVITY_TOL, 0]`` count as exact zeros;
     anything lower raises PositivityError.
     """
-    evals = np.linalg.eigvalsh(_as_matrix(dm))
+    evals = np.linalg.eigvalsh(_checked_state(dm, "state"))
     smallest = float(evals[0])
     if smallest < -POSITIVITY_TOL:
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
@@ -221,5 +232,5 @@ def _spectral_entropy(evals: np.ndarray) -> np.ndarray:
 
 def dm_eigenvalues(dm) -> np.ndarray:
     """Real eigenvalues of a Hermitian state, sorted in descending order."""
-    evals = np.linalg.eigvalsh(_as_matrix(dm))
+    evals = np.linalg.eigvalsh(_checked_state(dm, "state"))
     return evals[::-1].copy()

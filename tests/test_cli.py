@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 import collapse_sim
-from collapse_sim import qsl_lower_bound
+from collapse_sim import (CorrespondenceMap, IntegratorConfig, MeasurementModel, StateVector, ValidationError,
+                          gamma_sweep, qsl_lower_bound, spin_half_scenario)
 from collapse_sim.cli import main
 from collapse_sim.dissipator import lindblad_jump_family, master_rhs
 from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
 from conftest import ALPHA_A, ALPHA_S
+from test_properties import NOT_ANGLES, NOT_POSITIVE
 
 
 def write_config(path, **overrides):
@@ -189,12 +191,12 @@ class TestSimulate:
             ("integrator", "dt", 1e-300, "dt"),
             ("scenario", "omega", 1e300, "steps"),
             # JSON true is not the number 1
-            ("integrator", "t_max", True, "t_max must be a finite number, got True"),
-            ("scenario", "gamma", True, "gamma must be a finite number, got True"),
+            ("integrator", "t_max", True, "t_max must be a number, got True"),
+            ("scenario", "gamma", True, "gamma must be a number, got True"),
             ("integrator", "record_every", True, "record_every must be an integer, got True"),
             # a JSON string is not a number, whatever it spells
-            ("scenario", "gamma", "5", "gamma must be a finite number, got '5'"),
-            ("scenario", "alpha_s", "1.16", "alpha_s must be a finite number, got '1.16'"),
+            ("scenario", "gamma", "5", "gamma must be a number, got '5'"),
+            ("scenario", "alpha_s", "1.16", "alpha_s must be a number, got '1.16'"),
             ("integrator", "record_points", "240", "record_points must be an integer, got '240'"),
             # finite angles whose double, the field's tilt, overflows
             ("scenario", "alpha_s", 1e308, "alpha_s"),
@@ -216,7 +218,7 @@ class TestSimulate:
         [
             ({"correspondence": {"assignment": {"x": [0]}}}, "correspondence outcome"),
             ({"correspondence": {"assignment": {"7": [0]}}}, "outside 0..1"),
-            ({"correspondence": {"assignment": {"0": [0], "1": [5]}}}, "correspondence reading"),
+            ({"correspondence": {"assignment": {"0": [0], "1": [5]}}}, "reading index 5 outside 0..1"),
             ({"correspondence": {"assignment": {"0": 1}}}, "assignment group"),
             ({"correspondence": [0, 1]}, "correspondence must be a JSON object"),
             ({"correspondence": {"assignment": {"0": [0], "1": [1]}, "weights": {"0": 1.0}}},
@@ -435,6 +437,56 @@ class TestSimulate:
             assert names == (["fig1.svg", "fig2.svg", "trajectory.csv"] if k == 0 else ["trajectory.csv"])
             for name in names:
                 assert (same / name).read_bytes() == (fresh / name).read_bytes()
+
+
+_ANGLES = {"alpha_s": ALPHA_S, "alpha_a": ALPHA_A, "gamma": 5.0, "omega": 1.0, "epsilon": 1e-4}
+_AMPLITUDES = {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.8, 0.6], "gamma": 5.0, "omega": 1.0,
+               "epsilon": 1e-4}
+_ONE_TO_ONE = {"assignment": {"0": [0], "1": [1]}}
+# each scalar the loader hands to a library call: (bad values, the config's sections with the
+# value v, the owning library call with the same v)
+_HANDED_ON = {
+    **{f"angle scenario {name}": (NOT_POSITIVE, lambda v, name=name: {"scenario": {**_ANGLES, name: v}},
+                                  lambda v, name=name: spin_half_scenario(**{**_ANGLES, name: v}))
+       for name in ("gamma", "omega", "epsilon")},
+    **{f"amplitude scenario {name}": (
+        NOT_POSITIVE, lambda v, name=name: {"scenario": {**_AMPLITUDES, name: v}},
+        lambda v, name=name: MeasurementModel(StateVector([0.6, 0.8]), StateVector([0.8, 0.6]),
+                                              CorrespondenceMap.one_to_one(2),
+                                              **{"gamma": 5.0, "omega": 1.0, "epsilon": 1e-4, name: v}))
+       for name in ("gamma", "omega", "epsilon")},
+    **{f"scenario {name}": (NOT_ANGLES, lambda v, name=name: {"scenario": {**_ANGLES, name: v}},
+                            lambda v, name=name: spin_half_scenario(**{**_ANGLES, name: v}))
+       for name in ("alpha_s", "alpha_a")},
+    **{f"integrator {name}": (NOT_POSITIVE, lambda v, name=name: {"integrator": {"t_max": 1.0, name: v}},
+                              lambda v, name=name: IntegratorConfig(**{"t_max": 1.0, name: v}))
+       for name in ("t_max", "dt", "safety")},
+    "correspondence weight": (
+        NOT_POSITIVE,
+        lambda v: {"scenario": {**_AMPLITUDES, "correspondence": {**_ONE_TO_ONE, "weights": {"1": [v]}}}},
+        lambda v: CorrespondenceMap.from_assignment(2, 2, [[0], [1]], [[1.0], [v]])),
+    "gammas entry": (NOT_POSITIVE, lambda v: {"gammas": [5.0, v]},
+                     lambda v: gamma_sweep(spin_half_scenario(ALPHA_S, ALPHA_A, 5.0, 1.0), [5.0, v],
+                                           IntegratorConfig(t_max=1.0))),
+}
+
+
+@pytest.mark.parametrize("site", _HANDED_ON)
+def test_config_refuses_a_scalar_as_its_library_call_does(tmp_path, capsys, site):
+    # one rule per value: the config's one error line is the owning call's own error
+    values, sections, owner = _HANDED_ON[site]
+    for value in values:
+        with pytest.raises(ValidationError) as info:
+            owner(value)
+        path = write_config(str(tmp_path / "bad.json"), mode="fast")
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg.update(sections(value))
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["simulate", "--config", path]) == 1, value
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {info.value}"], value
 
 
 # sha256 of every output of the README reference config in each mode;

@@ -970,6 +970,15 @@ class TestHandBuiltTrajectory:
         assert str(info.value).startswith("a trajectory needs 1-D times of length T, a (T, n, n) stack")
         assert str(info.value).endswith(f"; got {got}")
 
+    @pytest.mark.parametrize("target, message", [
+        # trace_dist would read the lower triangle, I/2, and give 0 at every sample
+        (np.array([[0.5, 0.4], [0.0, 0.5]]), "target is not Hermitian"),
+        (np.array([[0.5, math.nan], [0.0, 0.5]]), "target has non-finite entries"),
+    ], ids=["asymmetric", "NaN"])
+    def test_given_target_must_be_finite_and_hermitian(self, target, message):
+        with pytest.raises(ValidationError, match=message):
+            Trajectory(np.arange(3.0), self._stack(), target, 0.1, 2)
+
     def test_zero_samples_read_cleanly(self):
         traj = Trajectory(np.arange(0.0), np.zeros((0, 2, 2), dtype=complex), np.eye(2) / 2, 0.1, 0)
         assert traj.snapshots == ()
@@ -1369,8 +1378,8 @@ class TestAlignmentTime:
         else:
             cfg = IntegratorConfig(t_max=1.0, record_points=1000, record_spacing="linear")
             traj = simulate_model(two_level_model, cfg, mode="fast")
-        target = traj.states[-1] if target == "final" else model.aligned_target()
-        dist = np.array([trace_distance(s, target) for s in traj.states])
+        target = traj.states[-1] if target == "final" else model.aligned_target().entries
+        dist = _trace_distances(traj.states, target)  # reads one triangle, as the noisy stack needs
         if isinstance(tol, int):
             tol = float(dist[tol])
         above = np.nonzero(dist > tol)[0]
@@ -1781,6 +1790,8 @@ class TestSimulateModel:
         # a bool is an int to Python, but not a count
         ("record_every", True),
         ("record_points", True),
+        # only record_every may be None
+        ("record_points", None),
     ])
     def test_record_fields_must_be_integers(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):

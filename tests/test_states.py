@@ -326,3 +326,21 @@ class TestDmEigenvalues:
             assert np.all(np.diff(evals) <= 1e-15)
             assert abs(evals.sum() - 1.0) < 1e-10
             assert evals.min() >= -1e-10
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: trace_distance(m, np.eye(2) / 2),
+    lambda m: trace_distance(np.eye(2) / 2, m),
+    von_neumann_entropy,
+    dm_eigenvalues,
+], ids=["trace distance first", "trace distance second", "entropy", "eigenvalues"])
+@pytest.mark.parametrize("matrix, message", [
+    # an eigenvalue call reads one triangle: I/2 in one of these two, a pure state in the other
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "is not Hermitian"),
+    (np.array([[0.5, 0.0], [0.5, 0.5]]), "is not Hermitian"),
+    (np.array([[0.5, math.nan], [0.0, 0.5]]), "has non-finite entries"),
+    (np.ones((2, 3)) / 2, "must be square"),
+], ids=["upper", "lower", "NaN", "non-square"])
+def test_bare_array_must_be_a_finite_hermitian_matrix(call, matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        call(matrix)
