@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
-from .states import _as_matrix, _positive, trace_distance
+from .states import _checked_state, _positive, _trace_distances
 
 ZERO_MODE_REL_TOL = 1e-9
 
@@ -47,8 +47,9 @@ class QslReport:
 
     @property
     def ratio(self) -> float | None:
-        """Measured alignment time over the bound, when a time was supplied."""
-        if self.measured_alignment_time is None:
+        """Measured alignment time over the bound, when a time was supplied and
+        the bound is positive: a run that starts at its target has bound 0 and tau 0."""
+        if self.measured_alignment_time is None or not self.bound > 0:
             return None
         return self.measured_alignment_time / self.bound
 
@@ -93,15 +94,18 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs,
 
     The numerator is the trace distance between the asymptotic and initial
     states, the denominator the root-mean-square of the diagonal entries of
-    the initial right-hand side.
+    the initial right-hand side. ``rho0`` and ``rho_inf`` must be square,
+    finite, Hermitian and of one shape; a refusal names the input.
     """
-    m0 = _as_matrix(rho0)
+    m0, m_inf = _checked_state(rho0, "rho0"), _checked_state(rho_inf, "rho_inf")
+    if m_inf.shape != m0.shape:
+        raise ValidationError(f"rho_inf shape {m_inf.shape} does not match rho0 shape {m0.shape}")
     rhs = np.asarray(initial_rhs, dtype=complex)
     if rhs.shape != m0.shape:
         raise ValidationError(f"rhs shape {rhs.shape} does not match state {m0.shape}")
     if not np.isfinite(rhs).all():
         raise ValidationError("initial right-hand side has non-finite entries")
-    numerator = trace_distance(rho_inf, rho0)
+    numerator = float(_trace_distances(m_inf[None], m0)[0])
     denominator = float(np.sqrt(np.mean(np.diagonal(rhs).real ** 2)))
     if denominator == 0.0:
         raise ValidationError("initial condition is static: zero evolution speed")

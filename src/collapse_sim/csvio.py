@@ -3,8 +3,9 @@
 Numbers are written with 17 significant digits (``%.17g``) so a written
 double parses back bit-exactly; files are written atomically (temp file plus
 rename). No field ever needs quoting, so rows are joined with commas. The
-trajectory table is formatted in bulk, a block of rows per application of one
-row template, with the same bytes as formatting each value on its own.
+trajectory table is formatted in bulk, one block of ``evolution._stack_blocks``
+per application of one row template, with the same bytes as formatting each
+value on its own.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ import tempfile
 import numpy as np
 
 from .analysis import QslReport, SweepRow
-from .evolution import Trajectory
-
-# rows formatted per application of the row template; bounds the block's
-# temporaries (its table, its tuple of floats and its text) at any length
-_BLOCK_ROWS = 512
+from .evolution import Trajectory, _stack_blocks
 
 
 def _fmt(x: float) -> str:
@@ -72,8 +69,7 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     row = ",".join(["%.17g"] * len(header)) + "\n"
     chunks = [",".join(header) + "\n"]
     r, s = np.array(_tracked_pairs(traj.dim), dtype=int).reshape(-1, 2).T
-    for start in range(0, traj.times.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+    for rows in _stack_blocks(traj.states):
         coherences = traj.states[rows, r, s]
         table = np.column_stack((
             traj.times[rows],

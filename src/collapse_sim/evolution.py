@@ -51,10 +51,13 @@ per entry), the full-mode arrays, whose budget its comment sets out, and,
 through :func:`_size_spectrum`, the eigendecomposition of the ``spectrum``
 command and of fast mode; :data:`MAX_STEPS` caps the step count.
 
-The stack is checked by :func:`_check_snapshots` once the :class:`Trajectory`
-exists, and again by each read of :attr:`Trajectory.snapshots`, which then
-builds its density matrices unchecked. The check is one pass over blocks of
-about :data:`_STACK_BLOCK_BYTES`, in time order: finite entries, trace drift
+Every pass over the stack reads it in the blocks of :func:`_stack_blocks`,
+about :data:`_STACK_BLOCK_BYTES` (128 KiB) each: 512 snapshots at n = 4, 32
+at n = 16 and 1 at n = 100; :func:`alignment_time` takes them from the last
+one back. The stack is checked by :func:`_check_snapshots` once the
+:class:`Trajectory` exists, and again by each read of
+:attr:`Trajectory.snapshots`, which then builds its density matrices
+unchecked; per block, in time order: finite entries, trace drift
 and Hermiticity elementwise, and, when they pass, positivity by one batched
 Cholesky factorisation of the block's ``rho + SNAPSHOT_POSITIVITY_TOL * I``,
 which exists, up to round-off, exactly when every eigenvalue lies above
@@ -64,10 +67,9 @@ tie at the tolerance), the pass goes on to the next block. The spectra and
 the entropy are computed on first read of :attr:`Trajectory.eigenvalues` or
 :attr:`Trajectory.entropy`, from one batched eigenvalue call that both share.
 The trace distances to the target are computed on first read of
-:attr:`Trajectory.trace_dist`, in the same blocks; :func:`alignment_time`
-computes them only for the samples of the tail that trace-norm bounds leave
-open. Every failed check is an :class:`IntegrationError` that names the
-snapshot's time and value.
+:attr:`Trajectory.trace_dist`; :func:`alignment_time` computes them only for
+the samples of the tail that trace-norm bounds leave open. Every failed check
+is an :class:`IntegrationError` that names the snapshot's time and value.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ POSITIVITY_FAILURE_TOL = 1e-6
 # it); from n^2 = 128 on a collapse test holds, beside S and the power, its s^2 x n^2 rows at the
 # slow block (s^2 <= n^2/4), Q and C, n^2 x s^2 each, kept with two T x s^2 copies of the rows by
 # the tail, and its N x N residual (N = n^2); S is freed before the rows are unpacked.
-# The stack's own phases hold little beyond it: _check_snapshots, passing or failing, and
-# Trajectory.trace_dist read it in blocks of _STACK_BLOCK_BYTES (0.09 and 0.06 stacks by
-# tracemalloc at n = 16, T = 1152); the spectra's batched eigenvalue call keeps only its (T, n) output
+# The stack's own phases hold little beyond it: each pass reads it in the blocks of _stack_blocks (by
+# tracemalloc at n = 16, T = 1152: _check_snapshots, passing or failing, 0.09 stacks, trace_dist and
+# alignment_time 0.06, the CSV 0.57, mostly its text held twice); the spectra's batched eigenvalue call keeps only its (T, n) output
 MAX_STACK_BYTES = 2**28
 # most steps a run may take: float64 t_max / dt counts steps exactly up to here
 MAX_STEPS = 2**53
@@ -106,10 +108,8 @@ MAX_STEPS = 2**53
 # command and in fast mode) holds at its peak, inside eigh: K, balanced from M in place, LAPACK's
 # copy of K, its 2 n^2 workspace and the eigenvectors (5.1 by max RSS at n = 2025)
 SPECTRUM_ARRAYS = 5
-# snapshots per block of alignment_time's backward search, each bounded in one vectorised pass
-_ALIGNMENT_BLOCK = 32
-# bytes per block of the stack in the snapshot checks and Trajectory.trace_dist, small enough
-# that a block's temporaries stay in cache
+# bytes per block of every pass over the stack (see _stack_blocks), small enough that a
+# block's temporaries stay in cache
 _STACK_BLOCK_BYTES = 2**17
 # the trace distance at which a run counts as aligned, unless the caller or the config sets one
 DEFAULT_ALIGNMENT_TOL = 0.01
@@ -431,9 +431,12 @@ def _record_steps(n_steps: int, cfg: IntegratorConfig) -> np.ndarray:
     return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
-def _stack_blocks(states: np.ndarray):
-    """Consecutive slices of ``states`` of about :data:`_STACK_BLOCK_BYTES` each; none for T = 0."""
+def _stack_blocks(states: np.ndarray, backward: bool = False):
+    """Consecutive slices of ``states`` of about :data:`_STACK_BLOCK_BYTES` each, and at least
+    one snapshot, in time order or, ``backward``, from the last snapshot back; none for T = 0."""
     step = max(1, _STACK_BLOCK_BYTES // max(1, states.itemsize * math.prod(states.shape[1:])))
+    if backward:
+        return (slice(max(0, end - step), end) for end in range(len(states), 0, -step))
     return (slice(start, start + step) for start in range(0, len(states), step))
 
 
@@ -577,35 +580,34 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     """Earliest recorded time from which the trace distance to ``target``
     stays at or below ``tol`` through the end of the trajectory.
 
-    The snapshots are read in blocks from the last one back, stopping at
-    the first block that holds a sample above ``tol``, so only the tail
-    after the last crossing is read; in it, only the samples that the bounds
-    of ``states._distance_bounds`` leave open, and the last, are
-    eigendecomposed, with the full scan's result. ``target`` must be a
-    finite Hermitian matrix of the trajectory's dimension, and the
-    trajectory must hold a sample.
+    The snapshots are read in the blocks of :func:`_stack_blocks` from the
+    last one back, stopping at the first block that holds a sample above
+    ``tol``, so only the tail after the last crossing is read; in it, only
+    the samples that the bounds of ``states._distance_bounds`` leave open,
+    and the last, are eigendecomposed, with the full scan's result.
+    ``target`` must be a finite Hermitian matrix of the trajectory's
+    dimension, and the trajectory must hold a sample.
     """
     _positive(tol, "alignment tolerance")
     target_m = _checked_target(target, traj.dim)
     if not traj.times.size:
         raise ValidationError("the trajectory has no samples, so it has no alignment time")
     first_ok = 0
-    for end in range(traj.times.size, 0, -_ALIGNMENT_BLOCK):
-        start = max(0, end - _ALIGNMENT_BLOCK)
-        states = traj.states[start:end]
+    for block in _stack_blocks(traj.states, backward=True):
+        last, states = block.stop == traj.times.size, traj.states[block]
         lower, upper, margin = _distance_bounds(states, target_m)
         exceeds = lower > tol + margin
         open_ = ~exceeds & ~(upper <= tol - margin)  # a NaN bound leaves the sample open
-        open_[-1] |= end == traj.times.size  # the final distance is always computed
+        open_[-1] |= last  # the final distance is always computed
         if open_.any():
             rows = open_.nonzero()[0]
             dist = _trace_distances(states[rows], target_m)
             exceeds[rows] = dist > tol
-            if end == traj.times.size:
+            if last:
                 final = float(dist[-1])
         above = np.nonzero(exceeds)[0]
         if above.size:
-            first_ok = start + int(above[-1]) + 1
+            first_ok = block.start + int(above[-1]) + 1
             break
     if first_ok == traj.times.size:
         raise NotAlignedError(

@@ -12,6 +12,7 @@ from collapse_sim import (
     simulate_model,
     spin_half_scenario,
 )
+from collapse_sim.evolution import _stack_blocks
 
 ALPHA_S = 0.37 * math.pi
 ALPHA_A = 0.65 * math.pi
@@ -29,6 +30,12 @@ def two_level_model():
 @pytest.fixture(scope="session")
 def two_level_trajectory(two_level_model):
     return simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode="full")
+
+
+def stack_block(n):
+    """Snapshots per block of ``evolution._stack_blocks`` at dimension n, read off the rule
+    itself on a zero-stride stack of 2^20 snapshots that holds the memory of one."""
+    return next(_stack_blocks(np.broadcast_to(np.zeros((n, n), dtype=complex), (2**20, n, n)))).stop
 
 
 def random_state(rng, n):

@@ -181,6 +181,10 @@ class TestQslLowerBound:
         report = qsl_lower_bound(rho0, rho0, rhs)
         assert report.bound == 0.0
         assert report.ratio is None
+        # a state that starts aligned: tau is 0 and the bound is 0, so there is no ratio
+        report = qsl_lower_bound(rho0, rho0, rhs, measured_alignment_time=0.0)
+        assert report.bound == 0.0 and report.measured_alignment_time == 0.0
+        assert report.ratio is None
 
     def test_static_initial_condition_is_an_error(self, two_level_model):
         rho0 = two_level_model.initial_dm()
@@ -221,6 +225,17 @@ class TestQslLowerBound:
     def test_rejects_rhs_of_another_shape(self):
         with pytest.raises(ValidationError, match=r"rhs shape \(3, 3\) does not match state \(2, 2\)"):
             qsl_lower_bound(np.eye(2) / 2, np.eye(2) / 2, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("rho0, rho_inf, message", [
+        ([[0.5, 0.5], [0, 0.5]], np.eye(2) / 2, "rho0 is not Hermitian: max asymmetry 5.000e-01"),
+        (np.eye(2) / 2, [[0.5, 0.5], [0, 0.5]], "rho_inf is not Hermitian: max asymmetry 5.000e-01"),
+        ([[math.nan, 0], [0, 0.5]], np.eye(2) / 2, "rho0 has non-finite entries"),
+        (np.eye(2) / 2, np.eye(3) / 3, "rho_inf shape (3, 3) does not match rho0 shape (2, 2)"),
+    ], ids=["rho0-not-Hermitian", "rho_inf-not-Hermitian", "rho0-non-finite", "shape-mismatch"])
+    def test_refusals_name_the_state(self, rho0, rho_inf, message):
+        with pytest.raises(ValidationError) as err:
+            qsl_lower_bound(rho0, rho_inf, np.ones((2, 2)))
+        assert str(err.value) == message
 
 
 class TestGammaSweep:

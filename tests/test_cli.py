@@ -801,6 +801,65 @@ class TestConfigFuzz:
         assert not failures, failures[:5]
 
 
+class TestEdgeScenarios:
+    """Physical edge scenarios through every command, in-process: each run returns 0, 1 or 2,
+    no exception escapes ``main``, and a non-zero return writes exactly one line, ``error:`` or
+    ``numerical failure:``. Angle pairs (alpha_s, alpha_a) run in both modes, amplitude
+    scenarios in fast mode. Two refusals are known and pinned: (pi/2, 0.3) on every command,
+    as cos(pi/2) is not 0 in floating point and the rate floor would mask the smallest
+    physical rate, and ``qsl`` on the one-state scenario [1]/[1], which is static."""
+
+    RATE_FLOOR = {"alpha_s": math.pi / 2, "alpha_a": 0.3}
+    STATIC = {"sys_amplitudes": [1], "app_amplitudes": [1]}
+    # each starts at its aligned target
+    ALIGNED_AT_START = [({"alpha_s": 0.0, "alpha_a": 0.0}, "full"), ({"alpha_s": 0.0, "alpha_a": 0.0}, "fast"),
+                        ({"sys_amplitudes": [1, 0], "app_amplitudes": [1, 0]}, "fast")]
+    SCENARIOS = [
+        *(({"alpha_s": alpha_s, "alpha_a": alpha_a}, mode)
+          for alpha_s, alpha_a in [(0.0, 0.0), (0.0, math.pi / 2), (0.7, 0.0), (math.pi / 2, 0.3)]
+          for mode in ("full", "fast")),
+        *(({"sys_amplitudes": sys, "app_amplitudes": app}, "fast")
+          for sys, app in [([1, 0], [0, 1]), ([1, 0], [1, 0]), ([1], [1]), ([1, 0, 0], [0.6, 0.8, 0])]),
+    ]
+    COMMANDS = [["simulate", "--plot"], ["qsl"], ["spectrum"], ["sweep", "--gammas", "2,5"]]
+
+    @staticmethod
+    def _config(tmp_path, scenario, mode):
+        path = str(tmp_path / "edge.json")
+        with open(path, "w") as fh:
+            json.dump({"scenario": {**scenario, "gamma": 5.0, "omega": 1.0}, "integrator": {"t_max": 1.0},
+                       "mode": mode, "outputs": {"dir": str(tmp_path)}}, fh)
+        return path
+
+    def test_exit_code_contract(self, tmp_path, capsys):
+        failures = []
+        for scenario, mode in self.SCENARIOS:
+            path = self._config(tmp_path, scenario, mode)
+            for command in self.COMMANDS:
+                expected, fragment = 0, ""
+                if scenario == self.RATE_FLOOR:
+                    expected, fragment = 1, "would mask the smallest physical rate"
+                elif scenario == self.STATIC and command == ["qsl"]:
+                    expected, fragment = 1, "initial condition is static"
+                try:
+                    code = main([*command, "--config", path])
+                except Exception as exc:  # any escape is a failure of the contract
+                    code = f"raised {exc!r}"
+                err = capsys.readouterr().err
+                one_line = err.count("\n") == 1 and err.startswith(("error: ", "numerical failure: "))
+                if code not in (0, 1, 2) or (code and not one_line) or code != expected or fragment not in err:
+                    failures.append((scenario, mode, command[0], code, err))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("scenario, mode", ALIGNED_AT_START, ids=["angles-full", "angles-fast", "amplitudes"])
+    def test_aligned_start_has_no_ratio(self, tmp_path, scenario, mode):
+        # the bound and tau are both 0: qsl.csv leaves the ratio blank, read back as NaN
+        assert main(["qsl", "--config", self._config(tmp_path, scenario, mode)]) == 0
+        cols = read_csv_columns(str(tmp_path / "qsl.csv"))
+        assert cols["bound"].tolist() == cols["measured_tau"].tolist() == [0.0]
+        assert np.isnan(cols["ratio"]).all() and cols["ratio"].shape == (1,)
+
+
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     # the benchmark's traced run wraps these names; a missing one would make
     # every traced op fail instead of failing here

@@ -9,7 +9,6 @@ import pytest
 from collapse_sim import IntegratorConfig, simulate_model
 from collapse_sim.analysis import QslReport, SweepRow
 from collapse_sim.csvio import (
-    _BLOCK_ROWS,
     _tracked_pairs,
     atomic_write_text,
     read_csv_columns,
@@ -21,7 +20,7 @@ from collapse_sim.csvio import (
 from collapse_sim.evolution import Trajectory
 from collapse_sim.svgplot import _MARGIN_BOTTOM, _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP
 from collapse_sim.svgplot import HEIGHT, WIDTH, render_line_plot, write_line_plot
-from conftest import random_amplitude_model
+from conftest import random_amplitude_model, stack_block
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,8 @@ class TestCsvFormat:
         assert traj.dim == 9 and _tracked_pairs(traj.dim) == ((0, 8),)
         self._assert_matches_oracle(tmp_path, traj)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * _BLOCK_ROWS + 3])
+    # the last: two blocks of the rule at n = 3, 910 rows each, and 3 rows
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 2 * stack_block(3) + 3])
     def test_synthetic_trajectory_matches_per_value_writer(self, tmp_path, n_rows):
         self._assert_matches_oracle(tmp_path, synthetic_trajectory(n_rows, 3))
 

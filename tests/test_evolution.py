@@ -28,6 +28,7 @@ from collapse_sim import (
     von_neumann_entropy,
 )
 from collapse_sim import dissipator, evolution
+from collapse_sim.csvio import write_trajectory_csv
 from collapse_sim.dissipator import DissipatorSpec, apply_dissipator, lindblad_jump_family, master_rhs
 from collapse_sim.model import RateTable
 from collapse_sim.states import _distance_bounds, _trace_distances
@@ -43,6 +44,7 @@ from conftest import (
     random_hermitian_unit_trace,
     random_state,
     random_unitary,
+    stack_block,
 )
 
 
@@ -885,6 +887,33 @@ class TestSnapshotChecks:
         assert self._held_stacks(lambda: traj.trace_dist, stack) < 0.5
         assert np.array_equal(traj.trace_dist, _trace_distances(stack, stack[0]))
 
+    def test_every_pass_follows_the_one_block_rule(self, two_level_model, tmp_path, monkeypatch):
+        # blocks of one snapshot's bytes: the checks (cholesky), trace_dist, alignment_time's
+        # bounds and the CSV's table each read the stack one snapshot at a time, and tau, the
+        # distances and the CSV bytes are those of the ordinary blocks
+        def run(name):
+            traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode="full")
+            dist = traj.trace_dist.tobytes()
+            tau = alignment_time(traj, two_level_model.aligned_target())
+            write_trajectory_csv(str(tmp_path / name), traj)
+            return traj.times.size, tau, dist, (tmp_path / name).read_bytes()
+
+        expected = run("blocked.csv")
+        calls = []  # (function, snapshots it was handed)
+        for owner, name in [(np.linalg, "cholesky"), (evolution, "_trace_distances"),
+                            (evolution, "_distance_bounds"), (np, "column_stack")]:
+            def recording(first, *args, name=name, original=getattr(owner, name)):
+                calls.append((name, len(first[0] if name == "column_stack" else first)))
+                return original(first, *args)
+
+            monkeypatch.setattr(owner, name, recording)
+        monkeypatch.setattr(evolution, "_STACK_BLOCK_BYTES", 4 * 4 * np.dtype(complex).itemsize)
+        assert run("one.csv") == expected
+        assert {rows for _, rows in calls} == {1}
+        names = [name for name, _ in calls]
+        assert names.count("cholesky") == names.count("column_stack") == expected[0]
+        assert names.count("_trace_distances") >= expected[0] and "_distance_bounds" in names
+
     @pytest.mark.parametrize("mode", ["full", "fast"])
     def test_no_stack_eigendecomposition_until_spectra_are_read(self, two_level_model,
                                                                monkeypatch, mode):
@@ -899,7 +928,7 @@ class TestSnapshotChecks:
         traj = simulate_model(two_level_model, IntegratorConfig(t_max=1.0), mode=mode)
         alignment_time(traj, two_level_model.aligned_target(), tol=0.01)
         assert traj.states.shape == (traj.times.size, 4, 4)
-        assert traj.times.size > evolution._ALIGNMENT_BLOCK
+        assert traj.times.size <= stack_block(4)  # alignment_time bounds the whole stack as one block
         assert traj.states.shape not in shapes
         entropy, eigenvalues = traj.entropy, traj.eigenvalues
         assert shapes.count(traj.states.shape) == 1
@@ -1376,7 +1405,7 @@ class TestAlignmentTime:
             model = random_amplitude_model(np.random.default_rng(100), 10, 10)
             traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
         else:
-            cfg = IntegratorConfig(t_max=1.0, record_points=1000, record_spacing="linear")
+            cfg = IntegratorConfig(t_max=1.0, record_points=3000, record_spacing="linear")
             traj = simulate_model(two_level_model, cfg, mode="fast")
         target = traj.states[-1] if target == "final" else model.aligned_target().entries
         dist = _trace_distances(traj.states, target)  # reads one triangle, as the noisy stack needs
@@ -1387,7 +1416,7 @@ class TestAlignmentTime:
         if first_ok < dist.size:
             assert alignment_time(traj, target, tol=tol) == traj.times[first_ok]
             if run == "linear":
-                assert dist.size - first_ok > 2 * evolution._ALIGNMENT_BLOCK
+                assert dist.size - first_ok > 2 * stack_block(4)
             if tol == 0.7:
                 assert first_ok == 0
             return
@@ -1398,8 +1427,8 @@ class TestAlignmentTime:
         assert err.value.final_distance == dist[-1]
 
     def test_distances_only_for_the_tail(self, two_level_model, monkeypatch):
-        # the reference run's last crossing lies in its last block; of that block only the
-        # samples the bounds leave open, and the last one, reach eigvalsh
+        # the reference run's last crossing lies in its last block, at n = 4 the whole stack;
+        # of that block only the samples the bounds leave open, and the last one, reach eigvalsh
         rows = []
         original = evolution._trace_distances
 
@@ -1412,14 +1441,14 @@ class TestAlignmentTime:
         assert rows == []
         target = two_level_model.aligned_target().entries
         alignment_time(traj, target, tol=0.01)
-        block = traj.states[-evolution._ALIGNMENT_BLOCK:]
+        block = traj.states[-stack_block(4):]
         lower, upper, margin = _distance_bounds(block, target)
         open_ = (lower <= 0.01 + margin) & (upper > 0.01 - margin)
         assert not open_[-1]
         open_[-1] = True
         (computed,) = rows
         assert computed.tobytes() == block[open_].tobytes()
-        assert len(computed) == 3 < evolution._ALIGNMENT_BLOCK == 32
+        assert len(computed) == 3 and len(block) == traj.times.size == 207
 
     @pytest.mark.parametrize("call", ["alignment_time", "integrate", "integrate_fast_limit"])
     @pytest.mark.parametrize("defect, match", [
