@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .evolution import DEFAULT_ALIGNMENT_TOL, IntegratorConfig, alignment_time, simulate_model
-from .states import _checked_state, _positive, _trace_distances
+from .states import _checked_hermitian, _positive, _trace_distances
 
 ZERO_MODE_REL_TOL = 1e-9
 
@@ -97,12 +97,12 @@ def qsl_lower_bound(rho0, rho_inf, initial_rhs,
     the initial right-hand side. ``rho0`` and ``rho_inf`` must be square,
     finite, Hermitian and of one shape; a refusal names the input.
     """
-    m0, m_inf = _checked_state(rho0, "rho0"), _checked_state(rho_inf, "rho_inf")
+    m0, m_inf = _checked_hermitian(rho0, "rho0"), _checked_hermitian(rho_inf, "rho_inf")
     if m_inf.shape != m0.shape:
         raise ValidationError(f"rho_inf shape {m_inf.shape} does not match rho0 shape {m0.shape}")
     rhs = np.asarray(initial_rhs, dtype=complex)
     if rhs.shape != m0.shape:
-        raise ValidationError(f"rhs shape {rhs.shape} does not match state {m0.shape}")
+        raise ValidationError(f"initial_rhs shape {rhs.shape} does not match rho0 shape {m0.shape}")
     if not np.isfinite(rhs).all():
         raise ValidationError("initial right-hand side has non-finite entries")
     numerator = float(_trace_distances(m_inf[None], m0)[0])

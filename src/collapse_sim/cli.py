@@ -20,6 +20,7 @@ from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _rate_bounds, 
 from .dissipator import lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import Trajectory, alignment_time, simulate_model
+from .model import _ROUNDOFF_ROOT
 from .svgplot import write_line_plot
 
 
@@ -69,11 +70,11 @@ def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
     out = cfg.out_dir
     corr = cfg.model.correspondence
     weights = np.diagonal(cfg.model.aligned_target().entries).real
-    # one series per pairing, in assignment order (the legend order)
+    # one series per pairing with a physical rate (as in born_rate_table), in assignment order (the legend order)
     series = [
         (f"diag_{flat} / {weights[flat]:.4g}", traj.times, traj.diagonals[:, flat] / weights[flat])
         for _, flat, _ in corr._pairings()
-        if weights[flat] > 0
+        if np.sqrt(weights[flat]) > _ROUNDOFF_ROOT
     ]
     # the coherence between the outermost aligned states, else the first CSV pair (none at n = 1)
     aligned = corr.aligned_flat_indices()
@@ -123,10 +124,10 @@ def _cmd_qsl(args) -> int:
     traj = simulate_model(model, cfg.integrator, mode=cfg.mode)
     target = model.aligned_target()
     measured = alignment_time(traj, target, tol=cfg.alignment_tol)
-    rho0 = model.initial_dm().entries
+    rho0 = model.initial_dm()
     diag_gen = diag_generator_matrix(model.rate_table().flat_probabilities(), model.gamma, model.omega)
     h = model.hamiltonian if cfg.mode == "full" else None
-    initial_rhs = _unpack(_closed_form_rhs(diag_gen, h, _pack(rho0)))
+    initial_rhs = _unpack(_closed_form_rhs(diag_gen, h, _pack(rho0.entries)))
     report = qsl_lower_bound(rho0, target, initial_rhs, measured_alignment_time=measured)
     write_qsl_csv(os.path.join(out, "qsl.csv"), report)
     return 0

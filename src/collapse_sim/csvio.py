@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -26,16 +25,14 @@ def _fmt(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, give it the mode a plain
-    ``open()`` would (0o666 less the umask), and rename it into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to a new temp file beside ``path`` under a random name, created with
+    mode 0o666 so that the kernel applies the umask as a plain ``open()`` does, and
+    rename it into place."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        umask = os.umask(0)  # reading the umask sets it: put it back at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

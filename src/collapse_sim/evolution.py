@@ -9,8 +9,10 @@ sizes the run in :func:`_resolve_step`, before any n x n array, and feeds the
 one runner, :func:`_run`, of both modes: full mode builds M and its slow
 block from it, fast mode its modes and coherence rates. :func:`simulate_model`
 hands it the model's states, valid by construction (``states.product_state_dm``
-and ``states.aligned_dm`` hold the proofs); the solvers first check their
-initial state and target, and the Hamiltonian, finite and Hermitian.
+and ``states.aligned_dm`` hold the proofs), the target as a ``DensityMatrix``. The
+solvers' initial state, target and Hamiltonian, and the target of :class:`Trajectory` and
+:func:`alignment_time`, go through the one check, ``states._checked_hermitian``, which
+takes a ``DensityMatrix``, checked when built, as it is.
 
 The master equation maps Hermitian matrices to Hermitian matrices, so full
 mode propagates the n^2 real coordinates ``X = Re rho + Im rho`` of a
@@ -84,8 +86,8 @@ from .dissipator import (_balanced_modes, _coherence_generator, _diag_generator,
                          _rate_bounds, _unpack)
 from .dissipator import apply_dissipator, lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import ConfigError, IntegrationError, NotAlignedError, ValidationError
-from .states import (HERMITICITY_TOL, DensityMatrix, _as_matrix, _check_hermitian, _distance_bounds, _integer,
-                     _positive, _readonly, _spectral_entropy, _trace_distances)
+from .states import (DensityMatrix, _as_matrix, _checked_hermitian, _distance_bounds, _integer, _positive,
+                     _readonly, _spectral_entropy, _trace_distances)
 
 TRACE_DRIFT_TOL = 1e-9
 SNAPSHOT_POSITIVITY_TOL = 1e-8
@@ -187,7 +189,7 @@ class Trajectory:
             raise ValidationError("a trajectory needs 1-D times of length T, a (T, n, n) stack and an n x n target; "
                                   f"got times {times.shape}, states {states.shape} and target {target.shape}")
         if self.target is not None:  # trace_dist reads one triangle of it
-            _check_hermitian(target, n, "target", SNAPSHOT_HERMITICITY_TOL)
+            _checked_hermitian(self.target, "target", n, SNAPSHOT_HERMITICITY_TOL)
         for name, value in (("times", times), ("states", states), ("target", target)):
             object.__setattr__(self, name, _readonly(value))
 
@@ -491,24 +493,15 @@ def _check_snapshots(traj: Trajectory, sampled: bool = False) -> None:
             raise IntegrationError(f"non-finite state at t = {times[count]:g}: integration diverged")
 
 
-def _checked_target(target, n: int) -> np.ndarray:
-    """``target`` as an n x n complex matrix; a ValidationError unless it is
-    finite and Hermitian, before any eigenvalue call can read one triangle."""
-    m = _as_matrix(target)
-    _check_hermitian(m, n, "target", SNAPSHOT_HERMITICITY_TOL)
-    return m
-
-
 def _checked_inputs(rho0, p_all, gamma: float, omega: float, target):
-    """The initial state as a checked n x n matrix, the checked ``target``
-    (None stays None) and the run's one read of ``dissipator._rate_bounds``,
-    taken first, in the order both solvers check them; no n x n array here."""
-    m0 = _as_matrix(rho0)
+    """The initial state as a checked n x n matrix and the run's one read of
+    ``dissipator._rate_bounds``, taken first, in the order both solvers check them, with
+    ``target`` checked unless None; no n x n array here."""
     rates = _rate_bounds(p_all, gamma, omega)
-    _check_hermitian(m0, rates[0].size, "initial state", SNAPSHOT_HERMITICITY_TOL)
+    m0 = _checked_hermitian(rho0, "initial state", rates[0].size, SNAPSHOT_HERMITICITY_TOL)
     if target is not None:
-        target = _checked_target(target, rates[0].size)
-    return m0, target, rates
+        _checked_hermitian(target, "target", rates[0].size, SNAPSHOT_HERMITICITY_TOL)
+    return m0, rates
 
 
 def _run(m0, h, rates, cfg: IntegratorConfig, target, full: bool, dt: float, n_steps: int) -> Trajectory:
@@ -549,10 +542,8 @@ def integrate(rho0, hamiltonian, p_all, gamma: float, omega: float, cfg: Integra
     checked before any work. :func:`_resolve_step` sets the step and sizes
     the run before anything is assembled.
     """
-    m0, target, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
-    h = None if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
-    if h is not None:
-        _check_hermitian(h, m0.shape[0], "Hamiltonian", HERMITICITY_TOL)
+    m0, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
+    h = None if hamiltonian is None else _checked_hermitian(hamiltonian, "Hamiltonian", m0.shape[0])
     return _run(m0, h, rates, cfg, target, True, *_resolve_step(cfg, rates, True, h))
 
 
@@ -572,7 +563,7 @@ def integrate_fast_limit(rho0, p_all, gamma: float, omega: float, cfg: Integrato
     set the sample grid. ``rho0`` and ``target`` are checked as in
     :func:`integrate` (shape, finite entries, Hermiticity) before any work.
     """
-    m0, target, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
+    m0, rates = _checked_inputs(rho0, p_all, gamma, omega, target)
     return _run(m0, None, rates, cfg, target, False, *_resolve_step(cfg, rates))
 
 
@@ -589,7 +580,7 @@ def alignment_time(traj: Trajectory, target, tol: float = DEFAULT_ALIGNMENT_TOL)
     dimension, and the trajectory must hold a sample.
     """
     _positive(tol, "alignment tolerance")
-    target_m = _checked_target(target, traj.dim)
+    target_m = _checked_hermitian(target, "target", traj.dim, SNAPSHOT_HERMITICITY_TOL)
     if not traj.times.size:
         raise ValidationError("the trajectory has no samples, so it has no alignment time")
     first_ok = 0
@@ -641,5 +632,4 @@ def simulate_model(model, cfg: IntegratorConfig, mode: str = "full",
     rates = _rate_bounds(model.rate_table().flat_probabilities(), model.gamma if gamma is None else gamma,
                          model.omega)
     step = _resolve_step(cfg, rates, h is not None, h)  # sized before the states
-    return _run(model.initial_dm().entries, h, rates, cfg, model.aligned_target().entries,
-                h is not None, *step)
+    return _run(model.initial_dm().entries, h, rates, cfg, model.aligned_target(), h is not None, *step)

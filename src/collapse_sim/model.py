@@ -11,13 +11,12 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .states import (
-    HERMITICITY_TOL,
     NORM_TOL,
     DensityMatrix,
     StateVector,
     _angle,
-    _check_hermitian,
     _checked_amplitudes,
+    _checked_hermitian,
     _integer,
     _positive,
     _readonly,
@@ -27,6 +26,9 @@ from .states import (
 
 # the rate floor of a scenario that names none: spin_half_scenario and a config without epsilon
 DEFAULT_EPSILON = 1e-4
+# the largest root of a Born weight that counts as round-off, not as a physical rate: an amplitude
+# meant as 0 comes out of floating point as round-off (cos(pi/2) = 6.1e-17)
+_ROUNDOFF_ROOT = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -163,10 +165,14 @@ def born_rate_table(probs, correspondence: CorrespondenceMap, epsilon: float) ->
     :meth:`CorrespondenceMap.flat_weights`; every unassigned entry is exactly
     ``epsilon``. One-to-one with uniform weights reduces to
     ``max(sqrt(p_i), epsilon)`` on the grid diagonal.
+
+    A root counts as a physical rate only above round-off, :data:`_ROUNDOFF_ROOT` (eps), so
+    a root at or below it is floored like an exact zero; a ConfigError when ``epsilon``
+    would mask a physical rate.
     """
     epsilon = _positive(epsilon, "epsilon")
     roots = np.sqrt(correspondence.flat_weights(probs))
-    smallest = float(roots[roots > 0].min(initial=math.inf))
+    smallest = float(roots[roots > _ROUNDOFF_ROOT].min(initial=math.inf))
     if epsilon >= smallest:
         raise ConfigError(f"rate floor {epsilon!r} would mask the smallest physical rate {smallest!r}")
     grid = np.maximum(roots, epsilon).reshape(correspondence.outcomes, correspondence.readings)
@@ -224,8 +230,7 @@ class MeasurementModel:
                 f"{self.correspondence.readings} readings"
             )
         if self.hamiltonian is not None:
-            h = np.array(self.hamiltonian, dtype=complex)
-            _check_hermitian(h, self.dim, "Hamiltonian", HERMITICITY_TOL)
+            h = _checked_hermitian(np.array(self.hamiltonian, dtype=complex), "Hamiltonian", self.dim)
             object.__setattr__(self, "hamiltonian", _readonly(h))
         # rejects an epsilon large enough to mask a physical rate
         rates = born_rate_table(self.probabilities(), self.correspondence, self.epsilon)

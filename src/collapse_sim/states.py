@@ -5,10 +5,12 @@ Combined system+pointer matrices use the flat index convention
 observable outcome and ``j`` the pointer reading. The layout has one home,
 ``CorrespondenceMap.flat_weights`` in :mod:`collapse_sim.model`, which places
 the Born weights of the aligned state and of the rate table. Every positive scalar
-the library takes goes through ``_positive``, every tilt angle through ``_angle``, and
-every count and index through ``_integer``. A ``DensityMatrix`` is checked once: the
-pure product of ``product_state_dm`` and the diagonal of ``aligned_dm`` are density
-matrices by construction and skip the check; each docstring holds its proof.
+the library takes goes through ``_positive``, every tilt angle through ``_angle``, every
+count and index through ``_integer``, and every matrix input through ``_checked_hermitian``.
+A ``DensityMatrix`` or ``StateVector`` is checked once, when built: ``_checked_hermitian`` and
+``_checked_amplitudes`` give its read-only entries or amplitudes as they are. The pure
+product of ``product_state_dm`` and the diagonal of ``aligned_dm`` are density matrices by
+construction and skip the check; each docstring holds its proof.
 """
 
 from __future__ import annotations
@@ -68,33 +70,33 @@ def _angle(value, name: str) -> None:
         raise ValidationError(f"{name} must be an angle with 2 * {name} finite, got {value!r}")
 
 
-def _check_hermitian(m: np.ndarray, n: int, name: str, tol: float) -> None:
-    """Raise ValidationError unless ``m`` is n x n, finite and Hermitian within
-    ``tol``; a NaN or infinite entry is named as such, before any asymmetry."""
-    if m.shape != (n, n):
+def _checked_hermitian(obj, name: str, n: int | None = None, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """The matrix of ``obj``, refused unless square (n x n when ``n`` is given), finite and
+    Hermitian within ``tol``, as an eigenvalue call reads one triangle; a NaN or infinite entry
+    is named as such, before any asymmetry. A DensityMatrix, checked when built, gives its
+    entries as they are once its dimension matches; a bare array gives a complex matrix."""
+    checked = isinstance(obj, DensityMatrix)
+    m = obj.entries if checked else np.asarray(obj, dtype=complex)
+    if n is not None and m.shape != (n, n):
         raise ValidationError(f"{name} shape {m.shape} does not match dimension {n}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValidationError(f"{name} must be square, got shape {m.shape}")
+    if checked:
+        return m
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} has non-finite entries")
     asym = float(np.abs(m - m.conj().T).max())
     if not asym <= tol:
         raise ValidationError(f"{name} is not Hermitian: max asymmetry {asym:.3e}")
-
-
-def _checked_state(obj, name: str) -> np.ndarray:
-    """The matrix of ``obj``: a DensityMatrix's entries as they are, or a bare array as a
-    complex matrix, refused unless square, finite and Hermitian within HERMITICITY_TOL, the
-    bar a DensityMatrix meets; an eigenvalue call would read only one triangle of it."""
-    if isinstance(obj, DensityMatrix):
-        return obj.entries
-    m = np.asarray(obj, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    _check_hermitian(m, m.shape[0], name, HERMITICITY_TOL)
     return m
 
 
 def _checked_amplitudes(vec, name: str) -> np.ndarray:
-    amps = vec.amplitudes if isinstance(vec, StateVector) else np.asarray(vec, dtype=complex).reshape(-1)
+    """The amplitudes of ``vec``: a StateVector's as they are (checked when built, read-only),
+    or a bare vector's, flattened, refused unless its squared norm is 1 within NORM_TOL."""
+    if isinstance(vec, StateVector):
+        return vec.amplitudes
+    amps = np.asarray(vec, dtype=complex).reshape(-1)
     with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused below
         norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= NORM_TOL:
@@ -130,7 +132,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _checked_state(np.array(self.entries, dtype=complex), "density matrix")
+        m = _checked_hermitian(np.array(self.entries, dtype=complex), "density matrix")
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
@@ -206,7 +208,7 @@ def _distance_bounds(states: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
 
 def trace_distance(a, b) -> float:
     """Half the sum of |eigenvalues| of the difference of two states."""
-    a, b = _checked_state(a, "first state"), _checked_state(b, "second state")
+    a, b = _checked_hermitian(a, "first state"), _checked_hermitian(b, "second state")
     return float(_trace_distances(a[None], b)[0])
 
 
@@ -215,7 +217,7 @@ def von_neumann_entropy(dm) -> float:
     of ``dm``. Eigenvalues in ``[-POSITIVITY_TOL, 0]`` count as exact zeros;
     anything lower raises PositivityError.
     """
-    evals = np.linalg.eigvalsh(_checked_state(dm, "state"))
+    evals = np.linalg.eigvalsh(_checked_hermitian(dm, "state"))
     smallest = float(evals[0])
     if smallest < -POSITIVITY_TOL:
         raise PositivityError(f"eigenvalue {smallest:.3e} below the positivity tolerance")
@@ -232,5 +234,5 @@ def _spectral_entropy(evals: np.ndarray) -> np.ndarray:
 
 def dm_eigenvalues(dm) -> np.ndarray:
     """Real eigenvalues of a Hermitian state, sorted in descending order."""
-    evals = np.linalg.eigvalsh(_checked_state(dm, "state"))
+    evals = np.linalg.eigvalsh(_checked_hermitian(dm, "state"))
     return evals[::-1].copy()

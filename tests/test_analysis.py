@@ -223,7 +223,7 @@ class TestQslLowerBound:
             qsl_lower_bound(rho0, target, rhs)
 
     def test_rejects_rhs_of_another_shape(self):
-        with pytest.raises(ValidationError, match=r"rhs shape \(3, 3\) does not match state \(2, 2\)"):
+        with pytest.raises(ValidationError, match=r"^initial_rhs shape \(3, 3\) does not match rho0 shape \(2, 2\)$"):
             qsl_lower_bound(np.eye(2) / 2, np.eye(2) / 2, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("rho0, rho_inf, message", [

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import collapse_sim
+from collapse_sim import states
 from collapse_sim import (CorrespondenceMap, IntegratorConfig, MeasurementModel, StateVector, ValidationError,
                           gamma_sweep, qsl_lower_bound, spin_half_scenario)
 from collapse_sim.cli import main
@@ -524,6 +525,34 @@ def test_reference_outputs_keep_their_digests(tmp_path, mode):
     assert digests == _REFERENCE_DIGESTS[mode]
 
 
+@pytest.mark.parametrize("mode", ["full", "fast"])
+@pytest.mark.parametrize("argv", [["simulate", "--plot"], ["qsl"], ["sweep", "--gammas", "2.5,5,10,20"]],
+                         ids=["simulate", "qsl", "sweep"])
+def test_reference_commands_check_each_input_once(tmp_path, monkeypatch, mode, argv):
+    # the two StateVectors each sum their norm once, when built, and the Hamiltonian takes one
+    # Hermiticity pass, at model build; the states and target the model derives, and every later
+    # read of them, take none. In states, an axis-free np.sum runs only in the amplitude norm and
+    # np.isfinite only in _checked_hermitian's pass.
+    counts = {"norm sums": 0, "Hermiticity passes": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def sum(self, a, *args, **kwargs):
+            counts["norm sums"] += not args and "axis" not in kwargs
+            return np.sum(a, *args, **kwargs)
+
+        def isfinite(self, *args, **kwargs):
+            counts["Hermiticity passes"] += 1
+            return np.isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(states, "np", CountingNumpy())
+    path = write_config(str(tmp_path / "run.json"), mode=mode)
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"norm sums": 2, "Hermiticity passes": 1}
+
+
 class TestSpectrum:
     def test_oversized_amplitude_config_exits_one_before_building(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -805,18 +834,21 @@ class TestEdgeScenarios:
     """Physical edge scenarios through every command, in-process: each run returns 0, 1 or 2,
     no exception escapes ``main``, and a non-zero return writes exactly one line, ``error:`` or
     ``numerical failure:``. Angle pairs (alpha_s, alpha_a) run in both modes, amplitude
-    scenarios in fast mode. Two refusals are known and pinned: (pi/2, 0.3) on every command,
-    as cos(pi/2) is not 0 in floating point and the rate floor would mask the smallest
-    physical rate, and ``qsl`` on the one-state scenario [1]/[1], which is static."""
+    scenarios in fast mode. (pi/2, 0.3) runs: cos(pi/2) = 6.1e-17 is round-off, which the rate
+    table floors like the exact 0 of the amplitudes [0, 1]. Two refusals are known and pinned:
+    (pi/2 - 1e-10, 0.3) on every command, as its root 1e-10 lies above round-off and the rate
+    floor would mask it, and ``qsl`` on the one-state scenario [1]/[1], which is static."""
 
-    RATE_FLOOR = {"alpha_s": math.pi / 2, "alpha_a": 0.3}
+    ROUNDOFF = {"alpha_s": math.pi / 2, "alpha_a": 0.3}
+    RATE_FLOOR = {"alpha_s": math.pi / 2 - 1e-10, "alpha_a": 0.3}
     STATIC = {"sys_amplitudes": [1], "app_amplitudes": [1]}
     # each starts at its aligned target
     ALIGNED_AT_START = [({"alpha_s": 0.0, "alpha_a": 0.0}, "full"), ({"alpha_s": 0.0, "alpha_a": 0.0}, "fast"),
                         ({"sys_amplitudes": [1, 0], "app_amplitudes": [1, 0]}, "fast")]
     SCENARIOS = [
         *(({"alpha_s": alpha_s, "alpha_a": alpha_a}, mode)
-          for alpha_s, alpha_a in [(0.0, 0.0), (0.0, math.pi / 2), (0.7, 0.0), (math.pi / 2, 0.3)]
+          for alpha_s, alpha_a in [(0.0, 0.0), (0.0, math.pi / 2), (0.7, 0.0), (math.pi / 2, 0.3),
+                                   (math.pi / 2 - 1e-10, 0.3)]
           for mode in ("full", "fast")),
         *(({"sys_amplitudes": sys, "app_amplitudes": app}, "fast")
           for sys, app in [([1, 0], [0, 1]), ([1, 0], [1, 0]), ([1], [1]), ([1, 0, 0], [0.6, 0.8, 0])]),
@@ -850,6 +882,24 @@ class TestEdgeScenarios:
                 if code not in (0, 1, 2) or (code and not one_line) or code != expected or fragment not in err:
                     failures.append((scenario, mode, command[0], code, err))
         assert not failures, failures
+
+    def test_roundoff_angle_runs_as_its_amplitudes(self, tmp_path):
+        # (pi/2, 0.3) in fast mode is the amplitude scenario [0, 1] / [cos 0.3, sin 0.3] up to
+        # round-off: the same columns, each value within 1e-14 (3.2e-15 measured), and the same
+        # fig1.svg series, with no diag_0 normalised by its round-off weight 3.7e-33
+        amplitudes = {"sys_amplitudes": [0, 1], "app_amplitudes": [math.cos(0.3), math.sin(0.3)]}
+        columns = []
+        for name, scenario in (("angles", self.ROUNDOFF), ("amplitudes", amplitudes)):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["simulate", "--plot", "--config", self._config(out, scenario, "fast")]) == 0
+            columns.append(read_csv_columns(str(out / "trajectory.csv")))
+            root = ET.parse(str(out / "fig1.svg")).getroot()
+            assert [el.text for el in root.iter() if el.tag.endswith("text")
+                    and el.text.startswith(("diag_", "re_"))] == ["diag_3 / 1", "re_0_3"]
+        angles, amps = columns
+        assert list(angles) == list(amps)
+        assert max(np.abs(angles[k] - amps[k]).max() for k in angles) <= 1e-14
 
     @pytest.mark.parametrize("scenario, mode", ALIGNED_AT_START, ids=["angles-full", "angles-fast", "amplitudes"])
     def test_aligned_start_has_no_ratio(self, tmp_path, scenario, mode):

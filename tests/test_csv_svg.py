@@ -164,6 +164,15 @@ class TestCsvFormat:
             assert fh.read() == "payload\n"
         assert sorted(os.listdir(tmp_path)) == ["out.txt"]
 
+    def test_atomic_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # reading the umask sets it, and a file another thread creates meanwhile gets that mode
+        def forbidden(*args):
+            raise AssertionError("os.umask was called")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        atomic_write_text(str(tmp_path / "out.txt"), "payload\n")
+        assert (tmp_path / "out.txt").read_text() == "payload\n"
+
     @pytest.mark.parametrize("failing", ["write", "rename"])
     def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
         path = str(tmp_path / "out.txt")

@@ -59,6 +59,28 @@ class TestJumpFamily:
             lindblad_jump_family(bad, 1.0, 1.0)
 
 
+class TestRateLaw:
+    @pytest.mark.parametrize("readings", [2, 8, 32, 128])
+    @pytest.mark.parametrize("split", ["halves", "one-reading"])
+    def test_support_outflows_follow_the_pointer_law(self, readings, split):
+        # outcome i with J_i uniformly shared readings has q = sqrt(p_i / J_i) at each of them,
+        # and the F = J unassigned entries q = epsilon, so every support outflow gamma omega (Q / q - 1)
+        # is gamma omega (sqrt(J_i / p_i) (sum_k sqrt(p_k J_k) + F epsilon) - 1): it grows as J
+        # (largest relative gap 1.5 machine eps measured)
+        p = np.array([math.cos(0.37 * math.pi) ** 2, math.sin(0.37 * math.pi) ** 2])
+        first = readings // 2 if split == "halves" else 1
+        groups = [list(range(first)), list(range(first, readings))]
+        epsilon, gamma, omega = 1e-4 / readings, 5.0, 1.0
+        table = born_rate_table(p, CorrespondenceMap.from_assignment(2, readings, groups), epsilon)
+        outflow = dissipator._rate_bounds(table.flat_probabilities(), gamma, omega)[3]
+        counts = np.array([len(g) for g in groups])
+        total = np.sqrt(p * counts).sum() + readings * epsilon
+        for i, group in enumerate(groups):
+            law = gamma * omega * (math.sqrt(counts[i] / p[i]) * total - 1)
+            gap = np.abs(outflow[i * readings + np.array(group)] / law - 1)
+            assert gap.max() <= 8 * np.finfo(float).eps
+
+
 class TestApplyDissipator:
     def test_trace_free_random(self):
         rng = np.random.default_rng(21)

@@ -143,6 +143,17 @@ class TestBornRateTable:
         with pytest.raises(ConfigError, match="mask"):
             born_rate_table([0.99, 0.01], CorrespondenceMap.one_to_one(2), 0.2)
 
+    @pytest.mark.parametrize("root", [math.cos(math.pi / 2), np.finfo(float).eps])
+    def test_roundoff_root_is_floored_like_zero(self, root):
+        # cos(pi/2) = 6.1e-17 is round-off of an amplitude meant as 0, not a rate to mask
+        table = born_rate_table([root**2, 1.0 - root**2], CorrespondenceMap.one_to_one(2), 1e-4)
+        assert table.values.tolist() == [[1e-4, 1e-4], [1e-4, 1.0]]
+
+    def test_root_above_roundoff_is_still_masked(self):
+        root = 2 * float(np.finfo(float).eps)
+        with pytest.raises(ConfigError, match=f"would mask the smallest physical rate {root!r}"):
+            born_rate_table([root**2, 1.0 - root**2], CorrespondenceMap.one_to_one(2), 1e-4)
+
     @pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
     def test_rate_table_rejects_bad_floor(self, floor):
         with pytest.raises(ValidationError, match="floor"):
