@@ -20,7 +20,6 @@ from .dissipator import _balanced_modes, _closed_form_rhs, _pack, _rate_bounds, 
 from .dissipator import lindblad_jump_family, master_rhs  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .errors import IntegrationError, ValidationError
 from .evolution import Trajectory, alignment_time, simulate_model
-from .model import _ROUNDOFF_ROOT
 from .svgplot import write_line_plot
 
 
@@ -70,11 +69,12 @@ def _write_figures(cfg: RunConfig, traj: Trajectory) -> None:
     out = cfg.out_dir
     corr = cfg.model.correspondence
     weights = np.diagonal(cfg.model.aligned_target().entries).real
-    # one series per pairing with a physical rate (as in born_rate_table), in assignment order (the legend order)
+    rates = cfg.model.rate_table().flat
+    # one series per pairing with a physical rate, the entries above the floor, in assignment order (the legend order)
     series = [
         (f"diag_{flat} / {weights[flat]:.4g}", traj.times, traj.diagonals[:, flat] / weights[flat])
         for _, flat, _ in corr._pairings()
-        if np.sqrt(weights[flat]) > _ROUNDOFF_ROOT
+        if rates[flat] > cfg.model.epsilon
     ]
     # the coherence between the outermost aligned states, else the first CSV pair (none at n = 1)
     aligned = corr.aligned_flat_indices()

@@ -160,22 +160,24 @@ def born_probabilities(sys) -> np.ndarray:
 def born_rate_table(probs, correspondence: CorrespondenceMap, epsilon: float) -> RateTable:
     """Rate table whose squares reproduce the outcome probabilities.
 
-    The entry for outcome ``i`` at an assigned reading ``j`` is
-    ``max(sqrt(p_i * w_ij), epsilon)``, read off
-    :meth:`CorrespondenceMap.flat_weights`; every unassigned entry is exactly
-    ``epsilon``. One-to-one with uniform weights reduces to
-    ``max(sqrt(p_i), epsilon)`` on the grid diagonal.
+    The entry for outcome ``i`` at an assigned reading ``j`` is the root
+    ``sqrt(p_i * w_ij)``, read off :meth:`CorrespondenceMap.flat_weights`, when
+    that root is a physical rate, and exactly ``epsilon`` otherwise; every
+    unassigned entry is exactly ``epsilon``. One-to-one with uniform weights
+    puts ``sqrt(p_i)`` (or ``epsilon``) on the grid diagonal.
 
     A root counts as a physical rate only above round-off, :data:`_ROUNDOFF_ROOT` (eps), so
-    a root at or below it is floored like an exact zero; a ConfigError when ``epsilon``
-    would mask a physical rate.
+    a root at or below it is floored to exactly ``epsilon`` like an exact zero; a ConfigError
+    when ``epsilon`` would mask a physical rate. An entry is thus physical exactly when it
+    exceeds ``epsilon``.
     """
     epsilon = _positive(epsilon, "epsilon")
     roots = np.sqrt(correspondence.flat_weights(probs))
-    smallest = float(roots[roots > _ROUNDOFF_ROOT].min(initial=math.inf))
+    physical = roots > _ROUNDOFF_ROOT
+    smallest = float(roots[physical].min(initial=math.inf))
     if epsilon >= smallest:
         raise ConfigError(f"rate floor {epsilon!r} would mask the smallest physical rate {smallest!r}")
-    grid = np.maximum(roots, epsilon).reshape(correspondence.outcomes, correspondence.readings)
+    grid = np.where(physical, roots, epsilon).reshape(correspondence.outcomes, correspondence.readings)
     return RateTable(grid, epsilon)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,16 @@ ALPHA_A = 0.65 * math.pi
 GAMMA = 5.0
 OMEGA = 1.0
 EPSILON = 1e-4
+
+
+def write_json(path, cfg):
+    """Write ``cfg`` as JSON to a new file at ``path`` and return ``path``. The file is created
+    with mode "x", so a second write to one path raises: on ext4 a truncated or renamed-over
+    file is flushed to disk when closed, tens of milliseconds against microseconds for a new
+    name, so every config a test writes goes here, once."""
+    with open(path, "x") as fh:
+        json.dump(cfg, fh)
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,7 @@ from collapse_sim.csvio import read_csv_columns
 from collapse_sim.dissipator import _balanced_modes, _rate_bounds, apply_dissipator, lindblad_jump_family
 from collapse_sim.dissipator import master_rhs
 from collapse_sim.model import RateTable
-from conftest import ALPHA_A, ALPHA_S, balanced_draws
+from conftest import ALPHA_A, ALPHA_S, balanced_draws, write_json
 
 
 class TestDiagGeneratorMatrix:
@@ -104,17 +103,17 @@ class TestSpectrumReadsBalancedModes:
         monkeypatch.setattr(cli, "write_spectrum_csv", recording)
         for side in (1, 2, 5):
             amplitudes = [side**-0.5] * side
-            path = str(tmp_path / f"uniform{side}.json")
-            with open(path, "w") as fh:
-                json.dump({"scenario": {"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes,
-                                        "gamma": 2.0, "omega": 1.5},
-                           "integrator": {"t_max": 1.0}, "outputs": {"dir": str(tmp_path)}}, fh)
+            out = tmp_path / f"uniform{side}"
+            path = write_json(str(tmp_path / f"uniform{side}.json"),
+                              {"scenario": {"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes,
+                                            "gamma": 2.0, "omega": 1.5},
+                               "integrator": {"t_max": 1.0}, "outputs": {"dir": str(out)}})
             assert cli.main(["spectrum", "--config", path]) == 0
             p = load_run_config(path).model.rate_table().flat_probabilities()
             eigenvalues, stationary = written.pop()
             assert np.array_equal(eigenvalues, _balanced_modes(_rate_bounds(p, 2.0, 1.5))[0])
             assert np.array_equal(stationary, p / p.sum())
-            cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
+            cols = read_csv_columns(str(out / "spectrum.csv"))
             assert np.array_equal(cols["eigenvalue_re"], eigenvalues)
             assert not cols["eigenvalue_im"].any()
             assert np.array_equal(cols["stationary_component"], stationary)

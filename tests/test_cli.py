@@ -24,11 +24,13 @@ from collapse_sim.cli import main
 from collapse_sim.dissipator import lindblad_jump_family, master_rhs
 from collapse_sim.config import load_run_config
 from collapse_sim.csvio import read_csv_columns
-from conftest import ALPHA_A, ALPHA_S
+from conftest import ALPHA_A, ALPHA_S, write_json
 from test_properties import NOT_ANGLES, NOT_POSITIVE
 
 
-def write_config(path, **overrides):
+def reference_config(out_dir, **overrides):
+    """The README reference config writing to ``out_dir``; a dict override is merged into its
+    section, any other value replaces its key."""
     cfg = {
         "scenario": {
             "alpha_s": ALPHA_S,
@@ -39,16 +41,23 @@ def write_config(path, **overrides):
         },
         "integrator": {"t_max": 1.0},
         "mode": "full",
-        "outputs": {"dir": os.path.dirname(path), "plot": False},
+        "outputs": {"dir": out_dir, "plot": False},
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and key in cfg:
             cfg[key].update(value)
         else:
             cfg[key] = value
-    with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    return path
+    return cfg
+
+
+def write_config(path, **overrides):
+    return write_json(path, reference_config(os.path.dirname(path), **overrides))
+
+
+def write_sections(path, **sections):
+    # unlike write_config, replaces whole sections instead of merging them
+    return write_json(path, {**reference_config(os.path.dirname(path)), **sections})
 
 
 @pytest.fixture()
@@ -77,7 +86,7 @@ class TestSimulate:
                     b'{"scenario": {"gamma": ' + b"7" * 5000 + b"}}", b"[" * 200000]
         for k, payload in enumerate(payloads):
             path = str(tmp_path / f"broken{k}.json")
-            with open(path, "wb") as fh:
+            with open(path, "xb") as fh:
                 fh.write(payload)
             assert main(["simulate", "--config", path]) == 1
             err = capsys.readouterr().err
@@ -90,8 +99,8 @@ class TestSimulate:
     def test_unstable_manual_step_exits_two(self, tmp_path, capsys):
         # at t_max = 100 these steps overflow the chain: no floating-point
         # warning (an error in this suite) may come before the snapshot checks
-        for t_max, dt in ((0.1, 0.01), (100.0, 1e-3), (100.0, 0.01), (100.0, 1.0)):
-            path = write_config(str(tmp_path / "stiff.json"), integrator={"t_max": t_max, "dt": dt})
+        for k, (t_max, dt) in enumerate(((0.1, 0.01), (100.0, 1e-3), (100.0, 0.01), (100.0, 1.0))):
+            path = write_config(str(tmp_path / f"stiff{k}.json"), integrator={"t_max": t_max, "dt": dt})
             assert main(["simulate", "--config", path]) == 2
             err = capsys.readouterr().err
             assert err.startswith("numerical failure: ") and err.count("\n") == 1
@@ -105,6 +114,15 @@ class TestSimulate:
             os.umask(umask)
         for name in ("trajectory.csv", "fig1.svg", "fig2.svg"):
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640
+
+    def test_rerun_replaces_its_outputs(self, tmp_path):
+        # a shorter second run into the same --out leaves its own outputs and no temp file
+        out = tmp_path / "out"
+        for t_max in (1.0, 0.5):
+            path = write_config(str(tmp_path / f"run{t_max}.json"), integrator={"t_max": t_max})
+            assert main(["simulate", "--plot", "--config", path, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["fig1.svg", "fig2.svg", "trajectory.csv"]
+        assert read_csv_columns(str(out / "trajectory.csv"))["t"][-1] == pytest.approx(0.5, rel=1e-12)
 
     def test_modes_agree_at_strong_coupling(self, tmp_path):
         out_full = tmp_path / "full"
@@ -122,8 +140,7 @@ class TestSimulate:
             assert abs(full_cols[f"diag_{k}"][-1] - fast_cols[f"diag_{k}"][-1]) < 1e-2
 
     def test_fast_mode_rejected_only_when_full_lacks_hamiltonian(self, tmp_path, capsys):
-        path = str(tmp_path / "amps.json")
-        cfg = {
+        path = write_json(str(tmp_path / "amps.json"), {
             "scenario": {
                 "sys_amplitudes": [math.cos(ALPHA_S), math.sin(ALPHA_S)],
                 "app_amplitudes": [1.0, 0.0],
@@ -133,9 +150,7 @@ class TestSimulate:
             "integrator": {"t_max": 0.5},
             "mode": "fast",
             "outputs": {"dir": str(tmp_path)},
-        }
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+        })
         assert main(["simulate", "--config", path]) == 0
         assert main(["simulate", "--config", path, "--mode", "full"]) == 1
         assert "Hamiltonian" in capsys.readouterr().err
@@ -161,15 +176,12 @@ class TestSimulate:
         ]
         for k, (scenario, expected) in enumerate(cases):
             out = tmp_path / str(k)
-            path = str(tmp_path / f"case{k}.json")
-            cfg = {
+            path = write_json(str(tmp_path / f"case{k}.json"), {
                 "scenario": {**scenario, "gamma": 5.0, "omega": 1.0},
                 "integrator": {"t_max": 1.0},
                 "mode": "fast",
                 "outputs": {"dir": str(out), "plot": True},
-            }
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
+            })
             assert main(["simulate", "--config", path]) == 0
             root = ET.parse(str(out / "fig1.svg")).getroot()
             labels = [el.text for el in root.iter()
@@ -248,7 +260,7 @@ class TestSimulate:
     def test_malformed_correspondence_or_amplitudes_exit_one(self, tmp_path, capsys, overrides,
                                                              fragment):
         scenario = {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.8, 0.6], **overrides}
-        path = self._replace_sections(str(tmp_path / "bad.json"), scenario=scenario, mode="fast")
+        path = write_sections(str(tmp_path / "bad.json"), scenario=scenario, mode="fast")
         self._assert_config_error(main(["simulate", "--config", path]), capsys, fragment)
 
     @pytest.mark.parametrize(
@@ -279,7 +291,7 @@ class TestSimulate:
         ],
     )
     def test_malformed_structure_exits_one(self, tmp_path, capsys, overrides, fragment):
-        path = self._replace_sections(str(tmp_path / "bad.json"), **overrides)
+        path = write_sections(str(tmp_path / "bad.json"), **overrides)
         self._assert_config_error(main(["sweep", "--config", path]), capsys, fragment)
 
     @pytest.mark.parametrize("section, value, fragment", [
@@ -306,7 +318,7 @@ class TestSimulate:
 
         for name in ("spin_half_scenario", "MeasurementModel"):
             monkeypatch.setattr(config, name, forbidden)
-        path = self._replace_sections(str(tmp_path / "bad.json"), **{section: value})
+        path = write_sections(str(tmp_path / "bad.json"), **{section: value})
         with pytest.raises(collapse_sim.ConfigError, match=re.escape(fragment)):
             load_run_config(path)
 
@@ -337,7 +349,7 @@ class TestSimulate:
                              (evolution, "_diag_generator"), (cli, "diag_generator_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         amplitudes = [50**-0.5] * 50
-        path = self._replace_sections(
+        path = write_sections(
             str(tmp_path / "wide.json"), mode="fast",
             scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
         start = time.perf_counter()
@@ -355,7 +367,7 @@ class TestSimulate:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         amplitudes = [51**-0.5] * 51
-        path = self._replace_sections(
+        path = write_sections(
             str(tmp_path / "wide.json"), integrator={"t_max": 1.0, "record_points": 2},
             scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
         code = main(["simulate", "--config", path, "--mode", "fast"])
@@ -373,7 +385,7 @@ class TestSimulate:
 
         monkeypatch.setattr(CorrespondenceMap, "flat_weights", forbidden)
         amplitudes = [51**-0.5] * 51
-        path = self._replace_sections(
+        path = write_sections(
             str(tmp_path / "wide.json"), gammas=[5.0],
             scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
         self._assert_config_error(main([command, "--config", path]), capsys, "258 MiB")
@@ -384,17 +396,6 @@ class TestSimulate:
         integrator = load_run_config(path).integrator
         assert (integrator.record_every, integrator.record_points) == (2, 1000)
         assert all(type(v) is int for v in (integrator.record_every, integrator.record_points))
-
-    @staticmethod
-    def _replace_sections(path, **sections):
-        # unlike write_config, replaces whole sections instead of merging them
-        write_config(path)
-        with open(path) as fh:
-            cfg = json.load(fh)
-        cfg.update(sections)
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        return path
 
     @staticmethod
     def _assert_config_error(code, capsys, fragment):
@@ -476,15 +477,10 @@ _HANDED_ON = {
 def test_config_refuses_a_scalar_as_its_library_call_does(tmp_path, capsys, site):
     # one rule per value: the config's one error line is the owning call's own error
     values, sections, owner = _HANDED_ON[site]
-    for value in values:
+    for k, value in enumerate(values):
         with pytest.raises(ValidationError) as info:
             owner(value)
-        path = write_config(str(tmp_path / "bad.json"), mode="fast")
-        with open(path) as fh:
-            cfg = json.load(fh)
-        cfg.update(sections(value))
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+        path = write_sections(str(tmp_path / f"bad{k}.json"), mode="fast", **sections(value))
         assert main(["simulate", "--config", path]) == 1, value
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {info.value}"], value
@@ -566,7 +562,7 @@ class TestSpectrum:
                              (dissipator, "_diag_generator"), (cli, "diag_generator_matrix")):
             monkeypatch.setattr(module, name, forbidden)
         amplitudes = [60**-0.5] * 60
-        path = TestSimulate._replace_sections(
+        path = write_sections(
             str(tmp_path / "wide.json"),
             scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
         start = time.perf_counter()
@@ -580,7 +576,7 @@ class TestSpectrum:
         # own copy and workspace are allocated outside tracemalloc's view
         n = 35 * 35
         amplitudes = [35**-0.5] * 35
-        path = TestSimulate._replace_sections(
+        path = write_sections(
             str(tmp_path / "wide.json"),
             scenario={"sys_amplitudes": amplitudes, "app_amplitudes": amplitudes, "gamma": 5.0})
         tracemalloc.start()
@@ -618,16 +614,13 @@ class TestSpectrum:
 
     def test_amplitude_config_without_mode(self, tmp_path, capsys):
         # the spectrum has no mode; a config that would default to full still has one
-        path = str(tmp_path / "amps.json")
-        cfg = {
+        path = write_json(str(tmp_path / "amps.json"), {
             "scenario": {"sys_amplitudes": [0.6, 0.8], "app_amplitudes": [0.48, 0.6, 0.64],
                          "correspondence": {"assignment": {"0": [0], "1": [1, 2]}},
                          "gamma": 5.0, "omega": 1.0},
             "integrator": {"t_max": 1.0},
             "outputs": {"dir": str(tmp_path)},
-        }
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
+        })
         assert main(["spectrum", "--config", path]) == 0
         cols = read_csv_columns(str(tmp_path / "spectrum.csv"))
         p_all = load_run_config(path).model.rate_table().flat_probabilities()
@@ -658,7 +651,7 @@ class TestQsl:
         if mode == "full":
             write_config(path)
         else:
-            cfg = {
+            write_json(path, {
                 "scenario": {
                     "sys_amplitudes": [0.6, 0.64, 0.48],
                     "app_amplitudes": [0.48, 0.6, 0.64],
@@ -668,9 +661,7 @@ class TestQsl:
                 "integrator": {"t_max": 2.0},
                 "mode": "fast",
                 "outputs": {"dir": str(tmp_path)},
-            }
-            with open(path, "w") as fh:
-                json.dump(cfg, fh)
+            })
         assert main(["qsl", "--config", path]) == 0
         cols = read_csv_columns(str(tmp_path / "qsl.csv"))
         model = load_run_config(path).model
@@ -796,25 +787,23 @@ class TestConfigFuzz:
 
     def test_every_mutation_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        # each mutation its own config and each case its own output directory: no file is
+        # written twice
         rng = np.random.default_rng(17)
-        path = str(tmp_path / "fuzz.json")
-        out = str(tmp_path / "out")
-        trajectory = tmp_path / "out" / "trajectory.csv"
         failures = []
         cases = 0
         for name, base in self._bases().items():
             for field in self._paths(base):
                 for value in self._mutations(rng):
                     cfg = self._mutated(base, field, value)
-                    with open(path, "w") as fh:
-                        json.dump(cfg, fh)
+                    path = write_json(str(tmp_path / f"fuzz{cases}.json"), cfg)  # named by its first case
                     for command in ("simulate", "spectrum", "qsl", "sweep"):
                         shown = "drop" if value is self._DROP else repr(value)[:40]
                         case = (name, field, shown, command)
+                        out = tmp_path / f"out{cases}"
                         cases += 1
-                        trajectory.unlink(missing_ok=True)
                         try:
-                            code = main([command, "--config", path, "--out", out])
+                            code = main([command, "--config", path, "--out", str(out)])
                         except Exception as exc:  # any escape is a failure of the contract
                             code = f"raised {exc!r}"
                         err = capsys.readouterr().err
@@ -822,7 +811,7 @@ class TestConfigFuzz:
                         if code not in (0, 1, 2) or (code == 1 and len(errors) != 1):
                             failures.append((*case, code, err))
                         elif command == "simulate" and code == 0:
-                            t_end = read_csv_columns(str(trajectory))["t"][-1]
+                            t_end = read_csv_columns(str(out / "trajectory.csv"))["t"][-1]
                             t_max = cfg["integrator"]["t_max"]
                             if not abs(t_end - t_max) <= 1e-12 * t_max:
                                 failures.append((*case, f"ends at t = {t_end!r}, not {t_max!r}"))
@@ -856,17 +845,17 @@ class TestEdgeScenarios:
     COMMANDS = [["simulate", "--plot"], ["qsl"], ["spectrum"], ["sweep", "--gammas", "2,5"]]
 
     @staticmethod
-    def _config(tmp_path, scenario, mode):
-        path = str(tmp_path / "edge.json")
-        with open(path, "w") as fh:
-            json.dump({"scenario": {**scenario, "gamma": 5.0, "omega": 1.0}, "integrator": {"t_max": 1.0},
-                       "mode": mode, "outputs": {"dir": str(tmp_path)}}, fh)
-        return path
+    def _config(out, scenario, mode):
+        # the config and the outputs of one scenario share the directory ``out``
+        out.mkdir(exist_ok=True)
+        return write_json(str(out / "edge.json"), {
+            "scenario": {**scenario, "gamma": 5.0, "omega": 1.0}, "integrator": {"t_max": 1.0},
+            "mode": mode, "outputs": {"dir": str(out)}})
 
     def test_exit_code_contract(self, tmp_path, capsys):
         failures = []
-        for scenario, mode in self.SCENARIOS:
-            path = self._config(tmp_path, scenario, mode)
+        for k, (scenario, mode) in enumerate(self.SCENARIOS):
+            path = self._config(tmp_path / f"scenario{k}", scenario, mode)
             for command in self.COMMANDS:
                 expected, fragment = 0, ""
                 if scenario == self.RATE_FLOOR:
@@ -891,7 +880,6 @@ class TestEdgeScenarios:
         columns = []
         for name, scenario in (("angles", self.ROUNDOFF), ("amplitudes", amplitudes)):
             out = tmp_path / name
-            out.mkdir()
             assert main(["simulate", "--plot", "--config", self._config(out, scenario, "fast")]) == 0
             columns.append(read_csv_columns(str(out / "trajectory.csv")))
             root = ET.parse(str(out / "fig1.svg")).getroot()
@@ -938,6 +926,31 @@ def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):
                 kept += [(module, alias.asname or alias.name) for alias in node.names]
     assert kept
     assert set(kept) <= traced, sorted(set(kept) - traced)
+
+
+def test_tests_write_each_file_through_write_json():
+    # one writer: outside conftest.write_json, which creates each file with mode "x", no test
+    # code calls json.dump or opens a file to write ("w") or append ("a"), so none rewrites a file
+    rewrites = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "conftest.py":
+            (writer,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "write_json"]
+            exempt = {id(node) for node in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "dump" and getattr(func.value, "id", None) == "json":
+                rewrites.append((path.name, node.lineno, "json.dump"))
+            elif getattr(func, "id", getattr(func, "attr", None)) == "open":
+                # the mode is the second argument or the keyword, "r" when neither is given
+                mode = next(iter([*node.args[1:2], *(kw.value for kw in node.keywords if kw.arg == "mode")]),
+                            ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wa"):
+                    rewrites.append((path.name, node.lineno, ast.unparse(mode)))
+    assert not rewrites, rewrites
 
 
 def test_src_imports_nothing_it_does_not_use():
@@ -1041,13 +1054,10 @@ def test_defaults_have_one_home(tmp_path, monkeypatch):
     assert config.DEFAULT_ALIGNMENT_TOL is evolution.DEFAULT_ALIGNMENT_TOL
     assert default(model.spin_half_scenario, "epsilon") is model.DEFAULT_EPSILON
     assert config.DEFAULT_EPSILON is model.DEFAULT_EPSILON
-    path = write_config(str(tmp_path / "run.json"))
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = reference_config(str(tmp_path))
     del raw["scenario"]["epsilon"]
-    with open(path, "w") as fh:
-        json.dump(raw, fh)
     assert "alignment_tol" not in raw
+    path = write_json(str(tmp_path / "run.json"), raw)
     loaded = load_run_config(path)
     assert (loaded.alignment_tol, loaded.model.epsilon) == (0.01, 1e-4)
     # the loader reads the imported names when it runs, not a copy of the values

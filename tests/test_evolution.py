@@ -1246,7 +1246,71 @@ class TestFastRates:
         assert abs(out.sum()) < 1e-12
 
 
+def gillespie_occupations(gen, d0, times, runs, rng):
+    """The fraction of ``runs`` sampled paths of the Markov chain with rate matrix ``gen``
+    (``gen[r, m]`` the jump rate from m to r) that sit in each state at each of the ascending
+    ``times``, each path started in a state drawn from ``d0``; (T, n). A path holds its state m
+    for an exponential time of rate ``-gen[m, m]``, then jumps to r with probability
+    ``gen[r, m] / -gen[m, m]``: Gillespie's direct method, every live path advanced at once."""
+    n = gen.shape[0]
+    outflow = -np.diagonal(gen)
+    cumulative = np.cumsum(gen - np.diag(np.diagonal(gen)), axis=0)
+    cumulative /= cumulative[-1]
+    state = rng.choice(n, size=runs, p=d0 / d0.sum())
+    clock = np.zeros(runs)
+    seen = np.empty((len(times), runs), dtype=int)
+    live = np.arange(runs)
+    while live.size:
+        held, start = state[live], clock[live]
+        leave = start + rng.standard_exponential(live.size) / outflow[held]
+        for k, t in enumerate(times):
+            here = (start <= t) & (t < leave)
+            seen[k, live[here]] = held[here]
+        clock[live] = leave
+        state[live] = (rng.random(live.size) >= cumulative[:, held]).sum(axis=0)
+        live = live[leave <= times[-1]]
+    return np.stack([np.bincount(row, minlength=n) for row in seen]) / runs
+
+
 class TestIntegrateFastLimit:
+    @pytest.mark.parametrize("scenario", ["reference", "random 2 x 3"])
+    def test_diagonals_match_sampled_jump_paths(self, two_level_model, scenario):
+        # an oracle that shares nothing with the balanced modes or the closed form: 20 000
+        # Gillespie paths of the chain of M from diag rho0 (seed 7), within 4 binomial sigma
+        # (floored at 1/N for near-empty states) at five sample times; |z| stayed below 3.0 over
+        # 40 sampler seeds on both scenarios
+        model = two_level_model if scenario == "reference" else random_amplitude_model(
+            np.random.default_rng(5), 2, 3)
+        traj = simulate_model(model, IntegratorConfig(t_max=1.0), mode="fast")
+        rows = np.linspace(0, traj.times.size - 1, 6).round().astype(int)[1:]
+        gen = diag_generator_matrix(model.rate_table().flat_probabilities(), model.gamma, model.omega)
+        runs = 20_000
+        sampled = gillespie_occupations(gen, np.diagonal(model.initial_dm().entries).real,
+                                        traj.times[rows], runs, np.random.default_rng(7))
+        p = traj.diagonals[rows]
+        sigma = np.maximum(np.sqrt(p * (1.0 - p) / runs), 1.0 / runs)
+        assert np.all(np.abs(sampled - p) <= 4.0 * sigma), (sampled - p) / sigma
+
+    def test_alignment_waits_for_every_coherence(self):
+        # the paper's finite duration on the sample grid: in fast mode rho_ab(t) = rho_ab(0)
+        # exp(-kappa_ab t), and against a diagonal target the trace distance is at least
+        # |rho_ab(t)|, so no sample before tau_coh = max ln(|rho_ab(0)| / tol) / kappa_ab lies
+        # within tol (tau / tau_coh ran from 1.015 to 3.3, median 1.09, on seed 40)
+        tol = 0.01
+        rng = np.random.default_rng(40)
+        for _ in range(30):
+            outcomes = int(rng.integers(2, 4))
+            model = random_amplitude_model(rng, outcomes, int(rng.integers(outcomes, 5)))
+            traj = simulate_model(model, IntegratorConfig(t_max=10.0), mode="fast")
+            outflow = dissipator._rate_bounds(model.rate_table().flat_probabilities(), model.gamma,
+                                              model.omega)[3]
+            kappa = 0.5 * (outflow[:, None] + outflow[None, :])
+            c0 = np.abs(model.initial_dm().entries)
+            above = ~np.eye(model.dim, dtype=bool) & (c0 > tol)
+            tau_coh = float((np.log(c0[above] / tol) / kappa[above]).max())
+            assert tau_coh > 0.0
+            assert alignment_time(traj, model.aligned_target(), tol) >= tau_coh
+
     def test_offdiagonals_follow_closed_form_exactly(self, two_level_model):
         table = two_level_model.rate_table()
         p_all = table.flat_probabilities()

@@ -149,6 +149,15 @@ class TestBornRateTable:
         table = born_rate_table([root**2, 1.0 - root**2], CorrespondenceMap.one_to_one(2), 1e-4)
         assert table.values.tolist() == [[1e-4, 1e-4], [1e-4, 1.0]]
 
+    @pytest.mark.parametrize("epsilon", [1e-4, 1e-12, 1e-20])
+    def test_roundoff_angle_table_is_the_amplitude_table(self, epsilon):
+        # a round-off root floors to exactly epsilon even where epsilon lies below it: alpha_s =
+        # pi/2 and the amplitudes [0, 1] give one table, bit for bit
+        angle = spin_half_scenario(math.pi / 2, 0.3, 5.0, 1.0, epsilon).rate_table().values
+        amplitudes = born_rate_table([0.0, 1.0], CorrespondenceMap.one_to_one(2), epsilon).values
+        assert angle.tobytes() == amplitudes.tobytes()
+        assert angle.tolist() == [[epsilon, epsilon], [epsilon, 1.0]]
+
     def test_root_above_roundoff_is_still_masked(self):
         root = 2 * float(np.finfo(float).eps)
         with pytest.raises(ConfigError, match=f"would mask the smallest physical rate {root!r}"):
