@@ -1,11 +1,12 @@
 """Deterministic CSV export/import for trajectories and analysis reports.
 
-Numbers are written with 17 significant digits (``%.17g``) so a written
-double parses back bit-exactly; files are written atomically (temp file plus
-rename). No field ever needs quoting, so rows are joined with commas. The
-trajectory table is formatted in bulk, one block of ``evolution._stack_blocks``
-per application of one row template, with the same bytes as formatting each
-value on its own.
+Every table goes through ``_write_table``: numbers are written with 17
+significant digits (``%.17g``) so a written double parses back bit-exactly,
+and each block of rows is formatted in bulk, by one application of one row
+template, with the same bytes as formatting each value on its own. The
+trajectory's blocks are those of ``evolution._stack_blocks``. Files are
+written atomically (temp file plus rename). No field ever needs quoting, so
+rows are joined with commas.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 
 from .analysis import QslReport, SweepRow
 from .evolution import Trajectory, _stack_blocks
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -61,14 +58,24 @@ def trajectory_header(traj: Trajectory) -> list[str]:
     return header
 
 
-def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    header = trajectory_header(traj)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+def _write_table(path: str, header: list[str], blocks) -> None:
+    """Write ``header`` and then the rows of each 2-D float block, one row
+    template per block; a block narrower than the header leaves the last
+    fields of its rows blank."""
     chunks = [",".join(header) + "\n"]
+    for block in blocks:
+        n_rows, width = block.shape
+        row = ",".join(["%.17g"] * width) + "," * (len(header) - width) + "\n"
+        chunks.append(row * n_rows % tuple(block.ravel().tolist()))
+    atomic_write_text(path, "".join(chunks))
+
+
+def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     r, s = np.array(_tracked_pairs(traj.dim), dtype=int).reshape(-1, 2).T
-    for rows in _stack_blocks(traj.states):
+
+    def block(rows):
         coherences = traj.states[rows, r, s]
-        table = np.column_stack((
+        return np.column_stack((
             traj.times[rows],
             traj.diagonals[rows],
             # re_r_s, im_r_s per pair, as in the header
@@ -77,8 +84,8 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
             traj.eigenvalues[rows],
             traj.trace_dist[rows],
         ))
-        chunks.append(row * len(table) % tuple(table.ravel().tolist()))
-    atomic_write_text(path, "".join(chunks))
+
+    _write_table(path, trajectory_header(traj), map(block, _stack_blocks(traj.states)))
 
 
 def read_csv_columns(path: str) -> dict[str, np.ndarray]:
@@ -92,29 +99,18 @@ def read_csv_columns(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, k].copy() for k, name in enumerate(header)}
 
 
-def _write_rows(path: str, rows) -> None:
-    atomic_write_text(path, "".join(",".join(row) + "\n" for row in rows))
-
-
 def write_sweep_csv(path: str, rows: list[SweepRow]) -> None:
-    _write_rows(path, [
-        ["gamma", "alignment_time", "gamma_times_tau"],
-        *([_fmt(row.gamma), _fmt(row.alignment_time), _fmt(row.gamma_times_tau)] for row in rows),
-    ])
+    table = np.array([(row.gamma, row.alignment_time, row.gamma_times_tau) for row in rows], dtype=float)
+    _write_table(path, ["gamma", "alignment_time", "gamma_times_tau"], [table.reshape(-1, 3)])
 
 
 def write_qsl_csv(path: str, report: QslReport) -> None:
-    optional = (report.measured_alignment_time, report.ratio)
-    _write_rows(path, [
-        ["numerator", "denominator", "bound", "measured_tau", "ratio"],
-        [_fmt(report.numerator), _fmt(report.denominator), _fmt(report.bound),
-         *("" if x is None else _fmt(x) for x in optional)],
-    ])
+    # the ratio is None whenever the measured time is, so the fields left blank are the last ones
+    values = (report.numerator, report.denominator, report.bound, report.measured_alignment_time, report.ratio)
+    _write_table(path, ["numerator", "denominator", "bound", "measured_tau", "ratio"],
+                 [np.array([[x for x in values if x is not None]], dtype=float)])
 
 
 def write_spectrum_csv(path: str, eigenvalues: np.ndarray, stationary: np.ndarray) -> None:
-    _write_rows(path, [
-        ["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"],
-        *([str(k), _fmt(ev.real), _fmt(ev.imag), _fmt(stationary[k])]
-          for k, ev in enumerate(eigenvalues)),
-    ])
+    table = np.column_stack((np.arange(len(eigenvalues)), np.real(eigenvalues), np.imag(eigenvalues), stationary))
+    _write_table(path, ["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"], [table])

@@ -156,10 +156,17 @@ class TestSimulate:
         assert "Hamiltonian" in capsys.readouterr().err
 
     def test_plot_writes_svg_figures(self, tmp_path, config_path):
-        assert main(["simulate", "--config", config_path, "--plot"]) == 0
-        for name in ("fig1.svg", "fig2.svg"):
-            root = ET.parse(str(tmp_path / name)).getroot()
-            assert root.tag.endswith("svg")
+        # every figure parses as XML: the reference config in both modes and a 3 x 3 amplitude config
+        amplitudes = write_sections(str(tmp_path / "amplitudes.json"), mode="fast", scenario={
+            "sys_amplitudes": [0.6, 0.64, 0.48], "app_amplitudes": [0.6, 0.64, 0.48],
+            "gamma": 5.0, "omega": 1.0})
+        runs = [[config_path], [config_path, "--mode", "fast"], [amplitudes]]
+        for k, argv in enumerate(runs):
+            out = tmp_path / f"out{k}"
+            assert main(["simulate", "--config", *argv, "--plot", "--out", str(out)]) == 0
+            for name in ("fig1.svg", "fig2.svg"):
+                root = ET.parse(str(out / name)).getroot()
+                assert root.tag.endswith("svg")
 
     def test_fig1_legend_follows_assignment_order(self, tmp_path):
         cases = [
@@ -906,6 +913,22 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     for owner, attr, *_ in tracer._TARGETS:
         resolved = attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)
         assert resolved, f"{owner!r} has no attribute {attr!r}"
+
+
+def test_cli_import_loads_no_network_or_sax_modules():
+    # every command imports the CLI: xml.sax.saxutils.escape, an obvious SVG escaper, pulls in
+    # urllib.request, which added 11-13 ms and about 7 MB to each start on a 2-core host.
+    # numpy comes first, so only what the package itself loads counts
+    package_root = os.path.dirname(os.path.dirname(collapse_sim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy\nbefore = set(sys.modules)\nimport collapse_sim.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    loaded = set(result.stdout.split())
+    assert "collapse_sim.cli" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl", "email", "xml.sax"}
 
 
 def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):

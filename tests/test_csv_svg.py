@@ -1,12 +1,17 @@
 import csv
 import io
+import json
+import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from collapse_sim import IntegratorConfig, simulate_model
+import collapse_sim
+from collapse_sim import IntegratorConfig, ValidationError, simulate_model
 from collapse_sim.analysis import QslReport, SweepRow
 from collapse_sim.csvio import (
     _tracked_pairs,
@@ -14,6 +19,7 @@ from collapse_sim.csvio import (
     read_csv_columns,
     trajectory_header,
     write_qsl_csv,
+    write_spectrum_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -28,25 +34,34 @@ def short_trajectory(two_level_model):
     return simulate_model(two_level_model, IntegratorConfig(t_max=0.05), mode="full")
 
 
-def per_value_trajectory_csv(traj) -> str:
-    """The trajectory writer as it was before bulk formatting: one
-    ``format(x, ".17g")`` per value, rows through ``csv.writer``."""
-    def fmt(x):
-        return format(float(x), ".17g")
-
+def per_value_csv(header, rows) -> str:
+    """The CSV writers as they were before bulk formatting: one
+    ``format(x, ".17g")`` per value, a blank for None, rows through ``csv.writer``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trajectory_header(traj))
-    for k in range(traj.times.size):
-        row = [fmt(traj.times[k])]
-        row += [fmt(traj.states[k, c, c].real) for c in range(traj.dim)]
-        for r, s in _tracked_pairs(traj.dim):
-            row += [fmt(traj.states[k, r, s].real), fmt(traj.states[k, r, s].imag)]
-        row.append(fmt(traj.entropy[k]))
-        row += [fmt(traj.eigenvalues[k, c]) for c in range(traj.dim)]
-        row.append(fmt(traj.trace_dist[k]))
-        writer.writerow(row)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if x is None else format(float(x), ".17g") for x in row])
     return buf.getvalue()
+
+
+def per_value_trajectory_csv(traj) -> str:
+    rows = []
+    for k in range(traj.times.size):
+        row = [traj.times[k]]
+        row += [traj.states[k, c, c].real for c in range(traj.dim)]
+        for r, s in _tracked_pairs(traj.dim):
+            row += [traj.states[k, r, s].real, traj.states[k, r, s].imag]
+        row.append(traj.entropy[k])
+        row += [traj.eigenvalues[k, c] for c in range(traj.dim)]
+        row.append(traj.trace_dist[k])
+        rows.append(row)
+    return per_value_csv(trajectory_header(traj), rows)
+
+
+# values that stress %.17g: signed zero, the smallest subnormal, the largest double, a fraction
+# without a short decimal form, and integral floats, two of them past 2^53
+STRESS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 2.0**53 + 2, 3.0, -7.0]
 
 
 def synthetic_trajectory(n_rows, n):
@@ -134,6 +149,45 @@ class TestCsvFormat:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == per_value_trajectory_csv(traj).encode()
+
+    @staticmethod
+    def _assert_matches_per_value_csv(path, header, rows):
+        # the bytes of the per-value reference, and every value read back bit for bit (a blank as NaN)
+        assert path.read_bytes() == per_value_csv(header, rows).encode()
+        cols = read_csv_columns(str(path))
+        assert list(cols) == header
+        for k, name in enumerate(header):
+            expected = np.array([math.nan if row[k] is None else row[k] for row in rows], dtype=float)
+            assert cols[name].tobytes() == expected.tobytes(), name
+
+    def test_sweep_matches_per_value_writer(self, tmp_path):
+        rows = [SweepRow(*np.roll(STRESS, -k)[:3]) for k in range(len(STRESS))]
+        write_sweep_csv(str(tmp_path / "sweep.csv"), rows)
+        self._assert_matches_per_value_csv(tmp_path / "sweep.csv", ["gamma", "alignment_time", "gamma_times_tau"],
+                                           [[row.gamma, row.alignment_time, row.gamma_times_tau] for row in rows])
+
+    @pytest.mark.parametrize("report", [
+        QslReport(-0.0, 5e-324, 1e16, measured_alignment_time=0.1),
+        QslReport(1.7976931348623157e308, 2.0**53 + 2, 3.0, measured_alignment_time=-7.0),
+        QslReport(0.1, 1e16, 0.0, measured_alignment_time=0.0),  # bound 0: only the ratio is blank
+        QslReport(1.7976931348623157e308, 5e-324, -0.0),  # no measured time: both are blank
+    ], ids=["measured", "measured-huge", "zero-bound", "unmeasured"])
+    def test_qsl_matches_per_value_writer(self, tmp_path, report):
+        write_qsl_csv(str(tmp_path / "qsl.csv"), report)
+        self._assert_matches_per_value_csv(
+            tmp_path / "qsl.csv", ["numerator", "denominator", "bound", "measured_tau", "ratio"],
+            [[report.numerator, report.denominator, report.bound, report.measured_alignment_time, report.ratio]])
+
+    @pytest.mark.parametrize("complex_eigenvalues", [False, True], ids=["real", "complex"])
+    def test_spectrum_matches_per_value_writer(self, tmp_path, complex_eigenvalues):
+        eigenvalues = np.array(STRESS)
+        if complex_eigenvalues:
+            eigenvalues = eigenvalues + 1j * np.roll(STRESS, 3)
+        stationary = np.roll(STRESS, 5)
+        write_spectrum_csv(str(tmp_path / "spectrum.csv"), eigenvalues, stationary)
+        self._assert_matches_per_value_csv(
+            tmp_path / "spectrum.csv", ["index", "eigenvalue_re", "eigenvalue_im", "stationary_component"],
+            [[k, ev.real, ev.imag, stationary[k]] for k, ev in enumerate(eigenvalues)])
 
     def test_sweep_and_qsl_headers(self, tmp_path):
         sweep_path = str(tmp_path / "sweep.csv")
@@ -247,6 +301,69 @@ class TestSvgPlots:
             points = [el.get("points") for el in ET.fromstring(doc).iter()
                       if el.tag.endswith("polyline")]
             assert points == per_point_polylines(series)
+
+    def test_text_reads_back_as_given(self):
+        title, xlabel, ylabel = "a & b < c > d", "x < 1 & y > 2", "<&>"
+        labels = ["s&1", "<tag>", "&amp;"]
+        x = np.linspace(0.0, 1.0, 5)
+        doc = render_line_plot([(label, x, x + k) for k, label in enumerate(labels)],
+                               title=title, xlabel=xlabel, ylabel=ylabel)
+        texts = [el.text for el in ET.fromstring(doc).iter() if el.tag.endswith("text")]
+        assert texts[0] == title
+        assert texts[-len(labels) - 2:] == [xlabel, ylabel, *labels]
+
+    def test_ticks_of_a_span_below_the_step_resolution_return(self):
+        # where step is below half an ulp of the ticks, adding it moves no tick; run in a child
+        # with a timeout and an address-space cap a few hundred MB above its size after the
+        # imports, so a tick list that grows without end fails fast
+        spans = [[1e16, 1e16 + 4], [1e9, 1e9 + 1e-7]]
+        child = (
+            "import json, os, resource, sys\n"
+            "from collapse_sim.svgplot import _nice_ticks\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "cap = size + (300 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "print(json.dumps([_nice_ticks(lo, hi) for lo, hi in json.loads(sys.argv[1])]))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(collapse_sim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", child, json.dumps(spans)], env=env,
+                                capture_output=True, text=True, timeout=5)
+        assert result.returncode == 0, result.stderr
+        for (lo, hi), ticks in zip(spans, json.loads(result.stdout)):
+            assert 1 <= len(ticks) <= 6 and all(lo <= t <= hi for t in ticks), (lo, hi, ticks)
+
+    @pytest.mark.parametrize("series", [
+        [],
+        [("empty", [], [])],
+        [("inf", [0.0, 1.0], [0.0, math.inf])],
+        [("nan", [0.0, math.nan], [0.0, 1.0])],
+        [("wide y", [0.0, 1.0], [-1e308, 1e308])],
+        [("wide x", [-1e308, 1e308], [0.0, 1.0])],
+        [("padded past the largest double", [0.0, 1.0], [1.79e308, 1.79e308])],
+    ], ids=["no-series", "no-point", "inf", "nan", "y-span-overflows", "x-span-overflows", "pad-overflows"])
+    def test_unplottable_values_are_refused(self, series):
+        with pytest.raises(ValidationError):
+            render_line_plot(series, title="", xlabel="", ylabel="")
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0, 1.0], [1e300, 1e300]),  # a pad of 1.0 is lost to rounding at 1e300
+        ([2.0**53], [1.0]),  # so is a unit-wide x axis at 2^53
+    ], ids=["constant-1e300", "one-x-at-2^53"])
+    def test_zero_spans_far_from_zero_draw_inside_the_axes(self, x, y):
+        root = ET.fromstring(render_line_plot([("s", x, y)], title="", xlabel="", ylabel=""))
+        (polyline,) = [el for el in root.iter() if el.tag.endswith("polyline")]
+        points = np.array([p.split(",") for p in polyline.get("points").split()], dtype=float)
+        assert (_MARGIN_LEFT <= points[:, 0]).all() and (points[:, 0] <= WIDTH - _MARGIN_RIGHT).all()
+        assert (_MARGIN_TOP <= points[:, 1]).all() and (points[:, 1] <= HEIGHT - _MARGIN_BOTTOM).all()
+        # the tick marks: x ticks hang below the x axis, y ticks end at the y axis; each at its own place
+        lines = [el for el in root.iter() if el.tag.endswith("line")]
+        x_ticks = [float(el.get("x1")) for el in lines if el.get("y1") == str(HEIGHT - _MARGIN_BOTTOM)]
+        y_ticks = [float(el.get("y1")) for el in lines if el.get("x2") == str(_MARGIN_LEFT)]
+        for ticks, lo, hi in ((x_ticks, _MARGIN_LEFT, WIDTH - _MARGIN_RIGHT),
+                              (y_ticks, _MARGIN_TOP, HEIGHT - _MARGIN_BOTTOM)):
+            assert 1 <= len(ticks) == len(set(ticks)) <= 6 and all(lo <= t <= hi for t in ticks), ticks
 
 
 def per_point_polylines(series):

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -19,3 +20,5 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    for figure in (tmp_path / "output").glob("*.svg"):
+        assert ET.parse(str(figure)).getroot().tag.endswith("svg"), figure.name
